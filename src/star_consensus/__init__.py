@@ -34,16 +34,13 @@ from .spectral import (
     SpectralError,
     StratifiedBlocks,
     char_kcs,
-    char_symmetric,
     eig_symmetric,
     interlacing_check,
     k_max,
     slem,
     slem_closed_form,
-    spectrum_to_csv,
     stratify,
     theta_root_kcs,
-    theta_root_symmetric,
 )
 from .optimality import (
     InvarianceReport,

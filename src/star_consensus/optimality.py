@@ -30,7 +30,7 @@ from .spectral import (
     k_max,
     slem_closed_form,
     stratify,
-    theta_root_symmetric,
+    theta_root_kcs,
 )
 from .weights import WeightAssignment, metropolis_weights, optimal_weights
 
@@ -104,7 +104,7 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    theta = theta_root_symmetric(m, n)
+    theta = theta_root_kcs(m, n, 1)
     s = math.cos(theta)
     if abs(math.sin(theta)) < 1e-12:
         raise SpectralError("degenerate characteristic angle (sin ~ 0)")

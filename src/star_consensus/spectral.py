@@ -2,9 +2,22 @@
 
 Covers the SLEM objective max(lam_2, -lam_N), the branch-permutation
 block diagonalization of symmetric stars into one (m+1)x(m+1) block W0
-and n-1 copies of an m x m block W1, the characteristic equations whose
-smallest root in (0, pi) gives the optimal SLEM, the k_max threshold for
+and n-1 copies of an m x m block W1, the characteristic equation whose
+smallest positive root gives the optimal SLEM, the k_max threshold for
 k-cored stars, and Cauchy-interlacing consistency checks.
+
+The characteristic function of the k-cored star (the symmetric star is
+the case k = 1) can be written
+
+    f(t) = (n-2k)cos((m-1/2)t) - (n+2k)cos((m+1/2)t)
+         = 2n sin(mt) sin(t/2) - 4k cos(mt) cos(t/2).
+
+On (0, pi/(2m)) both cosines are positive, so f has the sign of
+tan(mt) tan(t/2) - 2k/n, which increases strictly from -2k/n to +inf.
+Hence f(0) = -4k < 0, f(pi/(2m)) = 2n sin(pi/(4m)) > 0, and the smallest
+positive root is the only root in that bracket, found by Brent's method
+to machine precision for every m.  The k_max threshold depends on (n, k)
+only through r = k/n and is computed once per m the same way.
 
 Dense symmetric and tridiagonal eigenproblems are delegated to LAPACK
 (numpy.linalg.eigvalsh / scipy.linalg.eigh_tridiagonal); both are
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
 from .topology import CcsStar, KcsStar, SymmetricStar, Topology
 from .weights import WeightAssignment
@@ -30,21 +43,19 @@ __all__ = [
     "eig_symmetric",
     "slem",
     "stratify",
-    "theta_root_symmetric",
     "theta_root_kcs",
     "slem_closed_form",
     "k_max",
     "interlacing_check",
-    "char_symmetric",
     "char_kcs",
-    "spectrum_to_csv",
-    "char_residual_csv",
 ]
 
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
-ROOT_SCAN_STEPS = 10_000
-ROOT_TOL = 1e-12
+# The k_max comparison (2k-n)/(2k+n) <= cos(theta) is exact at some integer
+# points (m = 1, k = n gives 1/3 on both sides); sides closer than this
+# count as equal, so a rounding error in the root cannot break the tie.
+TIE_TOL = 1e-12
 
 
 class SpectralError(ValueError):
@@ -78,6 +89,8 @@ def slem(W: np.ndarray) -> float:
     if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
         raise SpectralError("matrix rows must sum to one (within 1e-9)")
     lam = eig_symmetric(W)
+    if lam.size < 2:
+        raise SpectralError("SLEM needs at least two nodes")
     return float(max(lam[1], -lam[-1]))
 
 
@@ -134,20 +147,13 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     return StratifiedBlocks(W0, W1, n - 1)
 
 
-def char_symmetric(theta, m: int, n: int):
-    """Characteristic function of the symmetric-star SLEM angle:
-    (n-2)cos((m-1/2)t) - (n+2)cos((m+1/2)t)."""
-    t = np.asarray(theta, dtype=float)
-    return (n - 2) * np.cos((m - 0.5) * t) - (n + 2) * np.cos((m + 0.5) * t)
-
-
 def char_kcs(theta, m: int, n: int, k: int):
     """Characteristic function of the k-cored SLEM angle:
     (n-2k)cos((m-1/2)t) - (n+2k)cos((m+1/2)t).
 
     Derived from the tail block of the branch-permutation decomposition
-    (innermost tail diagonal 1 - k*w1 - w2 with w1 = 2/(n+2k)); reduces
-    to the single-center equation at k = 1 and reproduces the published
+    (innermost tail diagonal 1 - k*w1 - w2 with w1 = 2/(n+2k)); at k = 1
+    it is the symmetric-star equation, and it reproduces the published
     k-cored SLEM values, which the commonly circulated sin-form of the
     equation does not.
     """
@@ -155,50 +161,32 @@ def char_kcs(theta, m: int, n: int, k: int):
     return (n - 2 * k) * np.cos((m - 0.5) * t) - (n + 2 * k) * np.cos((m + 0.5) * t)
 
 
-def _smallest_root(f, args) -> float:
-    """First sign change of f on (0, pi), refined by bisection to 1e-12.
-
-    The scan step pi/1e4 is fine enough to separate the closely spaced
-    roots that appear at large m.
-    """
-    grid = np.linspace(0.0, math.pi, ROOT_SCAN_STEPS + 1)[1:]
-    vals = f(grid, *args)
-    sign = np.sign(vals)
-    flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    exact = np.nonzero(sign == 0)[0]
-    first_flip = flips[0] if flips.size else None
-    first_exact = exact[0] if exact.size else None
-    if first_exact is not None and (first_flip is None or first_exact <= first_flip):
-        return float(grid[first_exact])
-    if first_flip is None:
-        raise SpectralError("no sign change of the characteristic function in (0, pi)")
-    a, b = grid[first_flip], grid[first_flip + 1]
-    return float(bisect(lambda t: float(f(t, *args)), a, b, xtol=ROOT_TOL))
-
-
-def theta_root_symmetric(m: int, n: int) -> float:
-    """Smallest root in (0, pi) of the symmetric-star characteristic equation."""
-    if m < 1 or n < 1:
-        raise SpectralError("m, n must be >= 1")
-    return _smallest_root(char_symmetric, (m, n))
+def _bracketed_root(f, m: int, args) -> float:
+    """The single root of f in (0, pi/(2m)), where f(0) < 0 < f(pi/(2m)),
+    to machine precision."""
+    right = math.pi / (2 * m)
+    return float(brentq(f, 0.0, right, args=args, xtol=np.finfo(float).eps * right))
 
 
 def theta_root_kcs(m: int, n: int, k: int) -> float:
-    """Smallest root in (0, pi) of the k-cored characteristic equation."""
+    """Smallest positive root of the k-cored characteristic equation.
+
+    It is the only root in (0, pi/(2m)) (see the module docstring); the
+    symmetric star is the case k = 1.
+    """
     if m < 1 or n < 1 or k < 1:
         raise SpectralError("m, n, k must be >= 1")
-    return _smallest_root(char_kcs, (m, n, k))
+    return _bracketed_root(char_kcs, m, (m, n, k))
 
 
 def slem_closed_form(topology: Topology) -> float:
     """Optimal-weight SLEM of a star family via its characteristic equation.
 
-    Symmetric: cos of the smallest root of the symmetric equation;
-    CCS: cos(pi/(2(m+1))), independent of n; KCS: cos of the smallest
-    root of the k-cored equation.
+    Symmetric (the k-cored star with k = 1) and KCS: cos of the smallest
+    root of the k-cored equation; CCS: cos(pi/(2(m+1))), independent of n.
     """
     if isinstance(topology, SymmetricStar):
-        return math.cos(theta_root_symmetric(topology.m, topology.n))
+        return math.cos(theta_root_kcs(topology.m, topology.n, 1))
     if isinstance(topology, CcsStar):
         return math.cos(math.pi / (2 * (topology.m + 1)))
     if isinstance(topology, KcsStar):
@@ -206,20 +194,61 @@ def slem_closed_form(topology: Topology) -> float:
     raise SpectralError("closed-form SLEM is defined only for the star families")
 
 
+def _threshold_char(theta, m: int):
+    """sin(mt) sin^3(t/2) - cos(mt) cos^3(t/2).
+
+    This is the characteristic function divided by n at r = cot^2(t/2)/2,
+    the ratio at which the central eigenvalue (2r-1)/(2r+1) equals cos(t),
+    scaled by sin^2(t/2)/2 so that it stays finite at t = 0."""
+    return (math.sin(m * theta) * math.sin(theta / 2) ** 3
+            - math.cos(m * theta) * math.cos(theta / 2) ** 3)
+
+
+# r*(m) by m; a pure function of m, filled on first use.
+_R_STAR: dict[int, float] = {}
+
+
+def _r_star(m: int) -> float:
+    """The ratio k/n at which the central eigenvalue (2k-n)/(2k+n) meets
+    the closed-form SLEM cos(theta(m, n, k)).
+
+    Both sides depend on (n, k) only through r = k/n.  The central
+    eigenvalue rises with r, while cos(theta) falls, because theta solves
+    tan(mt) tan(t/2) = 2r and so rises with r.  Hence the closed form stays
+    optimal exactly for r <= r*.  At the crossing 2r = cot^2(t/2), so the
+    root equation becomes tan(mt) = cot^3(t/2).  On (0, pi/(2m)) the
+    left side rises and the right side falls, so the crossing angle is the
+    single root of _threshold_char there.  r*(1) = 1.
+    """
+    r = _R_STAR.get(m)
+    if r is None:
+        theta = _bracketed_root(_threshold_char, m, (m,))
+        r = _R_STAR[m] = 0.5 / math.tan(theta / 2) ** 2
+    return r
+
+
+def _closed_form_optimal(m: int, n: int, k: int) -> bool:
+    """(2k-n)/(2k+n) <= cos(theta(m, n, k)), ties within TIE_TOL included."""
+    return (2 * k - n) / (2 * k + n) <= math.cos(theta_root_kcs(m, n, k)) + TIE_TOL
+
+
 def k_max(m: int, n: int) -> int:
     """Largest k for which the closed-form k-cored weights stay optimal.
 
-    The threshold is (2k-n)/(2k+n) <= cos(theta(m, n, k)); k is increased
-    from 1 until the inequality first fails.
+    The threshold is (2k-n)/(2k+n) <= cos(theta(m, n, k)), which holds
+    exactly for k/n <= r*(m), so k_max = max(1, floor(n * r*(m))).  The
+    integer condition is then checked at k and k + 1, stepping k until it
+    holds at k (or k = 1) and fails at k + 1, so rounding in r* cannot
+    move the answer.
     """
     if m < 1 or n < 1:
         raise SpectralError("m, n must be >= 1")
-    k = 1
-    while True:
-        s = math.cos(theta_root_kcs(m, n, k + 1))
-        if (2 * (k + 1) - n) / (2 * (k + 1) + n) > s:
-            return k
+    k = max(1, math.floor(n * _r_star(m)))
+    while k > 1 and not _closed_form_optimal(m, n, k):
+        k -= 1
+    while _closed_form_optimal(m, n, k + 1):
         k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -261,16 +290,3 @@ def interlacing_check(blocks: StratifiedBlocks, W: np.ndarray | None = None,
         lambda2_matches_w1_top=top_ok,
         lambda_min_matches_w1_bottom=bottom_ok,
     )
-
-
-def spectrum_to_csv(values: np.ndarray) -> str:
-    return "\n".join(f"{v:.17g}" for v in values) + "\n"
-
-
-def char_residual_csv(char_fn, thetas, *args) -> str:
-    """Plot-ready CSV of a characteristic function over a theta grid."""
-    thetas = np.asarray(thetas, dtype=float)
-    vals = char_fn(thetas, *args)
-    out = ["theta,residual"]
-    out += [f"{t:.17g},{v:.17g}" for t, v in zip(thetas, np.atleast_1d(vals))]
-    return "\n".join(out) + "\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
-from star_consensus.spectral import k_max, slem_closed_form, theta_root_symmetric
+from star_consensus.spectral import k_max, slem_closed_form, theta_root_kcs
 from star_consensus.optimality import (
     central_weight_invariance,
     kcs_slem_curve,
@@ -40,7 +40,7 @@ def test_slackness_m1_single_equation():
 def test_recursions_are_homogeneous():
     # doubling the coordinates doubles each recursion residual exactly
     m, n = 3, 4
-    theta = theta_root_symmetric(m, n)
+    theta = theta_root_kcs(m, n, 1)
     s = math.cos(theta)
     idx = np.arange(1, m + 1)
     a = np.sin((m - idx + 1) * theta) / math.sin(theta)

@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
-from star_consensus.topology import CcsStar, KcsStar, SymmetricStar, build
+from star_consensus.topology import CcsStar, Custom, Graph, KcsStar, SymmetricStar, build
 from star_consensus.spectral import (
     SpectralError,
     char_kcs,
-    char_residual_csv,
-    char_symmetric,
     eig_symmetric,
     interlacing_check,
     k_max,
     slem,
     slem_closed_form,
-    spectrum_to_csv,
     stratify,
     theta_root_kcs,
-    theta_root_symmetric,
 )
 from star_consensus.weights import (
     WeightAssignment,
@@ -53,6 +50,13 @@ def test_slem_known_values():
 def test_slem_requires_stochastic():
     with pytest.raises(SpectralError):
         slem(np.array([[0.4, 0.5], [0.5, 0.4]]))
+
+
+def test_slem_needs_two_nodes():
+    g, W = scheme_matrix(Custom(Graph(1, ())), "metropolis")
+    assert W.shape == (1, 1)
+    with pytest.raises(SpectralError, match="at least two nodes"):
+        slem(W)
 
 
 def test_stratify_block_shapes_and_entries():
@@ -101,8 +105,7 @@ def test_symmetric_root_vs_eigen():
         for n in range(1, 9):
             topo = SymmetricStar(m, n)
             g, W = scheme_matrix(topo, "optimal")
-            assert math.cos(theta_root_symmetric(m, n)) == pytest.approx(
-                slem(W), abs=1e-9)
+            assert slem_closed_form(topo) == pytest.approx(slem(W), abs=1e-9)
 
 
 def test_kcs_root_vs_eigen():
@@ -115,13 +118,6 @@ def test_kcs_root_vs_eigen():
                                                                abs=1e-9)
 
 
-def test_kcs_k1_reduces_to_symmetric():
-    for m in range(1, 6):
-        for n in range(1, 7):
-            assert theta_root_kcs(m, n, 1) == pytest.approx(
-                theta_root_symmetric(m, n), abs=1e-10)
-
-
 def test_ccs_slem_independent_of_n():
     for m in range(1, 7):
         ref = math.cos(math.pi / (2 * (m + 1)))
@@ -132,16 +128,63 @@ def test_ccs_slem_independent_of_n():
 
 
 def test_theta_roots_in_open_interval():
-    for m, n in ((1, 1), (2, 2), (4, 8), (8, 3)):
-        t = theta_root_symmetric(m, n)
-        assert 0 < t < math.pi
-        assert abs(char_symmetric(t, m, n)) < 1e-9
+    for m, n, k in ((1, 1, 1), (2, 2, 1), (4, 8, 1), (8, 3, 1), (1, 3, 3), (3, 2, 7)):
+        t = theta_root_kcs(m, n, k)
+        assert 0 < t < math.pi / (2 * m)
+        assert abs(char_kcs(t, m, n, k)) < 1e-9
+        # no smaller root: f < 0 on a fine grid below t
+        assert np.all(char_kcs(np.linspace(0.0, t, 1001)[:-1], m, n, k) < 0)
+
+
+def _block_slem(m, n, k):
+    """SLEM of KcsStar(m, n, k) at w1 = 2/(n+2k), tail weights 1/2, from
+    its stratified tridiagonal blocks, built from diagonals only: the sector
+    block (size m+1), the tail block (size m, n-1 copies) and the
+    eigenvalue 1 - n*w1 (k-1 copies)."""
+    w1 = 2.0 / (n + 2 * k)
+    tail_d = np.zeros(m)
+    tail_d[-1] = 0.5
+    tail_d[0] = 1.0 - k * w1 - (0.5 if m > 1 else 0.0)
+    tail_e = np.full(m - 1, 0.5)
+    sector_d = np.concatenate(([1.0 - n * w1], tail_d))
+    sector_e = np.concatenate(([math.sqrt(n * k) * w1], tail_e))
+
+    def eig(d, e, i):
+        if d.size == 1:
+            return d[0]
+        return eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]
+
+    top = [eig(sector_d, sector_e, m - 1)]  # index m is the eigenvalue 1
+    bottom = [eig(sector_d, sector_e, 0)]
+    if n > 1:
+        top.append(eig(tail_d, tail_e, m - 1))
+        bottom.append(eig(tail_d, tail_e, 0))
+    if k > 1:
+        top.append(1.0 - n * w1)
+        bottom.append(1.0 - n * w1)
+    return max(max(top), -min(bottom))
+
+
+def test_block_oracle_matches_dense_eigensolve():
+    for m, n, k in ((1, 1, 1), (1, 3, 2), (2, 3, 1), (3, 3, 2), (4, 5, 3), (3, 40, 2)):
+        g, W = scheme_matrix(KcsStar(m, n, k), "optimal")
+        assert _block_slem(m, n, k) == pytest.approx(slem(W), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 1000, 6000, 20000])
+def test_large_m_roots_vs_tridiagonal_blocks(m):
+    for n, k in ((3, 1), (40, 2), (3, 2), (8, 1)):
+        topo = SymmetricStar(m, n) if k == 1 else KcsStar(m, n, k)
+        t = theta_root_kcs(m, n, k)
+        assert 0 < t < math.pi / (2 * m - 1)
+        assert abs(char_kcs(t, m, n, k)) <= 1e-9 * (n + 2 * k)
+        assert slem_closed_form(topo) == pytest.approx(_block_slem(m, n, k), abs=1e-9)
 
 
 def test_k_max_boundary():
     # at k_max the ignored central eigenvalue is still below the tail
     # SLEM; at k_max + 1 it exceeds it
-    for m, n in ((2, 3), (3, 4), (5, 2)):
+    for m, n in ((2, 3), (3, 4), (5, 2), (1, 200), (11, 200)):
         km = k_max(m, n)
 
         def central(k):
@@ -151,16 +194,35 @@ def test_k_max_boundary():
         assert central(km + 1) > math.cos(theta_root_kcs(m, n, km + 1))
 
 
+def _k_max_by_increment(m, n):
+    """The k-increment loop: raise k from 1 until the central eigenvalue
+    (2(k+1)-n)/(2(k+1)+n) first exceeds cos(theta(m, n, k+1))."""
+    k = 1
+    while True:
+        s = math.cos(theta_root_kcs(m, n, k + 1))
+        if (2 * (k + 1) - n) / (2 * (k + 1) + n) > s:
+            return k
+        k += 1
+
+
+def test_k_max_matches_increment_loop():
+    for m in range(2, 12):
+        for n in list(range(1, 9)) + [40, 200]:
+            assert k_max(m, n) == _k_max_by_increment(m, n), (m, n)
+
+
+def test_k_max_m1_is_n():
+    # at m = 1, k = n the condition is an exact tie: cos(theta) = 1/3 =
+    # (2n-n)/(2n+n), and the rule's "<=" keeps k = n
+    for n in (2, 3, 5):
+        assert k_max(1, n) == n
+        topo = KcsStar(1, n, n)
+        g, W = scheme_matrix(topo, "optimal")
+        assert slem(W) == pytest.approx(slem_closed_form(topo), abs=1e-12)
+        assert slem_closed_form(topo) == pytest.approx(1 / 3, abs=1e-12)
+
+
 def test_char_functions_vectorized():
     t = np.linspace(0.1, 3.0, 7)
-    assert char_symmetric(t, 2, 3).shape == (7,)
+    assert char_kcs(t, 2, 3, 1).shape == (7,)
     assert char_kcs(t, 2, 3, 2).shape == (7,)
-
-
-def test_csv_exports():
-    vals = eig_symmetric(np.diag([3.0, 1.0, 2.0]))
-    text = spectrum_to_csv(vals)
-    assert [float(x) for x in text.split()] == [3.0, 2.0, 1.0]
-    csv = char_residual_csv(char_symmetric, np.linspace(0.1, 1, 5), 2, 3)
-    assert csv.splitlines()[0] == "theta,residual"
-    assert len(csv.splitlines()) == 6
