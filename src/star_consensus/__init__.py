@@ -12,7 +12,6 @@ from .topology import (
     build,
     graph_from_csv,
     graph_to_csv,
-    validate,
 )
 from .weights import (
     WeightAssignment,
@@ -20,14 +19,12 @@ from .weights import (
     assemble_matrix,
     best_constant_weights,
     check_weight_matrix,
-    matrix_to_csv,
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
     weights_to_csv,
-    weights_to_json,
 )
 from .spectral import (
     InterlacingReport,
@@ -57,7 +54,6 @@ from .simulate import (
     TrialStats,
     derive_trial_seed,
     initial_states,
-    iterate,
     monte_carlo,
     quantize,
     run_trial,

@@ -10,8 +10,8 @@ Subcommands:
 All output data is CSV/JSON on stdout (or ``--output``); a human summary
 goes to stderr.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 verification failure.  Every command is deterministic given
-its flags.  STAR_CONSENSUS_THREADS may cap the BLAS thread count;
-results are identical regardless.
+its flags.  STAR_CONSENSUS_THREADS may cap the BLAS thread count; the
+random draws do not depend on it.
 """
 
 from __future__ import annotations
@@ -93,6 +93,39 @@ SIM_TOPOLOGIES = {
     4: topology.CcsStar(2, 3),
     5: topology.KcsStar(2, 3, 2),
 }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# table --config fields and the values each accepts (the matching flags'
+# choices); the table id fixes the topology and the quantizer scheme.
+CONFIG_FIELDS = {
+    "bits": lambda v: _is_int(v) and v in (4, 8, 16),
+    "weighting": lambda v: v in WEIGHTINGS,
+    "trials": lambda v: _is_int(v) and v >= 1,
+    "max_iters": lambda v: _is_int(v) and v >= 1,
+    "seed": lambda v: _is_int(v) and v >= 0,
+}
+
+
+def config_from_json(text: str) -> dict:
+    """Parse a ``table --config`` file; unknown fields and values the
+    matching flag would reject raise ValueError."""
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(cfg) - set(CONFIG_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if not CONFIG_FIELDS[key](value):
+            raise ValueError(f"invalid {key}: {value!r}")
+    return cfg
 
 
 def _topology_from_flags(args) -> topology.Topology:
@@ -195,8 +228,11 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
 def cmd_table(args) -> int:
     cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            cfg = simulate.config_from_json(f.read())
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                cfg = config_from_json(f.read())
+        except ValueError as e:
+            raise SystemExit2(f"config {args.config}: {e}", EXIT_USAGE) from None
     trials = args.trials if args.trials is not None else cfg.get("trials", 10000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     max_iters = cfg.get("max_iters", 10000)

@@ -16,8 +16,6 @@ Three routes:
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -179,13 +177,6 @@ class OptimizeResult:
     @property
     def weights(self) -> WeightAssignment:
         return WeightAssignment(per_edge=dict(self.per_edge))
-
-    def history_to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("iteration,best_slem\n")
-        for i, v in enumerate(self.history):
-            buf.write(f"{i},{v:.17g}\n")
-        return buf.getvalue()
 
 
 def minimize_slem(graph: Graph,
@@ -391,12 +382,3 @@ def central_weight_invariance(core: str,
                             closed_form_weight=closed,
                             deviation=abs(got - closed),
                             slem=res.slem)
-
-
-def report_to_json(report: SlacknessReport) -> str:
-    return json.dumps({
-        "m": report.m, "n": report.n, "theta": report.theta, "s": report.s,
-        "a": list(map(float, report.a_coords)),
-        "b": list(map(float, report.b_coords)),
-        "residuals": report.residuals,
-    }, indent=2)

@@ -10,19 +10,23 @@ consensus statistics psi (percentage of trials reaching consensus), eta
 of the consensus error normalized by delta).
 
 All randomness comes from a counter-based generator keyed by
-(master seed, trial index, draw index), so results are bit-identical
-regardless of execution order, batching, or thread count.
+(master seed, trial index, draw index), so every trial consumes the same
+draws under any batching or execution order.  Single-trial runs,
+trajectory replays and Monte Carlo sweeps share one stepping loop.  A
+trial inside a larger batch can still differ from its single-trial run
+in the last bit of the matrix product (BLAS may sum a multi-row product
+in another order), which changes its outcome only if that moves a
+quantizer decision; exact batch independence needs a fixed-order product.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology, build
+from .topology import Topology
 from .weights import scheme_matrix
 
 __all__ = [
@@ -30,7 +34,6 @@ __all__ = [
     "TrialOutcome",
     "TrialStats",
     "quantize",
-    "iterate",
     "run_trial",
     "monte_carlo",
     "derive_trial_seed",
@@ -50,11 +53,16 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Deterministic per-trial key; independent of all other trials."""
+def derive_trial_seed(master_seed: int, trial_index):
+    """Deterministic per-trial key; independent of all other trials.
+
+    An int index gives an int; an integer array of indices gives the
+    uint64 array of their keys.
+    """
     with np.errstate(over="ignore"):
         k = _mix64(np.uint64(master_seed & (2**64 - 1)) * _PHI)
-        return int(_mix64(k + np.uint64(trial_index) * _M1))
+        z = _mix64(k + np.asarray(trial_index, dtype=np.uint64) * _M1)
+    return int(z) if z.ndim == 0 else z
 
 
 def _uniforms(trial_seeds, draw_indices):
@@ -90,14 +98,14 @@ class QuantizerSpec:
         return -1.0 + self.delta * np.arange(self.level_count)
 
 
-def quantize(x, spec: QuantizerSpec, u=None, rng=None):
+def quantize(x, spec: QuantizerSpec, u=None):
     """Map x onto the level grid (values outside [-1, 1] are clipped).
 
     Uniform: nearest level, the cell midpoint itself rounding up.
     Probabilistic: upper level with probability equal to the fractional
     position inside the cell (unbiased).  ``u`` supplies the uniform
-    draws for the probabilistic rule; without it ``rng`` (or a fresh
-    default generator) is used.
+    draws for the probabilistic rule, one per element of x, and is
+    required for it.
     """
     scalar = np.isscalar(x)
     x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
@@ -110,27 +118,11 @@ def quantize(x, spec: QuantizerSpec, u=None, rng=None):
         lo = np.floor(p)
         frac = p - lo
         if u is None:
-            if rng is None:
-                rng = np.random.default_rng()
-            u = rng.random(size=x.shape)
+            raise ValueError("probabilistic quantization needs uniform draws u")
         idx = lo + (np.asarray(u) < frac)
     idx = np.clip(idx, 0, spec.level_count - 1)
     out = -1.0 + spec.delta * idx
     return float(out) if scalar else out
-
-
-def iterate(W, x0, steps: int) -> np.ndarray:
-    """Unquantized linear iteration; returns trajectory of shape
-    (steps+1, N) with row t equal to x(t)."""
-    W = np.asarray(W, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    if W.shape[0] != W.shape[1] or x.shape != (W.shape[0],):
-        raise ValueError("dimension mismatch between W and x0")
-    traj = np.empty((steps + 1, x.size))
-    traj[0] = x
-    for t in range(1, steps + 1):
-        traj[t] = W @ traj[t - 1]
-    return traj
 
 
 @dataclass(frozen=True)
@@ -160,13 +152,15 @@ def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarr
 _UNQUANTIZED_TOL = 1e-9
 
 
-def _batch_run(W, x0_batch, spec, max_iters, trial_seeds):
+def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     """Run many trials in lockstep.  x0_batch: (trials, N) raw states.
 
     Returns (reached, iterations, values) arrays.  Draw indices: stage
     s = 1 quantizes x(0), stage s = t+1 supplies the quantization draws
     of update t, always N per stage, so a single trial and any batch
-    consume identical random streams.
+    consume identical random streams.  If ``record`` is a list, it
+    receives a copy of trial 0's state after every stage it takes part
+    in: x(0) after quantization, then each update.
     """
     W = np.asarray(W, dtype=float)
     n_trials, N = x0_batch.shape
@@ -183,6 +177,8 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds):
     if quantized:
         u = stage_u(1, rows_all) if spec.scheme == "probabilistic" else None
         x = quantize(x, spec, u=u)
+    if record is not None:
+        record.append(x[0].copy())
 
     reached = np.zeros(n_trials, dtype=bool)
     iters = np.full(n_trials, max_iters, dtype=np.int64)
@@ -208,6 +204,8 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds):
         if quantized:
             u = stage_u(t + 1, active) if spec.scheme == "probabilistic" else None
             xa = quantize(xa, spec, u=u)
+        if record is not None and active[0] == 0:
+            record.append(xa[0].copy())
         active, xa = check(active, xa, t)
     return reached, iters, values
 
@@ -222,44 +220,13 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     non-consensus).  ``iterations`` is the number of update steps taken.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not return_trajectory:
-        reached, iters, values = _batch_run(
-            np.asarray(W, float), x0[None, :], spec, max_iters,
-            np.array([trial_seed], dtype=np.uint64))
-        return _make_outcome(bool(reached[0]), int(iters[0]), float(values[0]),
-                             x0, spec)
-    # trajectory variant replays the identical stream, recording states
-    W = np.asarray(W, dtype=float)
-    N = x0.size
-    seeds = np.uint64([trial_seed])[:, None]
-    node_idx = np.arange(N, dtype=np.uint64)[None, :]
-
-    def stage_u(stage):
-        return _uniforms(seeds, np.uint64(stage) * np.uint64(N) + node_idx)[0]
-
-    quantized = spec.scheme is not None
-    x = x0.copy()
-    if quantized:
-        u = stage_u(1) if spec.scheme == "probabilistic" else None
-        x = quantize(x, spec, u=u)
-    traj = [x.copy()]
-
-    def done(xs):
-        if quantized:
-            return np.all(xs == xs[0])
-        return np.max(np.abs(xs - xs.mean())) <= _UNQUANTIZED_TOL
-
-    t = 0
-    while not done(x) and t < max_iters:
-        t += 1
-        x = W @ x
-        if quantized:
-            u = stage_u(t + 1) if spec.scheme == "probabilistic" else None
-            x = quantize(x, spec, u=u)
-        traj.append(x.copy())
-    reached = done(x)
-    value = float(x[0] if quantized else x.mean()) if reached else np.nan
-    return _make_outcome(reached, t, value, x0, spec), np.array(traj)
+    traj = [] if return_trajectory else None
+    reached, iters, values = _batch_run(
+        W, x0[None, :], spec, max_iters,
+        np.array([trial_seed], dtype=np.uint64), traj)
+    outcome = _make_outcome(bool(reached[0]), int(iters[0]), float(values[0]),
+                            x0, spec)
+    return (outcome, np.array(traj)) if return_trajectory else outcome
 
 
 def _make_outcome(reached, iters, value, x0_raw, spec):
@@ -278,15 +245,14 @@ def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
 
     eta, mu, rho are computed only over trials that reached consensus
     (rho is the population variance).  Per-trial randomness is keyed by
-    (master_seed, trial index), so the result does not depend on
-    batching or parallelism.
+    (master_seed, trial index), so every trial draws the same stream
+    whatever the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     graph, W = scheme_matrix(topology, weighting)
     N = graph.node_count
-    seeds = np.array([derive_trial_seed(master_seed, i) for i in range(trials)],
-                     dtype=np.uint64)
+    seeds = derive_trial_seed(master_seed, np.arange(trials))
     x0 = 2.0 * _uniforms(seeds[:, None],
                          np.arange(N, dtype=np.uint64)[None, :]) - 1.0
     reached, iters, values = _batch_run(W, x0, spec, max_iters, seeds)
@@ -306,16 +272,6 @@ def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
                       trials=trials, seed=master_seed)
 
 
-def stats_to_csv(rows: list[tuple[int, str, TrialStats]]) -> str:
-    """CSV with one row per (bits, weighting): psi,eta,mu,rho."""
-    buf = io.StringIO()
-    buf.write("bits,weighting,psi,eta,mu,rho\n")
-    for bits, weighting, st in rows:
-        buf.write(f"{bits},{weighting},{st.psi:.17g},{st.eta:.17g},"
-                  f"{st.mu:.17g},{st.rho:.17g}\n")
-    return buf.getvalue()
-
-
 def trajectory_to_csv(traj: np.ndarray) -> str:
     buf = io.StringIO()
     n = traj.shape[1]
@@ -323,14 +279,3 @@ def trajectory_to_csv(traj: np.ndarray) -> str:
     for t, row in enumerate(traj):
         buf.write(str(t) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
-
-
-def config_from_json(text: str) -> dict:
-    """Parse an experiment config; unknown fields are rejected."""
-    allowed = {"topology", "weighting", "bits", "scheme", "trials", "seed",
-               "max_iters"}
-    cfg = json.loads(text)
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return cfg

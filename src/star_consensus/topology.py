@@ -20,7 +20,7 @@ lowest indices, then tail nodes in branch-major order, inner to outer.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Graph",
@@ -30,9 +30,7 @@ __all__ = [
     "Custom",
     "Topology",
     "TopologyError",
-    "ValidationReport",
     "build",
-    "validate",
     "graph_to_csv",
     "graph_from_csv",
 ]
@@ -238,29 +236,6 @@ def build(topology: Topology) -> Graph:
         return Graph(k + n * m, tuple(edges), strata)
 
     raise TopologyError(f"unknown topology {topology!r}")
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    connected: bool
-    simple: bool
-    degrees: tuple[int, ...]
-    node_count: int
-    edge_count: int
-    strata_sizes: dict[int, int] | None = field(default=None)
-
-
-def validate(graph: Graph) -> ValidationReport:
-    """Report-only structural check (Graph construction already rejects
-    self-loops and duplicates, so ``simple`` is always True here)."""
-    return ValidationReport(
-        connected=graph.is_connected(),
-        simple=True,
-        degrees=tuple(graph.degrees()),
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        strata_sizes=graph.strata_sizes() if graph.stratum_of_edge else None,
-    )
 
 
 def graph_to_csv(graph: Graph) -> str:

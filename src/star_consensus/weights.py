@@ -11,7 +11,6 @@ occur for the optimal weights on star centers).
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +38,6 @@ __all__ = [
     "per_stratum_from_matrix",
     "check_weight_matrix",
     "weights_to_csv",
-    "weights_to_json",
-    "matrix_to_csv",
 ]
 
 ROW_SUM_TOL = 1e-12
@@ -222,20 +219,4 @@ def weights_to_csv(graph: Graph, W: np.ndarray) -> str:
     buf.write("diag\nnode,self_weight\n")
     for i in range(graph.node_count):
         buf.write(f"{i},{W[i, i]:.17g}\n")
-    return buf.getvalue()
-
-
-def weights_to_json(graph: Graph, W: np.ndarray) -> str:
-    return json.dumps({
-        "edges": [{"u": u, "v": v, "weight": W[u, v]} for u, v in graph.edges],
-        "diag": [{"node": i, "self_weight": W[i, i]}
-                 for i in range(graph.node_count)],
-    }, indent=2)
-
-
-def matrix_to_csv(W: np.ndarray) -> str:
-    buf = io.StringIO()
-    for row in W:
-        buf.write(",".join(f"{x:.17g}" for x in row))
-        buf.write("\n")
     return buf.getvalue()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from star_consensus.cli import main
+from star_consensus.cli import config_from_json, main
 
 
 def run(capsys, *argv):
@@ -93,7 +93,39 @@ def test_config_file(capsys, tmp_path):
     assert len(lines) == 2 and "metropolis" in lines[1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
-    assert run(capsys, "table", "--id", "5", "--config", str(bad))[0] == 2
+    assert run(capsys, "table", "--id", "5", "--config", str(bad))[0] == 1
+
+
+def test_config_rejects_unknown_fields():
+    cfg = config_from_json(json.dumps({"trials": 10, "seed": 1}))
+    assert cfg == {"trials": 10, "seed": 1}
+    with pytest.raises(ValueError):
+        config_from_json(json.dumps({"trails": 10}))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps({"topology": "ccs-star"}), id="topology"),
+    pytest.param(json.dumps({"scheme": "uniform"}), id="scheme"),
+    pytest.param(json.dumps({"bits": 5}), id="bits-5"),
+    pytest.param(json.dumps({"bits": "4"}), id="bits-string"),
+    pytest.param(json.dumps({"weighting": "nope"}), id="weighting"),
+    pytest.param(json.dumps({"trials": "ten"}), id="trials-string"),
+    pytest.param(json.dumps({"trials": 0}), id="trials-0"),
+    pytest.param(json.dumps({"trials": True}), id="trials-bool"),
+    pytest.param(json.dumps({"max_iters": 0}), id="max_iters-0"),
+    pytest.param(json.dumps({"max_iters": 2.5}), id="max_iters-float"),
+    pytest.param(json.dumps({"seed": -1}), id="seed-negative"),
+    pytest.param(json.dumps({"seed": None}), id="seed-null"),
+    pytest.param(json.dumps([1, 2]), id="not-an-object"),
+    pytest.param('{"trials": 10,', id="malformed"),
+])
+def test_config_bad_input_is_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "table", "--id", "3", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "config" in err
 
 
 def test_fig2(capsys, tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,14 +6,11 @@ from star_consensus.weights import scheme_matrix
 from star_consensus.spectral import slem
 from star_consensus.simulate import (
     QuantizerSpec,
-    config_from_json,
     derive_trial_seed,
     initial_states,
-    iterate,
     monte_carlo,
     quantize,
     run_trial,
-    stats_to_csv,
     trajectory_to_csv,
 )
 
@@ -37,10 +32,11 @@ def test_uniform_midpoint_rounds_up():
 
 
 def test_levels_are_fixed_points():
+    rng = np.random.default_rng(0)
     for scheme in ("uniform", "probabilistic"):
         spec = QuantizerSpec(3, scheme)
         lv = spec.levels()
-        assert np.allclose(quantize(lv, spec), lv)
+        assert np.allclose(quantize(lv, spec, u=rng.random(lv.size)), lv)
 
 
 def test_uniform_idempotent_and_clipping():
@@ -57,7 +53,7 @@ def test_probabilistic_outputs_cell_endpoints():
     lo = np.floor((x + 1) / spec.delta) * spec.delta - 1
     hi = lo + spec.delta
     draws = quantize(np.full(1000, x), spec,
-                     rng=np.random.default_rng(0))
+                     u=np.random.default_rng(0).random(1000))
     assert set(np.round(draws, 12)) <= {round(lo, 12), round(hi, 12)}
 
 
@@ -66,26 +62,21 @@ def test_probabilistic_unbiased():
     rng = np.random.default_rng(3)
     n = 200_000
     for x in (-0.9, -0.31, 0.05, 0.77):
-        d = quantize(np.full(n, x), spec, rng=rng)
+        d = quantize(np.full(n, x), spec, u=rng.random(n))
         se = spec.delta / 2 / np.sqrt(n)
         assert abs(d.mean() - x) < 4 * se
 
 
-def test_iterate_identity_and_single_edge():
-    traj = iterate(np.eye(3), [0.1, 0.2, 0.3], 5)
-    assert np.allclose(traj, np.tile([0.1, 0.2, 0.3], (6, 1)))
-    W = np.array([[0.5, 0.5], [0.5, 0.5]])
-    traj = iterate(W, [0.0, 1.0], 1)
-    assert np.allclose(traj[1], [0.5, 0.5])
+def test_probabilistic_requires_draws():
     with pytest.raises(ValueError):
-        iterate(np.eye(2), [1.0, 2.0, 3.0], 1)
+        quantize(np.zeros(3), QuantizerSpec(3, "probabilistic"))
 
 
 def test_iterate_conserves_average_and_contracts():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     rng = np.random.default_rng(0)
     x0 = rng.uniform(-1, 1, g.node_count)
-    traj = iterate(W, x0, 1000)
+    _, traj = run_trial(W, x0, QuantizerSpec(4, None), return_trajectory=True)
     assert abs(traj[-1].mean() - x0.mean()) <= 1e-10
     # asymptotic per-step contraction approaches the SLEM
     d = np.linalg.norm(traj - traj.mean(axis=1, keepdims=True), axis=1)
@@ -172,32 +163,35 @@ def test_monte_carlo_batch_equals_per_trial_loop():
 
 def test_trajectory_replay_matches_outcome():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
-    spec = QuantizerSpec(6, "probabilistic")
     x0 = initial_states(3, 0, g.node_count)
-    out1 = run_trial(W, x0, spec, trial_seed=99)
-    out2, traj = run_trial(W, x0, spec, trial_seed=99,
-                           return_trajectory=True)
-    assert out1 == out2
-    assert traj.shape == (out1.iterations + 1, g.node_count)
-    lv = QuantizerSpec(6, "probabilistic").levels()
-    assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
+    for scheme in ("probabilistic", "uniform", None):
+        spec = QuantizerSpec(6, scheme)
+        out1 = run_trial(W, x0, spec, trial_seed=99)
+        out2, traj = run_trial(W, x0, spec, trial_seed=99,
+                               return_trajectory=True)
+        assert out1 == out2
+        assert traj.shape == (out1.iterations + 1, g.node_count)
+        if scheme is None:
+            assert np.array_equal(traj[0], x0)
+        else:
+            lv = spec.levels()
+            assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
+
+
+def test_trial_seeds_vectorized_match_scalar():
+    idx = np.concatenate([np.arange(100), [2**32 + 5]]).astype(np.uint64)
+    for s in (0, 7, 914127553, 2**64 - 1):
+        got = derive_trial_seed(s, idx)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_trial_seed(s, int(i)) for i in idx]
+        assert isinstance(derive_trial_seed(s, 2**32 + 5), int)
+        assert derive_trial_seed(s, np.arange(100)).tolist() == got[:100].tolist()
 
 
 def test_csv_helpers():
-    st = monte_carlo(SymmetricStar(2, 3), "optimal",
-                     QuantizerSpec(4, "probabilistic"), 10, 0)
-    text = stats_to_csv([(4, "optimal", st)])
-    assert text.splitlines()[0] == "bits,weighting,psi,eta,mu,rho"
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     _, traj = run_trial(W, initial_states(0, 0, 7),
                         QuantizerSpec(4, "probabilistic"), trial_seed=1,
                         return_trajectory=True)
     tcsv = trajectory_to_csv(traj)
     assert tcsv.splitlines()[0].startswith("t,node0")
-
-
-def test_config_rejects_unknown_fields():
-    cfg = config_from_json(json.dumps({"trials": 10, "seed": 1}))
-    assert cfg == {"trials": 10, "seed": 1}
-    with pytest.raises(ValueError):
-        config_from_json(json.dumps({"trails": 10}))

@@ -10,7 +10,6 @@ from star_consensus.topology import (
     build,
     graph_from_csv,
     graph_to_csv,
-    validate,
 )
 
 
@@ -89,15 +88,6 @@ def test_graph_normalizes_edge_order():
 def test_custom_passthrough():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     assert build(Custom(g)) is g
-
-
-def test_validate_report():
-    rep = validate(build(SymmetricStar(2, 3)))
-    assert rep.connected and rep.simple
-    assert rep.node_count == 7 and rep.edge_count == 6
-    assert rep.strata_sizes == {1: 3, 2: 3}
-    rep2 = validate(Graph(4, ((0, 1), (2, 3))))
-    assert not rep2.connected
 
 
 def test_csv_round_trip():

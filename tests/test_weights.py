@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,14 +10,12 @@ from star_consensus.weights import (
     assemble_matrix,
     best_constant_weights,
     check_weight_matrix,
-    matrix_to_csv,
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
     weights_to_csv,
-    weights_to_json,
 )
 
 
@@ -143,9 +140,3 @@ def test_serialization_outputs():
     g, W = scheme_matrix(SymmetricStar(1, 2), "optimal")
     csv_text = weights_to_csv(g, W)
     assert "u,v,weight" in csv_text
-    data = json.loads(weights_to_json(g, W))
-    assert "edges" in data
-    rows = matrix_to_csv(W).strip().splitlines()
-    assert len(rows) == W.shape[0]
-    back = np.array([[float(x) for x in r.split(",")] for r in rows])
-    assert np.array_equal(back, W)
