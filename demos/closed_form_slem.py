@@ -8,8 +8,6 @@ weights and the resulting SLEM have closed forms; this script prints
 them and verifies each against the assembled matrix.
 """
 
-import numpy as np
-
 from star_consensus import (
     CcsStar,
     KcsStar,

@@ -43,8 +43,10 @@ from .optimality import (
     InvarianceReport,
     OptimizeResult,
     SlacknessReport,
+    TiedOptimum,
     central_weight_invariance,
     kcs_slem_curve,
+    kcs_tied_optimum,
     minimize_slem,
     slackness_residuals,
 )

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 
@@ -225,7 +224,21 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
     return buf.getvalue()
 
 
+# table flags that only the Monte Carlo tables 3-5 read
+SIM_TABLE_FLAGS = ("bits", "weighting", "trials", "seed", "config")
+
+
 def cmd_table(args) -> int:
+    if args.id in (1, 2):
+        given = [f"--{flag}" for flag in SIM_TABLE_FLAGS
+                 if getattr(args, flag) is not None]
+        if given:
+            raise SystemExit2(f"table --id {args.id} does not take "
+                              f"{', '.join(given)} (tables 3-5 only)", EXIT_USAGE)
+    if args.trials is not None and args.trials < 1:
+        raise SystemExit2(f"--trials must be >= 1, got {args.trials}", EXIT_USAGE)
+    if args.seed is not None and args.seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
     cfg = {}
     if args.config:
         try:
@@ -287,20 +300,23 @@ def cmd_fig(args) -> int:
 
 
 def _verify_stratification() -> list[str]:
+    """Block spectra and block SLEM against the dense eigensolve, for
+    symmetric stars and k-cored stars with k >= 2, under every scheme."""
     fails = []
-    for m in range(1, 7):
-        for n in range(1, 9):
-            topo = topology.SymmetricStar(m, n)
-            graph = topology.build(topo)
-            for sch in WEIGHTINGS:
-                g, W = weights.scheme_matrix(topo, sch)
-                assign = weights.WeightAssignment(
-                    per_stratum=weights.per_stratum_from_matrix(g, W))
-                blocks = spectral.stratify(topo, assign)
-                full = np.sort(spectral.eig_symmetric(W))
-                stacked = np.sort(blocks.combined_spectrum())
-                if np.max(np.abs(full - stacked)) > 1e-10:
-                    fails.append(f"stratification m={m} n={n} {sch}")
+    topos = [topology.SymmetricStar(m, n) for m in range(1, 7) for n in range(1, 9)]
+    topos += [topology.KcsStar(m, n, k) for m in range(1, 5)
+              for n in range(1, 6) for k in range(2, 8)]
+    for topo in topos:
+        for sch in WEIGHTINGS:
+            g, W = weights.scheme_matrix(topo, sch)
+            assign = weights.WeightAssignment(
+                per_stratum=weights.per_stratum_from_matrix(g, W))
+            blocks = spectral.stratify(topo, assign)
+            full = np.sort(spectral.eig_symmetric(W))
+            stacked = np.sort(blocks.combined_spectrum())
+            if (np.max(np.abs(full - stacked)) > 1e-10
+                    or abs(blocks.slem() - spectral.slem(W)) > 1e-10):
+                fails.append(f"stratification {topo} {sch}")
     return fails
 
 

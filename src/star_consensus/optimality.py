@@ -1,6 +1,7 @@
-"""Independent verification that the closed-form star weights are optimal.
+"""Independent verification that the closed-form star weights are optimal,
+and optimal k-cored weights where the closed form stops being optimal.
 
-Three routes:
+Four routes:
 
 * complementary-slackness residuals: the dual certificate of the
   semidefinite program reduces to Chebyshev-type recursions in the
@@ -8,7 +9,12 @@ Three routes:
   angle every residual must vanish,
 * a general numerical SLEM minimizer (projected subgradient on the
   extreme eigenvalues), usable on arbitrary connected graphs with
-  optional weight tying by symmetry class,
+  optional weight tying by symmetry class; it serves composite graphs
+  and is the dense oracle for the block solve below,
+* the tied optimum of a k-cored star beyond k_max: an epigraph program
+  over the spectra of the stratified blocks (m per-stratum weights,
+  blocks of size at most m + 1), solved by SLSQP with exact eigenvalue
+  gradients; ``kcs_slem_curve`` uses it for every k > k_max,
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
@@ -20,24 +26,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
-from .topology import CcsStar, Graph, KcsStar, SymmetricStar, Topology, build
+from .topology import Graph, KcsStar, SymmetricStar
 from .spectral import (
     SpectralError,
-    eig_symmetric,
     k_max,
     slem_closed_form,
     stratify,
     theta_root_kcs,
 )
-from .weights import WeightAssignment, metropolis_weights, optimal_weights
+from .weights import WeightAssignment, metropolis_weights
 
 __all__ = [
     "SlacknessReport",
     "OptimizeResult",
+    "TiedOptimum",
     "InvarianceReport",
     "slackness_residuals",
     "minimize_slem",
+    "kcs_tied_optimum",
     "kcs_slem_curve",
     "central_weight_invariance",
 ]
@@ -281,12 +289,95 @@ def minimize_slem(graph: Graph,
                           converged=converged, history=history)
 
 
+@dataclass(frozen=True)
+class TiedOptimum:
+    """Optimal per-stratum weights of a k-cored star from its block
+    spectra, with the SLSQP iteration count and stop message."""
+
+    weights: WeightAssignment
+    slem: float
+    iterations: int
+    message: str
+
+
+# SLSQP exits accepted as converged: 0 is success, and 8 ("Positive
+# directional derivative for linesearch") also occurs at the optimum once
+# rounding leaves no descent direction.  Either way the reported value is
+# the block spectrum at the returned weights, never the solver's bound.
+SLSQP_CONVERGED = (0, 8)
+SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 1000}
+
+
+def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
+    """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights.
+
+    The deflated blocks of ``stratify`` (sector block without its Perron
+    eigenvalue, tail block, core eigenvalue) are affine in the weights,
+    B(w) = B(0) + sum_i w_i (B(e_i) - B(0)).  With nonzero weights the
+    sector and tail blocks are unreduced tridiagonal, so their eigenvalues
+    are simple and each lam_j(B(w)) is smooth with gradient
+    v_j^T (B(e_i) - B(0)) v_j.  The
+    SLEM is convex in w, and its minimum is the epigraph program
+
+        min s  subject to  -s <= lam_j(B(w)) <= s  for every block eigenvalue,
+
+    solved by SLSQP from the closed-form weights (2/(n+2k), 1/2, ..., 1/2).
+    If SLSQP ends above its start, the start is returned.
+    """
+    topo = KcsStar(m, n, k)
+
+    def blocks_at(w):
+        assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
+        return stratify(topo, assignment)
+
+    base = blocks_at(np.zeros(m)).deflated_blocks()
+    units = [blocks_at(e).deflated_blocks() for e in np.eye(m)]
+    slopes = [np.stack([u[b] - base[b] for u in units]) for b in range(len(base))]
+
+    def spectrum(w):
+        """Every block eigenvalue at w and its gradient in w, one row each."""
+        lam, grad = [], []
+        for b0, d in zip(base, slopes):
+            vals, vecs = np.linalg.eigh(b0 + np.tensordot(w, d, 1))
+            lam.append(vals)
+            grad.append(np.einsum("aj,iab,bj->ji", vecs, d, vecs))
+        return np.concatenate(lam), np.concatenate(grad)
+
+    def bounds(x):  # s - lam_j >= 0 and s + lam_j >= 0
+        lam, _ = spectrum(x[:-1])
+        return np.concatenate((x[-1] - lam, x[-1] + lam))
+
+    def bounds_jac(x):
+        _, g = spectrum(x[:-1])
+        one = np.ones((len(g), 1))
+        return np.block([[-g, one], [g, one]])
+
+    start = np.full(m, 0.5)
+    start[0] = 2.0 / (n + 2 * k)
+    start_slem = blocks_at(start).slem()
+    objective_grad = np.eye(m + 1)[-1]
+    res = minimize(lambda x: x[-1], np.append(start, start_slem),
+                   jac=lambda x: objective_grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": bounds, "jac": bounds_jac}],
+                   options=SLSQP_OPTIONS)
+    if res.status not in SLSQP_CONVERGED:
+        raise SpectralError(f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k}) "
+                            f"did not converge: {res.message}")
+    w = res.x[:-1]
+    value = blocks_at(w).slem()
+    if value > start_slem:
+        w, value = start, start_slem
+    per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
+    return TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
+                       slem=value, iterations=int(res.nit), message=str(res.message))
+
+
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     """Optimal SLEM of the k-cored star versus k.
 
     Within the closed-form validity range the characteristic-equation
-    value is used; beyond it the weights are re-optimized numerically
-    with per-stratum tying.
+    value is used; beyond it the per-stratum weights are re-optimized
+    over the stratified block spectra (``kcs_tied_optimum``).
     """
     km = k_max(m, n)
     out = []
@@ -296,9 +387,7 @@ def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
         if k <= km:
             out.append((k, slem_closed_form(KcsStar(m, n, k))))
         else:
-            g = build(KcsStar(m, n, k))
-            res = minimize_slem(g, symmetry_classes=dict(g.stratum_of_edge))
-            out.append((k, res.slem))
+            out.append((k, kcs_tied_optimum(m, n, k).slem))
     return out
 
 

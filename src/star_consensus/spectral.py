@@ -1,8 +1,9 @@
 """Eigenvalue machinery for consensus weight matrices.
 
 Covers the SLEM objective max(lam_2, -lam_N), the branch-permutation
-block diagonalization of symmetric stars into one (m+1)x(m+1) block W0
-and n-1 copies of an m x m block W1, the characteristic equation whose
+block diagonalization of k-cored stars (the symmetric star is k = 1)
+into one (m+1)x(m+1) block W0, n-1 copies of an m x m block W1 and k-1
+copies of the core eigenvalue, the characteristic equation whose
 smallest positive root gives the optimal SLEM, the k_max threshold for
 k-cored stars, and Cauchy-interlacing consistency checks.
 
@@ -96,55 +97,90 @@ def slem(W: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StratifiedBlocks:
-    """Blocks of the branch-permutation diagonalization of a symmetric star.
+    """Blocks of the branch-permutation diagonalization of a k-cored star
+    (the symmetric star is the case k = 1).
 
-    The full matrix is unitarily similar to diag(W0, W1, ..., W1) with
-    n-1 copies of W1.
+    The full matrix is orthogonally similar to
+    diag(W0, W1, ..., W1, c, ..., c) with n-1 copies of the tail block W1
+    and k-1 copies of the core eigenvalue c = 1 - n*w1.  W0 holds the
+    Perron eigenvalue 1, with eigenvector ``perron_vector``.
     """
 
     w0_block: np.ndarray
     w1_block: np.ndarray
     w1_multiplicity: int
+    core_value: float
+    core_multiplicity: int
+    perron_vector: np.ndarray
 
     def combined_spectrum(self) -> np.ndarray:
         vals = [eig_symmetric(self.w0_block)]
         vals += [eig_symmetric(self.w1_block)] * self.w1_multiplicity
+        vals += [np.array([self.core_value])] * self.core_multiplicity
         return np.sort(np.concatenate(vals))[::-1]
+
+    def deflated_blocks(self) -> list[np.ndarray]:
+        """One copy of each block, with W0 restricted to the orthogonal
+        complement of its Perron vector: together their spectra are the
+        spectrum of W without its eigenvalue 1 and without the repeated
+        copies of W1 and of the core eigenvalue.
+
+        The basis of that complement is the last m columns of the
+        Householder reflector that maps the Perron vector v to e_1 (v is
+        never e_1, since m, n >= 1).  It depends on (m, n, k) only, so the
+        blocks stay affine in the weights.
+        """
+        u = self.perron_vector.copy()
+        u[0] -= 1.0
+        Q = (np.eye(u.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+        out = [Q.T @ self.w0_block @ Q]
+        if self.w1_multiplicity:
+            out.append(self.w1_block)
+        if self.core_multiplicity:
+            out.append(np.array([[self.core_value]]))
+        return out
+
+    def slem(self) -> float:
+        """SLEM of W from the deflated block spectra."""
+        lam = np.concatenate([np.linalg.eigvalsh(b) for b in self.deflated_blocks()])
+        return float(max(lam.max(), -lam.min()))
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
-    """Block-diagonalize a symmetric star's weight matrix.
+    """Block-diagonalize the weight matrix of a symmetric or k-cored star
+    with per-stratum weights w1..wm.
 
-    W0 is (m+1)x(m+1) tridiagonal with corner 1 - n*w1 and coupling
-    sqrt(n)*w1; W1 is the m x m tail block, repeated n-1 times.
-    Only symmetric stars are supported; the complete- and k-cored
-    families are checked by dense eigensolve instead.
+    W0 is the (m+1)x(m+1) tridiagonal sector block (centrals and
+    branch-symmetric tails) with corner 1 - n*w1 and coupling
+    sqrt(n*k)*w1; W1 is the m x m tail block, first diagonal entry
+    1 - k*w1 - w2, repeated n-1 times; the core eigenvalue 1 - n*w1
+    comes from centrals summing to zero and repeats k-1 times.  W1 is W0
+    without its first row and column, and every entry is affine in w.
+    The complete-cored family is checked by dense eigensolve instead.
     """
-    if not isinstance(topology, SymmetricStar):
-        raise SpectralError("stratification is implemented for symmetric stars only")
+    if isinstance(topology, SymmetricStar):
+        m, n, k = topology.m, topology.n, 1
+    elif isinstance(topology, KcsStar):
+        m, n, k = topology.m, topology.n, topology.k
+    else:
+        raise SpectralError("stratification is implemented for symmetric "
+                            "and k-cored stars only")
     if assignment.per_stratum is None:
         raise SpectralError("stratification needs per-stratum weights")
-    m, n = topology.m, topology.n
-    w = [assignment.per_stratum[j] for j in range(1, m + 1)]
+    w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)], dtype=float)
 
-    diag0 = np.empty(m + 1)
-    diag0[0] = 1.0 - n * w[0]
-    for j in range(1, m):
-        diag0[j] = 1.0 - w[j - 1] - w[j]
-    diag0[m] = 1.0 - w[m - 1]
-    off0 = np.empty(m)
-    off0[0] = math.sqrt(n) * w[0]
-    off0[1:] = w[1:]
-    W0 = np.diag(diag0) + np.diag(off0, 1) + np.diag(off0, -1)
+    diag1 = 1.0 - w - np.append(w[1:], 0.0)
+    diag1[0] -= (k - 1) * w[0]
+    W1 = np.diag(diag1) + np.diag(w[1:], 1) + np.diag(w[1:], -1)
 
-    diag1 = np.empty(m)
-    for j in range(m - 1):
-        diag1[j] = 1.0 - w[j] - w[j + 1]
-    diag1[m - 1] = 1.0 - w[m - 1]
-    off1 = np.asarray(w[1:], dtype=float)
-    W1 = np.diag(diag1) + np.diag(off1, 1) + np.diag(off1, -1)
+    W0 = np.zeros((m + 1, m + 1))
+    W0[1:, 1:] = W1
+    W0[0, 0] = 1.0 - n * w[0]
+    W0[0, 1] = W0[1, 0] = math.sqrt(n * k) * w[0]
 
-    return StratifiedBlocks(W0, W1, n - 1)
+    perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
+    return StratifiedBlocks(W0, W1, n - 1, 1.0 - n * w[0], k - 1,
+                            perron / np.linalg.norm(perron))
 
 
 def char_kcs(theta, m: int, n: int, k: int):

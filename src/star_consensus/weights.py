@@ -11,19 +11,16 @@ occur for the optimal weights on star centers).
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .topology import (
     CcsStar,
-    Custom,
     Graph,
     KcsStar,
     SymmetricStar,
     Topology,
-    TopologyError,
     build,
 )
 

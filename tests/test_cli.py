@@ -81,6 +81,27 @@ def test_table3_filtered(capsys, tmp_path):
     assert float(cells[2]) >= 99.0  # psi
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                        ("--seed", "-1")])
+def test_table_sim_flag_range_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "table", "--id", "3", "--bits", "4",
+                         "--weighting", "optimal", flag, value)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and flag in err
+
+
+@pytest.mark.parametrize("table_id", ["1", "2"])
+@pytest.mark.parametrize("argv", [("--bits", "4"), ("--weighting", "optimal"),
+                                  ("--trials", "5"), ("--seed", "1"),
+                                  ("--config", "cfg.json")])
+def test_analytic_tables_reject_sim_flags(capsys, table_id, argv):
+    code, out, err = run(capsys, "table", "--id", table_id, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and argv[0] in err
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 100, "seed": 5, "bits": 4,
@@ -155,7 +176,7 @@ def test_fig4(capsys, tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("slackness", "optimizer", "invariance"):
+    for suite in ("slackness", "optimizer", "invariance", "stratification"):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0, suite
         assert json.loads(out)["passed"]

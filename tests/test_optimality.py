@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from star_consensus import optimality
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
-from star_consensus.spectral import k_max, slem_closed_form, theta_root_kcs
+from star_consensus.spectral import k_max, slem, slem_closed_form, theta_root_kcs
+from star_consensus.weights import assemble_matrix, optimal_weights
 from star_consensus.optimality import (
     central_weight_invariance,
     kcs_slem_curve,
+    kcs_tied_optimum,
     minimize_slem,
     slackness_residuals,
 )
@@ -105,6 +108,37 @@ def test_kcs_curve_non_increasing_up_to_k_max():
     km = k_max(2, 3)
     vals = [s for _, s in kcs_slem_curve(3, 2, range(1, km + 1))]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# (m, n, k) beyond k_max: n = 1 has no tail block, m = 1 a single
+# weight, and (2, 3, 10) is the first fig-2 point past k_max(2, 3) = 9
+TIED_CASES = [(1, 1, 2), (1, 3, 4), (2, 1, 4), (2, 3, 10), (2, 2, 9), (3, 2, 15)]
+
+
+@pytest.mark.parametrize("m,n,k", TIED_CASES)
+def test_tied_optimum_vs_dense_minimizer(m, n, k):
+    assert k > k_max(m, n)
+    tied = kcs_tied_optimum(m, n, k)
+    g = build(KcsStar(m, n, k))
+    dense = minimize_slem(g, symmetry_classes=dict(g.stratum_of_edge))
+    assert tied.slem <= dense.slem + 1e-9
+    # the reported value is the spectrum of W at the returned weights
+    assert slem(assemble_matrix(g, tied.weights)) == pytest.approx(tied.slem, abs=1e-12)
+    # and never above the closed-form weights it starts from
+    assert tied.slem <= slem(assemble_matrix(g, optimal_weights(KcsStar(m, n, k)))) + 1e-15
+
+
+def test_fig2_points_beyond_k_max_pinned(monkeypatch):
+    # values of fig --id 2 when the dense minimizer produced them; the
+    # block solve must reach them without calling it
+    def dense_not_used(*args, **kwargs):
+        raise AssertionError("minimize_slem called")
+
+    monkeypatch.setattr(optimality, "minimize_slem", dense_not_used)
+    curve = dict(kcs_slem_curve(3, 2, [10, 20, 30]))
+    assert curve[10] == pytest.approx(0.72854020495388871, abs=1e-9)
+    assert curve[20] == pytest.approx(0.79828019975254405, abs=1e-9)
+    assert curve[30] == pytest.approx(0.84776715443746309, abs=1e-9)
 
 
 def test_invariance_star_core():

@@ -18,6 +18,7 @@ from star_consensus.spectral import (
 )
 from star_consensus.weights import (
     WeightAssignment,
+    assemble_matrix,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
@@ -80,6 +81,58 @@ def test_stratification_matches_full_spectrum():
         full = np.sort(eig_symmetric(W))
         stacked = np.sort(blocks.combined_spectrum())
         assert np.max(np.abs(full - stacked)) < 1e-10
+
+
+def test_stratify_kcs_matches_dense_spectrum():
+    # random per-stratum weights: the blocks are exact for any tied weights
+    rng = np.random.default_rng(5)
+    for m in range(1, 5):
+        for n in range(1, 6):
+            for k in range(1, 8):
+                topo = KcsStar(m, n, k)
+                assign = WeightAssignment(per_stratum=dict(
+                    enumerate(rng.uniform(0.05, 0.6, m), start=1)))
+                W = assemble_matrix(build(topo), assign)
+                blocks = stratify(topo, assign)
+                full = np.sort(np.linalg.eigvalsh(W))
+                stacked = np.sort(blocks.combined_spectrum())
+                assert full.shape == stacked.shape
+                assert np.max(np.abs(full - stacked)) < 1e-12, (m, n, k)
+                assert blocks.slem() == pytest.approx(slem(W), abs=1e-12)
+
+
+def test_stratify_kcs_block_entries():
+    m, n, k = 3, 4, 5
+    w = {1: 0.1, 2: 0.3, 3: 0.4}
+    blocks = stratify(KcsStar(m, n, k), WeightAssignment(per_stratum=w))
+    assert blocks.w0_block[0, 0] == pytest.approx(1 - n * w[1])
+    assert blocks.w0_block[0, 1] == pytest.approx(math.sqrt(n * k) * w[1])
+    assert blocks.w1_block[0, 0] == pytest.approx(1 - k * w[1] - w[2])
+    assert np.array_equal(blocks.w0_block[1:, 1:], blocks.w1_block)
+    assert (blocks.w1_multiplicity, blocks.core_multiplicity) == (n - 1, k - 1)
+    assert blocks.core_value == pytest.approx(1 - n * w[1])
+    assert np.allclose(blocks.w0_block @ blocks.perron_vector, blocks.perron_vector)
+    # deflation drops exactly the eigenvalue 1 of the sector block
+    sector = np.sort(np.linalg.eigvalsh(blocks.deflated_blocks()[0]))
+    assert np.allclose(np.append(sector, 1.0),
+                       np.sort(np.linalg.eigvalsh(blocks.w0_block)), atol=1e-14)
+
+
+def test_stratify_symmetric_is_kcs_k1():
+    for m, n in ((1, 1), (2, 3), (4, 5)):
+        assign = optimal_weights(SymmetricStar(m, n))
+        a = stratify(SymmetricStar(m, n), assign)
+        b = stratify(KcsStar(m, n, 1), assign)
+        assert np.array_equal(a.w0_block, b.w0_block)
+        assert np.array_equal(a.w1_block, b.w1_block)
+        assert np.array_equal(a.perron_vector, b.perron_vector)
+        assert (a.w1_multiplicity, a.core_value, a.core_multiplicity) == \
+            (b.w1_multiplicity, b.core_value, b.core_multiplicity)
+
+
+def test_stratify_rejects_ccs():
+    with pytest.raises(SpectralError):
+        stratify(CcsStar(2, 3), optimal_weights(CcsStar(2, 3)))
 
 
 def test_interlacing_holds_and_lambda2_identity():
