@@ -11,7 +11,7 @@ All output data is CSV/JSON on stdout (or ``--output``); a human summary
 goes to stderr.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 verification failure.  Every command is deterministic given
 its flags.  STAR_CONSENSUS_THREADS may cap the BLAS thread count; the
-random draws do not depend on it.
+random draws and the results do not depend on it.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ of the consensus error normalized by delta).
 All randomness comes from a counter-based generator keyed by
 (master seed, trial index, draw index), so every trial consumes the same
 draws under any batching or execution order.  Single-trial runs,
-trajectory replays and Monte Carlo sweeps share one stepping loop.  A
-trial inside a larger batch can still differ from its single-trial run
-in the last bit of the matrix product (BLAS may sum a multi-row product
-in another order), which changes its outcome only if that moves a
-quantizer decision; exact batch independence needs a fixed-order product.
+trajectory replays and Monte Carlo sweeps share one stepping loop, whose
+product is a sparse sum over each row's nonzeros in a fixed order and
+whose other steps act on each trial alone.  So a trial's outcome and
+trajectory are bit-identical whatever the batch it runs in and whatever
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .topology import Topology
 from .weights import scheme_matrix
@@ -43,14 +44,26 @@ __all__ = [
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_U64 = 2**64
 
 
-def _mix64(z):
-    """splitmix64 finalizer (vectorized over uint64 arrays)."""
-    z = np.asarray(z, dtype=np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, tmp):
+    """splitmix64 finalizer, in place on the uint64 array z.
+
+    tmp is uint64 scratch of z's shape; z is returned.
+    """
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, 31, out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
+
+
+def _mixed(z):
+    """splitmix64 finalizer of a copy of z."""
+    z = np.array(z, dtype=np.uint64)
+    return _mix64(z, np.empty_like(z))
 
 
 def derive_trial_seed(master_seed: int, trial_index):
@@ -60,29 +73,48 @@ def derive_trial_seed(master_seed: int, trial_index):
     uint64 array of their keys.
     """
     with np.errstate(over="ignore"):
-        k = _mix64(np.uint64(master_seed & (2**64 - 1)) * _PHI)
-        z = _mix64(k + np.asarray(trial_index, dtype=np.uint64) * _M1)
+        key = _mixed(np.uint64(master_seed & (_U64 - 1)) * _PHI)
+        z = _mixed(key + np.asarray(trial_index, dtype=np.uint64) * _M1)
     return int(z) if z.ndim == 0 else z
+
+
+def _splitmix_into(seeds, keys, z, tmp, out):
+    """U(0,1) doubles keyed by (trial seed, draw index), written into out.
+
+    keys holds draw index * PHI (mod 2^64); seeds and keys broadcast to
+    out's shape.  z and tmp are uint64 scratch of out's shape.
+    """
+    np.add(seeds, keys, out=z)
+    _mix64(z, tmp)
+    np.right_shift(z, 11, out=tmp)
+    # below 2^53, so exact as int64, which converts to float faster
+    return np.multiply(tmp.view(np.int64), 2.0**-53, out=out)
 
 
 def _uniforms(trial_seeds, draw_indices):
     """U(0,1) doubles keyed by (trial seed, draw index); shapes broadcast."""
-    with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(trial_seeds) + np.uint64(draw_indices) * _PHI)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    seeds = np.asarray(trial_seeds, dtype=np.uint64)
+    keys = np.asarray(draw_indices, dtype=np.uint64) * _PHI
+    shape = np.broadcast_shapes(seeds.shape, keys.shape)
+    return _splitmix_into(seeds, keys, np.empty(shape, np.uint64),
+                          np.empty(shape, np.uint64), np.empty(shape))
+
+
+MAX_BITS = 52
 
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """bits: level count is 2**bits on the fixed range [-1, 1];
+    """bits: level count is 2**bits on the fixed range [-1, 1], 1 <= bits
+    <= 52 (float64 keeps every level index exact up to 2^52);
     scheme: 'uniform' | 'probabilistic' | None (no quantization)."""
 
     bits: int
     scheme: str | None
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be in 1..{MAX_BITS}")
         if self.scheme not in ("uniform", "probabilistic", None):
             raise ValueError(f"unknown quantizer scheme {self.scheme!r}")
 
@@ -98,6 +130,30 @@ class QuantizerSpec:
         return -1.0 + self.delta * np.arange(self.level_count)
 
 
+def _quantize_into(x, spec, u=None, lo=None, up=None):
+    """Quantize the float array x in place (see ``quantize``); returns x.
+
+    The probabilistic rule reads its draws from u and needs lo (float)
+    and up (bool), scratch of x's shape.  For bits <= 52, 2/delta is
+    exactly 2^b - 1, so every level index already lies in [0, 2^b - 1].
+    """
+    np.clip(x, -1.0, 1.0, out=x)
+    if spec.scheme is None:
+        return x
+    np.add(x, 1.0, out=x)
+    np.divide(x, spec.delta, out=x)  # position in level units, in [0, 2^b - 1]
+    if spec.scheme == "uniform":
+        np.add(x, 0.5, out=x)
+        np.floor(x, out=x)
+    else:
+        np.floor(x, out=lo)
+        np.subtract(x, lo, out=x)  # fractional position inside the cell
+        np.less(u, x, out=up)  # round up
+        np.add(lo, up, out=x)
+    np.multiply(x, spec.delta, out=x)
+    return np.add(x, -1.0, out=x)
+
+
 def quantize(x, spec: QuantizerSpec, u=None):
     """Map x onto the level grid (values outside [-1, 1] are clipped).
 
@@ -108,21 +164,14 @@ def quantize(x, spec: QuantizerSpec, u=None):
     required for it.
     """
     scalar = np.isscalar(x)
-    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-    if spec.scheme is None:
-        return float(x) if scalar else x
-    p = (x + 1.0) / spec.delta  # position in level units, in [0, 2^b - 1]
-    if spec.scheme == "uniform":
-        idx = np.floor(p + 0.5)
-    else:
-        lo = np.floor(p)
-        frac = p - lo
+    x = np.array(x, dtype=float)
+    lo = up = None
+    if spec.scheme == "probabilistic":
         if u is None:
             raise ValueError("probabilistic quantization needs uniform draws u")
-        idx = lo + (np.asarray(u) < frac)
-    idx = np.clip(idx, 0, spec.level_count - 1)
-    out = -1.0 + spec.delta * idx
-    return float(out) if scalar else out
+        lo, up = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    _quantize_into(x, spec, u, lo, up)
+    return float(x) if scalar else x
 
 
 @dataclass(frozen=True)
@@ -161,52 +210,78 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     consume identical random streams.  If ``record`` is a list, it
     receives a copy of trial 0's state after every stage it takes part
     in: x(0) after quantization, then each update.
+
+    The state is held node-major, one column per active trial.  Each
+    update is the CSR product of W, which sums every row's nonzeros in
+    stored column order; the draws, the quantizer and the consensus
+    check are elementwise or per column, and the unquantized mean is a
+    sequential node sum.  So no trial's arithmetic depends on the other
+    trials or on the BLAS thread count.  The draw and quantizer scratch
+    is allocated once, for all trials, and each step uses its leading
+    N * (active trials) elements.
     """
-    W = np.asarray(W, dtype=float)
+    Wc = csr_matrix(np.asarray(W, dtype=float))
     n_trials, N = x0_batch.shape
-    seeds = np.uint64(trial_seeds)[:, None]
-    node_idx = np.arange(N, dtype=np.uint64)[None, :]
-
-    def stage_u(stage, rows):
-        draws = np.uint64(stage) * np.uint64(N) + node_idx
-        return _uniforms(seeds[rows], draws)
-
+    x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
+    seeds = np.asarray(trial_seeds, dtype=np.uint64)[None, :]
+    active = np.arange(n_trials)
     quantized = spec.scheme is not None
-    x = x0_batch.copy()
-    rows_all = np.arange(n_trials)
-    if quantized:
-        u = stage_u(1, rows_all) if spec.scheme == "probabilistic" else None
-        x = quantize(x, spec, u=u)
-    if record is not None:
-        record.append(x[0].copy())
+    probabilistic = spec.scheme == "probabilistic"
+    size = N * n_trials
+    flags = np.empty(size, dtype=bool)
+    if probabilistic:
+        z, tmp = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        u, lo = np.empty(size), np.empty(size)
+        node_keys = (np.arange(N, dtype=np.uint64) * _PHI)[:, None]
+        keys = np.empty_like(node_keys)
+
+    def lead(buf, x):
+        return buf[:x.size].reshape(x.shape)
+
+    def quantize_stage(stage, x):
+        if probabilistic:
+            # (stage*N + node) * PHI, mod 2^64
+            np.add(node_keys, np.uint64(stage * N * int(_PHI) % _U64), out=keys)
+            _splitmix_into(seeds, keys, lead(z, x), lead(tmp, x), lead(u, x))
+            _quantize_into(x, spec, lead(u, x), lead(lo, x), lead(flags, x))
+        elif quantized:
+            _quantize_into(x, spec)
 
     reached = np.zeros(n_trials, dtype=bool)
     iters = np.full(n_trials, max_iters, dtype=np.int64)
     values = np.full(n_trials, np.nan)
 
-    def check(rows, xs, t):
+    def check(x, t):
+        nonlocal seeds, active
         if quantized:
-            done = np.all(xs == xs[:, :1], axis=1)
+            same = lead(flags, x)
+            np.equal(x, x[:1], out=same)
+            done = same.all(axis=0)
         else:
-            mean = xs.mean(axis=1, keepdims=True)
-            done = np.max(np.abs(xs - mean), axis=1) <= _UNQUANTIZED_TOL
-        hit = rows[done]
-        reached[hit] = True
-        iters[hit] = t
-        values[hit] = xs[done, 0] if quantized else xs[done].mean(axis=1)
-        return rows[~done], xs[~done]
+            mean = np.add.accumulate(x, axis=0)[-1] / N
+            done = np.max(np.abs(x - mean), axis=0) <= _UNQUANTIZED_TOL
+        if not done.any():
+            return x
+        finished = active[done]
+        reached[finished] = True
+        iters[finished] = t
+        values[finished] = x[0, done] if quantized else mean[done]
+        keep = ~done
+        seeds, active = seeds[:, keep], active[keep]
+        return x[:, keep]
 
-    active, xa = check(rows_all, x, 0)
+    quantize_stage(1, x)
+    if record is not None:
+        record.append(x[:, 0].copy())
+    x = check(x, 0)
     t = 0
     while active.size and t < max_iters:
         t += 1
-        xa = xa @ W.T
-        if quantized:
-            u = stage_u(t + 1, active) if spec.scheme == "probabilistic" else None
-            xa = quantize(xa, spec, u=u)
+        x = Wc @ x
+        quantize_stage(t + 1, x)
         if record is not None and active[0] == 0:
-            record.append(xa[0].copy())
-        active, xa = check(active, xa, t)
+            record.append(x[:, 0].copy())
+        x = check(x, t)
     return reached, iters, values
 
 

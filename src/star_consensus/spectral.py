@@ -302,12 +302,13 @@ def interlacing_check(blocks: StratifiedBlocks, W: np.ndarray | None = None,
     With both spectra ascending, lam_j(W0) <= lam_j(W1) <= lam_{j+1}(W0)
     must hold for every j.  When the full matrix is supplied, also check
     that its second largest eigenvalue is the top of W1 (a consequence
-    of interlacing), and report whether its smallest eigenvalue equals
-    the bottom of W1.  The latter identity is *not* implied by
-    interlacing (which only gives lam_min(W0) <= lam_min(W1)), and at
-    the optimal weights the smallest eigenvalue of W belongs to the W0
-    block instead, so that field is informational and excluded from
-    ``holds``.
+    of interlacing; with n = 1, the second eigenvalue of W0), or the core
+    eigenvalue 1 - n*w1 where that is larger (a k-cored star past k_max),
+    and report whether its smallest eigenvalue equals the bottom of W1.
+    The latter identity is *not* implied by interlacing (which only gives
+    lam_min(W0) <= lam_min(W1)), and at the optimal weights the smallest
+    eigenvalue of W belongs to the W0 block instead, so that field is
+    informational and excluded from ``holds``.
     """
     lam0 = np.sort(eig_symmetric(blocks.w0_block))  # ascending
     lam1 = np.sort(eig_symmetric(blocks.w1_block))
@@ -318,7 +319,11 @@ def interlacing_check(blocks: StratifiedBlocks, W: np.ndarray | None = None,
     top_ok = bottom_ok = True
     if W is not None:
         lam = eig_symmetric(W)
-        top_ok = abs(lam[1] - lam1[-1]) <= tol
+        # with one branch (n = 1), W1 is not in the spectrum of W
+        top = lam1[-1] if blocks.w1_multiplicity else lam0[-2]
+        if blocks.core_multiplicity:
+            top = max(top, blocks.core_value)
+        top_ok = abs(lam[1] - top) <= tol
         bottom_ok = abs(lam[-1] - lam1[0]) <= tol
     return InterlacingReport(
         holds=viol <= tol and top_ok,

@@ -144,6 +144,16 @@ def test_interlacing_holds_and_lambda2_identity():
     assert rep.lambda2_matches_w1_top
     # the smallest eigenvalue comes from the center block at the optimum
     assert not rep.lambda_min_matches_w1_bottom
+    # past k_max, lambda2 is the core eigenvalue 1 - n*w1, above the W1 top
+    topo = KcsStar(2, 3, 12)
+    blocks = stratify(topo, optimal_weights(topo))
+    assert blocks.core_value > np.linalg.eigvalsh(blocks.w1_block)[-1] + 0.05
+    # with one branch, W1 does not occur in W and lambda2 comes from W0
+    for topo in (topo, SymmetricStar(3, 1), KcsStar(2, 1, 3)):
+        g, W = scheme_matrix(topo, "optimal")
+        rep = interlacing_check(stratify(topo, optimal_weights(topo)), W)
+        assert rep.holds and rep.max_violation <= 1e-12
+        assert rep.lambda2_matches_w1_top
 
 
 def test_interlacing_zero_weights_degenerate():
