@@ -10,21 +10,17 @@ from .topology import (
     Topology,
     TopologyError,
     build,
-    graph_from_csv,
-    graph_to_csv,
 )
 from .weights import (
     WeightAssignment,
     WeightError,
     assemble_matrix,
     best_constant_weights,
-    check_weight_matrix,
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
-    weights_to_csv,
 )
 from .spectral import (
     InterlacingReport,

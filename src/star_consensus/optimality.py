@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .topology import Graph, KcsStar, SymmetricStar
 from .spectral import (
@@ -272,11 +271,11 @@ def minimize_slem(graph: Graph,
             converged = True
             break
 
-    from scipy.optimize import minimize as _nm_minimize
+    from scipy.optimize import minimize
 
-    polish = _nm_minimize(lambda v: eval_f(v)[0], best_w, method="Nelder-Mead",
-                          options={"xatol": 1e-10, "fatol": 1e-12,
-                                   "maxiter": 200 * len(labels), "disp": False})
+    polish = minimize(lambda v: eval_f(v)[0], best_w, method="Nelder-Mead",
+                      options={"xatol": 1e-10, "fatol": 1e-12,
+                               "maxiter": 200 * len(labels), "disp": False})
     if polish.fun < best_f:
         best_f = float(polish.fun)
         best_w = np.asarray(polish.x, dtype=float)
@@ -356,6 +355,8 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     start[0] = 2.0 / (n + 2 * k)
     start_slem = blocks_at(start).slem()
     objective_grad = np.eye(m + 1)[-1]
+    from scipy.optimize import minimize
+
     res = minimize(lambda x: x[-1], np.append(start, start_slem),
                    jac=lambda x: objective_grad, method="SLSQP",
                    constraints=[{"type": "ineq", "fun": bounds, "jac": bounds_jac}],

@@ -9,19 +9,29 @@ consensus statistics psi (percentage of trials reaching consensus), eta
 (mean iterations over consensus trials), and mu / rho (mean and variance
 of the consensus error normalized by delta).
 
-All randomness comes from a counter-based generator keyed by
+All randomness comes from a counter-based generator (splitmix64) keyed by
 (master seed, trial index, draw index), so every trial consumes the same
-draws under any batching or execution order.  Single-trial runs,
-trajectory replays and Monte Carlo sweeps share one stepping loop, whose
-product is a sparse sum over each row's nonzeros in a fixed order and
-whose other steps act on each trial alone.  So a trial's outcome and
-trajectory are bit-identical whatever the batch it runs in and whatever
-the BLAS thread count.
+draws under any batching or execution order.  Initial states take 53
+random bits per node.  The probabilistic quantizer only compares a draw
+with a fractional position, so its draws are 32-bit: one splitmix64 hash
+per pair of nodes, whose low and high halves serve the pair's two nodes.
+A node then rounds up with a probability within 2^-32 of its fractional
+position.
+
+Single-trial runs, trajectory replays and Monte Carlo sweeps share one
+stepping loop.  After the first quantization it holds each trial's state
+as exact level indices i (x = -1 + i * delta), so a step is the product
+W i, a clip and a rounding, and values are formed only for consensus
+values and recorded trajectories.  The product is a sparse sum over each
+row's nonzeros in a fixed order and every other step acts on each trial
+alone, so a trial's outcome and trajectory are bit-identical whatever the
+batch it runs in and whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +110,38 @@ def _uniforms(trial_seeds, draw_indices):
                           np.empty(shape, np.uint64), np.empty(shape))
 
 
+# Position of a uint64's low 32 bits among its two uint32 halves in memory.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def _pair_keys(n_nodes):
+    """2p * PHI (mod 2^64) for the node pairs p of one trial, as (P, 1)."""
+    pairs = (n_nodes + 1) // 2
+    return (np.arange(0, 2 * pairs, 2, dtype=np.uint64) * _PHI)[:, None]
+
+
+def _stage_draws_into(seeds, stage, n_nodes, pair_keys, z, tmp, out):
+    """Quantization draws of one stage: U[0,1) on a 2^-32 grid per node.
+
+    Node pair p of a trial hashes counter stage * n_nodes + 2p under the
+    trial's seed (the hash that would feed node 2p's 53-bit draw); node 2p
+    takes the low 32 bits, node 2p + 1 the high 32 bits.  For odd n_nodes
+    the last high half is unused.  seeds is (1, k), pair_keys is
+    ``_pair_keys(n_nodes)``, z and tmp are uint64 scratch of shape (P, k)
+    with P = ceil(n_nodes / 2), and out is float (2P, k); returns out.
+    """
+    P, k = z.shape
+    # (stage * n_nodes + 2p) * PHI, mod 2^64
+    offset = np.uint64(stage * n_nodes * int(_PHI) % _U64)
+    np.add(seeds, pair_keys + offset, out=z)
+    _mix64(z, tmp)
+    halves = z.view(np.uint32).reshape(P, k, 2)
+    if _LOW_HALF:
+        halves = halves[:, :, ::-1]
+    np.multiply(halves.transpose(0, 2, 1), 2.0**-32, out=out.reshape(P, 2, k))
+    return out
+
+
 MAX_BITS = 52
 
 
@@ -130,28 +172,22 @@ class QuantizerSpec:
         return -1.0 + self.delta * np.arange(self.level_count)
 
 
-def _quantize_into(x, spec, u=None, lo=None, up=None):
-    """Quantize the float array x in place (see ``quantize``); returns x.
+def _quantize_into(y, spec, u=None, lo=None, up=None):
+    """Round level positions y = (x + 1)/delta in place to level indices.
 
-    The probabilistic rule reads its draws from u and needs lo (float)
-    and up (bool), scratch of x's shape.  For bits <= 52, 2/delta is
-    exactly 2^b - 1, so every level index already lies in [0, 2^b - 1].
+    y is clipped to [0, 2^b - 1] first, then rounded: uniform to
+    floor(y + 1/2), probabilistic to floor(y) + [u < y - floor(y)], with
+    the draws read from u and lo (float) and up (bool) as scratch of y's
+    shape.  Returns y.
     """
-    np.clip(x, -1.0, 1.0, out=x)
-    if spec.scheme is None:
-        return x
-    np.add(x, 1.0, out=x)
-    np.divide(x, spec.delta, out=x)  # position in level units, in [0, 2^b - 1]
+    np.clip(y, 0.0, float(spec.level_count - 1), out=y)
     if spec.scheme == "uniform":
-        np.add(x, 0.5, out=x)
-        np.floor(x, out=x)
-    else:
-        np.floor(x, out=lo)
-        np.subtract(x, lo, out=x)  # fractional position inside the cell
-        np.less(u, x, out=up)  # round up
-        np.add(lo, up, out=x)
-    np.multiply(x, spec.delta, out=x)
-    return np.add(x, -1.0, out=x)
+        np.add(y, 0.5, out=y)
+        return np.floor(y, out=y)
+    np.floor(y, out=lo)
+    np.subtract(y, lo, out=y)  # fractional position inside the cell
+    np.less(u, y, out=up)  # round up
+    return np.add(lo, up, out=y)
 
 
 def quantize(x, spec: QuantizerSpec, u=None):
@@ -165,12 +201,20 @@ def quantize(x, spec: QuantizerSpec, u=None):
     """
     scalar = np.isscalar(x)
     x = np.array(x, dtype=float)
+    if spec.scheme is None:
+        np.clip(x, -1.0, 1.0, out=x)
+        return float(x) if scalar else x
     lo = up = None
     if spec.scheme == "probabilistic":
         if u is None:
             raise ValueError("probabilistic quantization needs uniform draws u")
         lo, up = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    # the clip commutes with the map to level units, as 2/delta = 2^b - 1
+    np.add(x, 1.0, out=x)
+    np.divide(x, spec.delta, out=x)
     _quantize_into(x, spec, u, lo, up)
+    np.multiply(x, spec.delta, out=x)
+    np.add(x, -1.0, out=x)
     return float(x) if scalar else x
 
 
@@ -204,21 +248,25 @@ _UNQUANTIZED_TOL = 1e-9
 def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     """Run many trials in lockstep.  x0_batch: (trials, N) raw states.
 
-    Returns (reached, iterations, values) arrays.  Draw indices: stage
-    s = 1 quantizes x(0), stage s = t+1 supplies the quantization draws
-    of update t, always N per stage, so a single trial and any batch
+    Returns (reached, iterations, values) arrays.  Stage s = 1 quantizes
+    x(0), stage s = t+1 quantizes update t; the draws of stage s use
+    counters s*N .. s*N + N-1 of the trial (see ``_stage_draws_into``),
+    clear of the initial states' 0..N-1, so a single trial and any batch
     consume identical random streams.  If ``record`` is a list, it
     receives a copy of trial 0's state after every stage it takes part
     in: x(0) after quantization, then each update.
 
-    The state is held node-major, one column per active trial.  Each
-    update is the CSR product of W, which sums every row's nonzeros in
-    stored column order; the draws, the quantizer and the consensus
-    check are elementwise or per column, and the unquantized mean is a
-    sequential node sum.  So no trial's arithmetic depends on the other
-    trials or on the BLAS thread count.  The draw and quantizer scratch
-    is allocated once, for all trials, and each step uses its leading
-    N * (active trials) elements.
+    The state is held node-major, one column per active trial.  A
+    quantized state is held as level indices i, x = -1 + i * delta: x(0)
+    is mapped by (x + 1)/delta, each update is W i, and values are formed
+    only for consensus values and recorded rows.  An unquantized state
+    stays in value units.  Each update is the CSR product of W, which sums
+    every row's nonzeros in stored column order; the draws, the quantizer
+    and the consensus check are elementwise or per column, and the
+    unquantized mean is a sequential node sum.  So no trial's arithmetic
+    depends on the other trials or on the BLAS thread count.  The draw and
+    quantizer scratch is allocated once, for all trials, and each step
+    uses its leading elements for the active trials.
     """
     Wc = csr_matrix(np.asarray(W, dtype=float))
     n_trials, N = x0_batch.shape
@@ -227,25 +275,31 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     active = np.arange(n_trials)
     quantized = spec.scheme is not None
     probabilistic = spec.scheme == "probabilistic"
-    size = N * n_trials
-    flags = np.empty(size, dtype=bool)
+    delta = spec.delta
+    pairs = (N + 1) // 2
+    flags = np.empty(N * n_trials, dtype=bool)
     if probabilistic:
-        z, tmp = np.empty(size, np.uint64), np.empty(size, np.uint64)
-        u, lo = np.empty(size), np.empty(size)
-        node_keys = (np.arange(N, dtype=np.uint64) * _PHI)[:, None]
-        keys = np.empty_like(node_keys)
+        z = np.empty(pairs * n_trials, np.uint64)
+        tmp = np.empty_like(z)
+        u, lo = np.empty(2 * pairs * n_trials), np.empty(N * n_trials)
+        pair_keys = _pair_keys(N)
 
-    def lead(buf, x):
-        return buf[:x.size].reshape(x.shape)
+    def lead(buf, rows, k):
+        return buf[:rows * k].reshape(rows, k)
 
-    def quantize_stage(stage, x):
+    def quantize_stage(stage, y):
+        k = y.shape[1]
         if probabilistic:
-            # (stage*N + node) * PHI, mod 2^64
-            np.add(node_keys, np.uint64(stage * N * int(_PHI) % _U64), out=keys)
-            _splitmix_into(seeds, keys, lead(z, x), lead(tmp, x), lead(u, x))
-            _quantize_into(x, spec, lead(u, x), lead(lo, x), lead(flags, x))
+            draws = lead(u, 2 * pairs, k)
+            _stage_draws_into(seeds, stage, N, pair_keys, lead(z, pairs, k),
+                              lead(tmp, pairs, k), draws)
+            _quantize_into(y, spec, draws[:N], lead(lo, N, k),
+                           lead(flags, N, k))
         elif quantized:
-            _quantize_into(x, spec)
+            _quantize_into(y, spec)
+
+    def value_of(i):
+        return i * delta - 1.0 if quantized else i.copy()
 
     reached = np.zeros(n_trials, dtype=bool)
     iters = np.full(n_trials, max_iters, dtype=np.int64)
@@ -254,7 +308,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     def check(x, t):
         nonlocal seeds, active
         if quantized:
-            same = lead(flags, x)
+            same = lead(flags, N, x.shape[1])
             np.equal(x, x[:1], out=same)
             done = same.all(axis=0)
         else:
@@ -265,14 +319,17 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
         finished = active[done]
         reached[finished] = True
         iters[finished] = t
-        values[finished] = x[0, done] if quantized else mean[done]
+        values[finished] = value_of(x[0, done]) if quantized else mean[done]
         keep = ~done
         seeds, active = seeds[:, keep], active[keep]
         return x[:, keep]
 
+    if quantized:
+        np.add(x, 1.0, out=x)
+        np.divide(x, delta, out=x)  # level units
     quantize_stage(1, x)
     if record is not None:
-        record.append(x[:, 0].copy())
+        record.append(value_of(x[:, 0]))
     x = check(x, 0)
     t = 0
     while active.size and t < max_iters:
@@ -280,7 +337,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
         x = Wc @ x
         quantize_stage(t + 1, x)
         if record is not None and active[0] == 0:
-            record.append(x[:, 0].copy())
+            record.append(value_of(x[:, 0]))
         x = check(x, t)
     return reached, iters, values
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .topology import CcsStar, KcsStar, SymmetricStar, Topology
 from .weights import WeightAssignment
@@ -200,6 +199,8 @@ def char_kcs(theta, m: int, n: int, k: int):
 def _bracketed_root(f, m: int, args) -> float:
     """The single root of f in (0, pi/(2m)), where f(0) < 0 < f(pi/(2m)),
     to machine precision."""
+    from scipy.optimize import brentq
+
     right = math.pi / (2 * m)
     return float(brentq(f, 0.0, right, args=args, xtol=np.finfo(float).eps * right))
 

@@ -19,7 +19,6 @@ lowest indices, then tail nodes in branch-major order, inner to outer.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "build",
-    "graph_to_csv",
-    "graph_from_csv",
 ]
 
 
@@ -87,15 +84,6 @@ class Graph:
             d[v] += 1
         return d
 
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return out
-
     def is_connected(self) -> bool:
         if self.node_count == 1:
             return True
@@ -112,14 +100,6 @@ class Graph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.node_count
-
-    def strata_sizes(self) -> dict[int, int]:
-        if self.stratum_of_edge is None:
-            raise TopologyError("graph carries no stratum labels")
-        sizes: dict[int, int] = {}
-        for s in self.stratum_of_edge.values():
-            sizes[s] = sizes.get(s, 0) + 1
-        return sizes
 
 
 @dataclass(frozen=True)
@@ -236,33 +216,3 @@ def build(topology: Topology) -> Graph:
         return Graph(k + n * m, tuple(edges), strata)
 
     raise TopologyError(f"unknown topology {topology!r}")
-
-
-def graph_to_csv(graph: Graph) -> str:
-    """Edge-list CSV ``u,v,stratum`` (stratum column empty for custom graphs)."""
-    buf = io.StringIO()
-    buf.write("u,v,stratum\n")
-    for u, v in graph.edges:
-        s = "" if graph.stratum_of_edge is None else graph.stratum_of_edge[(u, v)]
-        buf.write(f"{u},{v},{s}\n")
-    return buf.getvalue()
-
-
-def graph_from_csv(text: str, node_count: int | None = None) -> Graph:
-    edges = []
-    strata: dict[tuple[int, int], int] = {}
-    have_strata = True
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if lines and lines[0].lower().startswith("u,"):
-        lines = lines[1:]
-    for ln in lines:
-        parts = ln.split(",")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        if len(parts) > 2 and parts[2].strip() != "":
-            strata[(min(u, v), max(u, v))] = int(parts[2])
-        else:
-            have_strata = False
-    if node_count is None:
-        node_count = 1 + max(max(u, v) for u, v in edges)
-    return Graph(node_count, tuple(edges), strata if have_strata and strata else None)

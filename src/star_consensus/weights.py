@@ -10,7 +10,6 @@ occur for the optimal weights on star centers).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +32,7 @@ __all__ = [
     "best_constant_weights",
     "assemble_matrix",
     "per_stratum_from_matrix",
-    "check_weight_matrix",
-    "weights_to_csv",
 ]
-
-ROW_SUM_TOL = 1e-12
 
 
 class WeightError(ValueError):
@@ -171,24 +166,6 @@ def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
     return per
 
 
-def check_weight_matrix(W: np.ndarray, graph: Graph | None = None,
-                        tol: float = ROW_SUM_TOL) -> None:
-    """Assert the WeightMatrix invariants; raises WeightError on failure."""
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise WeightError("weight matrix must be square")
-    if not np.allclose(W, W.T, atol=tol, rtol=0):
-        raise WeightError("weight matrix must be symmetric")
-    if np.max(np.abs(W.sum(axis=1) - 1.0)) > tol:
-        raise WeightError("rows must sum to one")
-    if graph is not None:
-        mask = np.zeros_like(W, dtype=bool)
-        for u, v in graph.edges:
-            mask[u, v] = mask[v, u] = True
-        np.fill_diagonal(mask, True)
-        if np.any(W[~mask] != 0.0):
-            raise WeightError("nonzero entry outside the edge set")
-
-
 def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     """Build (graph, W) for a named scheme: optimal | metropolis |
     max-degree | best-constant."""
@@ -204,16 +181,3 @@ def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     else:
         raise WeightError(f"unknown weighting scheme {scheme!r}")
     return graph, W
-
-
-def weights_to_csv(graph: Graph, W: np.ndarray) -> str:
-    """CSV export: edge section ``u,v,weight`` then ``diag`` section
-    ``node,self_weight``."""
-    buf = io.StringIO()
-    buf.write("u,v,weight\n")
-    for u, v in graph.edges:
-        buf.write(f"{u},{v},{W[u, v]:.17g}\n")
-    buf.write("diag\nnode,self_weight\n")
-    for i in range(graph.node_count):
-        buf.write(f"{i},{W[i, i]:.17g}\n")
-    return buf.getvalue()

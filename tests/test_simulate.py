@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,8 @@ from star_consensus.spectral import slem
 from star_consensus.simulate import (
     QuantizerSpec,
     _batch_run,
-    _uniforms,
+    _pair_keys,
+    _stage_draws_into,
     derive_trial_seed,
     initial_states,
     monte_carlo,
@@ -254,18 +257,30 @@ def _batched(W, x0, spec, max_iters, seeds, batch):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _kernel_digest():
+def _kernel_digest(schemes=KERNEL_SCHEMES):
     """Per-trial (reached, iterations, values) of one batch of 15 trials
     per topology and scheme, as exact text."""
     lines = []
     for topo in KERNEL_TOPOLOGIES:
         W, x0, seeds = _kernel_inputs(topo, 15, 3)
-        for scheme in KERNEL_SCHEMES:
+        for scheme in schemes:
             reached, iters, values = _batch_run(
                 W, x0, QuantizerSpec(4, scheme), 300, seeds)
             lines.append(repr((reached.tolist(), iters.tolist(),
                                [v.hex() for v in values.tolist()])))
     return "\n".join(lines)
+
+
+def test_unquantized_outcomes_and_initial_states_pinned():
+    # The unquantized path stays in value units and the initial states keep
+    # their 53-bit draws; these digests were taken before the quantized path
+    # moved to level indices and 32-bit stage draws.
+    kernel = hashlib.sha256(_kernel_digest((None,)).encode()).hexdigest()
+    assert kernel == "46fc291e6058f0e15f59c773c637daf8ec200be3399f1ee7456b4e6f5af1127c"
+    x = [v for s in (0, 7, 914127553) for i in (0, 1, 2**32 + 5)
+         for n in (1, 7, 151) for v in initial_states(s, i, n).tolist()]
+    states = hashlib.sha256("".join(v.hex() for v in x).encode()).hexdigest()
+    assert states == "fc9f57872b54852d38ba035982d5304ce7d5c79ac87d6d739b7e31fb9110903b"
 
 
 @pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=lambda t: type(t).__name__)
@@ -312,35 +327,96 @@ def test_fig4_trajectory_is_trial0_of_batch():
                                                      out.iterations)
 
 
+_MASK64 = 2**64 - 1
+_PHI = 0x9E3779B97F4A7C15
+
+
+def _py_hash(trial_seed, counter):
+    """splitmix64 of (trial seed, draw counter) on Python ints."""
+    z = (trial_seed + counter * _PHI) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _py_stage_draw(trial_seed, stage, n_nodes, node):
+    """Node's draw at a stage: the low (even node) or high (odd node) 32
+    bits of the hash at counter stage * n_nodes + 2 * (node // 2)."""
+    h = _py_hash(trial_seed, stage * n_nodes + node - node % 2)
+    return (h >> 32 if node % 2 else h & 0xFFFFFFFF) * 2.0**-32
+
+
+def _kernel_stage_draws(trial_seed, stage, n_nodes):
+    pairs = (n_nodes + 1) // 2
+    z = np.empty((pairs, 1), np.uint64)
+    out = np.empty((2 * pairs, 1))
+    _stage_draws_into(np.array([[trial_seed]], np.uint64), stage, n_nodes,
+                      _pair_keys(n_nodes), z, np.empty_like(z), out)
+    return out[:n_nodes, 0].tolist()
+
+
+def test_stage_draws_pair_layout():
+    for trial_seed in (derive_trial_seed(5, 3), 0, _MASK64):
+        for n_nodes in (1, 2, 7, 8, 151):
+            # 32-bit halves of the hashes behind the initial states (counters
+            # 0..N-1); no stage draw may come from one of them
+            initial = {_py_hash(trial_seed, c) >> shift & 0xFFFFFFFF
+                       for c in range(n_nodes) for shift in (0, 32)}
+            for stage in (1, 2, 9, 10_001):
+                got = _kernel_stage_draws(trial_seed, stage, n_nodes)
+                assert got == [_py_stage_draw(trial_seed, stage, n_nodes, i)
+                               for i in range(n_nodes)], (n_nodes, stage)
+                assert all(0.0 <= v < 1.0 for v in got)
+                assert not initial & {int(v * 2**32) for v in got}
+    # the odd node of a pair is the high half of the even node's hash
+    h = _py_hash(17, 3 * 7 + 4)
+    assert _kernel_stage_draws(17, 3, 7)[4:6] == [(h & 0xFFFFFFFF) * 2.0**-32,
+                                                  (h >> 32) * 2.0**-32]
+
+
 def _oracle_run(W, x0, spec, max_iters, trial_seed):
-    """One trial in Python floats: each row's nonzeros summed in column
-    order, the public quantizer, and the draws of stage s at indices
-    s*N .. s*N + N-1.  Returns (reached, iterations, value, trajectory)."""
+    """One trial in Python floats and ints.  A quantized state is held as
+    level indices (x = -1 + i * delta) from x(0) mapped by (x + 1)/delta;
+    each row's nonzeros are summed in column order; the clip to
+    [0, 2^b - 1], the rounding rules and the splitmix64 draws are written
+    out.  Returns (reached, iterations, value, trajectory)."""
     N = len(x0)
     rows = [[(j, float(W[i, j])) for j in range(N) if W[i, j] != 0.0]
             for i in range(N)]
+    quantized = spec.scheme is not None
+    delta, top = spec.delta, float(spec.level_count - 1)
 
-    def q(x, stage):
-        if spec.scheme is None:
-            return x
-        u = None
-        if spec.scheme == "probabilistic":
-            u = _uniforms(trial_seed, stage * N + np.arange(N))
-        return quantize(np.array(x), spec, u=u).tolist()
+    def q(y, stage):
+        if not quantized:
+            return y
+        out = []
+        for node, v in enumerate(y):
+            v = min(max(v, 0.0), top)
+            if spec.scheme == "uniform":
+                out.append(float(math.floor(v + 0.5)))
+            else:
+                lo = float(math.floor(v))
+                up = _py_stage_draw(trial_seed, stage, N, node) < v - lo
+                out.append(lo + (1.0 if up else 0.0))
+        return out
+
+    def value(v):
+        return v * delta - 1.0 if quantized else v
 
     def done(x):
-        if spec.scheme is not None:
-            return all(v == x[0] for v in x), x[0]
+        if quantized:
+            return all(v == x[0] for v in x), value(x[0])
         total = 0.0
         for v in x:
             total += v
         mean = total / N
         return max(abs(v - mean) for v in x) <= 1e-9, mean
 
-    x = q([float(v) for v in x0], 1)
-    traj = [x]
+    x = [(float(v) + 1.0) / delta if quantized else float(v) for v in x0]
+    x = q(x, 1)
+    traj = [[value(v) for v in x]]
     t = 0
-    reached, value = done(x)
+    reached, val = done(x)
     while not reached and t < max_iters:
         t += 1
         new = []
@@ -350,9 +426,9 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
                 acc += w * x[j]
             new.append(acc)
         x = q(new, t + 1)
-        traj.append(x)
-        reached, value = done(x)
-    return reached, t, value if reached else float("nan"), traj
+        traj.append([value(v) for v in x])
+        reached, val = done(x)
+    return reached, t, val if reached else float("nan"), traj
 
 
 @pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=lambda t: type(t).__name__)

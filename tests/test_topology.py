@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from star_consensus.topology import (
@@ -8,8 +10,6 @@ from star_consensus.topology import (
     SymmetricStar,
     TopologyError,
     build,
-    graph_from_csv,
-    graph_to_csv,
 )
 
 
@@ -17,7 +17,7 @@ def test_symmetric_star_counts():
     g = build(SymmetricStar(3, 5))
     assert g.node_count == 1 + 5 * 3
     assert g.edge_count == 5 * 3
-    assert g.strata_sizes() == {1: 5, 2: 5, 3: 5}
+    assert Counter(g.stratum_of_edge.values()) == {1: 5, 2: 5, 3: 5}
     assert g.is_connected()
     # center has degree n, tail tips degree 1
     assert g.degrees()[0] == 5
@@ -27,7 +27,7 @@ def test_symmetric_star_counts():
 def test_symmetric_star_m1_is_plain_star():
     g = build(SymmetricStar(1, 4))
     assert g.node_count == 5 and g.edge_count == 4
-    assert g.strata_sizes() == {1: 4}
+    assert Counter(g.stratum_of_edge.values()) == {1: 4}
 
 
 def test_ccs_star_counts():
@@ -35,7 +35,7 @@ def test_ccs_star_counts():
     g = build(CcsStar(2, 5))
     assert g.node_count == 5 * 3
     assert g.edge_count == 5 * 2 + 5 * 4 // 2
-    assert g.strata_sizes() == {0: 10, 1: 5, 2: 5}
+    assert Counter(g.stratum_of_edge.values()) == {0: 10, 1: 5, 2: 5}
     assert g.is_connected()
     # core node degree: n-1 core edges + 1 tail edge
     assert g.degrees()[0] == 5
@@ -50,7 +50,7 @@ def test_kcs_star_counts():
     g = build(KcsStar(3, 5, 2))
     assert g.node_count == 2 + 5 * 3
     assert g.edge_count == 5 * 2 + 5 * 2  # n tails * k central edges + n(m-1)
-    assert g.strata_sizes() == {1: 10, 2: 5, 3: 5}
+    assert Counter(g.stratum_of_edge.values()) == {1: 10, 2: 5, 3: 5}
     # centrals are not directly connected
     assert (0, 1) not in g.edges
     assert g.degrees()[0] == 5 and g.degrees()[1] == 5
@@ -88,12 +88,3 @@ def test_graph_normalizes_edge_order():
 def test_custom_passthrough():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     assert build(Custom(g)) is g
-
-
-def test_csv_round_trip():
-    g = build(KcsStar(2, 3, 2))
-    text = graph_to_csv(g)
-    assert text.splitlines()[0] == "u,v,stratum"
-    g2 = graph_from_csv(text, node_count=g.node_count)
-    assert g2.edges == g.edges
-    assert g2.stratum_of_edge == g.stratum_of_edge

@@ -7,13 +7,11 @@ from star_consensus.weights import (
     WeightError,
     assemble_matrix,
     best_constant_weights,
-    check_weight_matrix,
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
-    weights_to_csv,
 )
 
 
@@ -41,13 +39,14 @@ def test_kcs_beyond_validity_flagged():
 
 
 def _check_scheme(W, g):
-    assert np.allclose(W, W.T, atol=1e-12)
-    assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
-    # sparsity: zero off-diagonal where there is no edge
-    for i in range(g.node_count):
-        for j in range(i + 1, g.node_count):
-            if (i, j) not in g.edges:
-                assert W[i, j] == 0.0
+    assert W.shape == (g.node_count, g.node_count)
+    assert np.max(np.abs(W - W.T)) <= 1e-12
+    assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
+    # sparsity: zero off the diagonal where there is no edge
+    support = np.eye(g.node_count, dtype=bool)
+    for u, v in g.edges:
+        support[u, v] = support[v, u] = True
+    assert np.all(W[~support] == 0.0)
 
 
 @pytest.mark.parametrize("scheme", ["optimal", "metropolis", "max-degree",
@@ -56,7 +55,6 @@ def test_schemes_are_valid_weight_matrices(scheme):
     for topo in (SymmetricStar(2, 3), CcsStar(2, 3), KcsStar(2, 3, 2)):
         g, W = scheme_matrix(topo, scheme)
         _check_scheme(W, g)
-        check_weight_matrix(W, g)
 
 
 def test_metropolis_values():
@@ -117,24 +115,9 @@ def test_recover_rejects_nonuniform_stratum():
         per_stratum_from_matrix(g, W)
 
 
-def test_check_weight_matrix_rejects_bad_inputs():
-    g = build(SymmetricStar(1, 2))
-    W = assemble_matrix(g, optimal_weights(SymmetricStar(1, 2)))
-    bad = W.copy()
-    bad[0, 1] += 1e-6
-    with pytest.raises(WeightError):
-        check_weight_matrix(bad, g)
-
-
 def test_per_edge_assignment():
     g = Graph(3, ((0, 1), (1, 2)))
     a = WeightAssignment(per_edge={(0, 1): 0.3, (1, 2): 0.6})
     W = assemble_matrix(g, a)
     assert W[1, 1] == pytest.approx(1 - 0.9)
-    check_weight_matrix(W, g)
-
-
-def test_serialization_outputs():
-    g, W = scheme_matrix(SymmetricStar(1, 2), "optimal")
-    csv_text = weights_to_csv(g, W)
-    assert "u,v,weight" in csv_text
+    _check_scheme(W, g)
