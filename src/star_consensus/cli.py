@@ -330,8 +330,7 @@ def _verify_interlacing() -> list[str]:
                 assign = weights.WeightAssignment(
                     per_stratum=weights.per_stratum_from_matrix(g, W))
                 blocks = spectral.stratify(topo, assign)
-                rep = spectral.interlacing_check(
-                    blocks, W if n > 1 else None)
+                rep = spectral.interlacing_check(blocks, W)
                 if not rep.holds:
                     fails.append(f"interlacing m={m} n={n} {sch}")
     return fails

@@ -22,6 +22,7 @@ Four routes:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -410,42 +411,29 @@ def _compose(core: str, branches: list[tuple[Graph, int]]) -> tuple[Graph, dict,
     for the complete core the attachment nodes are pairwise connected.
     Central edges share one class; every other edge is its own class.
     """
+    if core not in ("star", "complete"):
+        raise ValueError("core must be 'star' or 'complete'")
     edges: list[tuple[int, int]] = []
     classes: dict[tuple[int, int], object] = {}
     central = "central"
-    if core == "star":
-        offset = 1
-        attach_global = []
-        for bi, (g, attach) in enumerate(branches):
-            for u, v in g.edges:
-                e = (u + offset, v + offset)
-                edges.append(e)
-                classes[e] = ("branch", bi, u, v)
-            attach_global.append(attach + offset)
-            offset += g.node_count
-        for a in attach_global:
-            e = (0, a)
+    offset = 1 if core == "star" else 0  # the star center is node 0
+    attach_global = []
+    for bi, (g, attach) in enumerate(branches):
+        for u, v in g.edges:
+            e = (u + offset, v + offset)
             edges.append(e)
-            classes[e] = central
-        return Graph(offset, tuple(edges)), classes, central
-    if core == "complete":
-        offset = 0
-        attach_global = []
-        for bi, (g, attach) in enumerate(branches):
-            for u, v in g.edges:
-                e = (u + offset, v + offset)
-                edges.append(e)
-                classes[e] = ("branch", bi, u, v)
-            attach_global.append(attach + offset)
-            offset += g.node_count
-        for i in range(len(attach_global)):
-            for j in range(i + 1, len(attach_global)):
-                e = (min(attach_global[i], attach_global[j]),
-                     max(attach_global[i], attach_global[j]))
-                edges.append(e)
-                classes[e] = central
-        return Graph(offset, tuple(edges)), classes, central
-    raise ValueError("core must be 'star' or 'complete'")
+            classes[e] = ("branch", bi, u, v)
+        attach_global.append(attach + offset)
+        offset += g.node_count
+    # attachment nodes rise with the branch index, so every pair is ordered
+    if core == "star":
+        core_edges = [(0, a) for a in attach_global]
+    else:
+        core_edges = list(itertools.combinations(attach_global, 2))
+    for e in core_edges:
+        edges.append(e)
+        classes[e] = central
+    return Graph(offset, tuple(edges)), classes, central
 
 
 def central_weight_invariance(core: str,

@@ -88,26 +88,15 @@ def derive_trial_seed(master_seed: int, trial_index):
     return int(z) if z.ndim == 0 else z
 
 
-def _splitmix_into(seeds, keys, z, tmp, out):
-    """U(0,1) doubles keyed by (trial seed, draw index), written into out.
-
-    keys holds draw index * PHI (mod 2^64); seeds and keys broadcast to
-    out's shape.  z and tmp are uint64 scratch of out's shape.
-    """
-    np.add(seeds, keys, out=z)
-    _mix64(z, tmp)
-    np.right_shift(z, 11, out=tmp)
-    # below 2^53, so exact as int64, which converts to float faster
-    return np.multiply(tmp.view(np.int64), 2.0**-53, out=out)
-
-
 def _uniforms(trial_seeds, draw_indices):
     """U(0,1) doubles keyed by (trial seed, draw index); shapes broadcast."""
     seeds = np.asarray(trial_seeds, dtype=np.uint64)
     keys = np.asarray(draw_indices, dtype=np.uint64) * _PHI
-    shape = np.broadcast_shapes(seeds.shape, keys.shape)
-    return _splitmix_into(seeds, keys, np.empty(shape, np.uint64),
-                          np.empty(shape, np.uint64), np.empty(shape))
+    z = seeds + keys
+    _mix64(z, np.empty_like(z))
+    np.right_shift(z, 11, out=z)
+    # below 2^53, so exact as int64, which converts to float faster
+    return z.view(np.int64) * 2.0**-53
 
 
 # Position of a uint64's low 32 bits among its two uint32 halves in memory.

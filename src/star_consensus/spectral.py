@@ -20,9 +20,10 @@ positive root is the only root in that bracket, found by Brent's method
 to machine precision for every m.  The k_max threshold depends on (n, k)
 only through r = k/n and is computed once per m the same way.
 
-Dense symmetric and tridiagonal eigenproblems are delegated to LAPACK
-(numpy.linalg.eigvalsh / scipy.linalg.eigh_tridiagonal); both are
-deterministic for identical input bits.
+Dense eigenproblems, tridiagonal or not, go to one LAPACK solver through
+numpy.linalg.eigvalsh, deterministic for identical input bits;
+``eig_symmetric`` is the dense oracle that the block and closed-form fast
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
-from .topology import CcsStar, KcsStar, SymmetricStar, Topology
+from .topology import CcsStar, KcsStar, Topology
 from .weights import WeightAssignment
 
 __all__ = [
@@ -63,24 +63,13 @@ class SpectralError(ValueError):
 
 
 def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric real matrix, sorted decreasingly.
-
-    A tridiagonal input takes the specialized LAPACK path.
-    """
+    """All eigenvalues of a symmetric real matrix, sorted decreasingly."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SpectralError("input must be a square matrix")
     if not np.allclose(A, A.T, atol=SYMMETRY_TOL, rtol=0):
         raise SpectralError("input must be symmetric within 1e-12")
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :1].copy()
-    off_tri = A - np.diag(np.diag(A)) - np.diag(np.diag(A, 1), 1) - np.diag(np.diag(A, -1), -1)
-    if not off_tri.any():
-        vals = eigvalsh_tridiagonal(np.diag(A).copy(), np.diag(A, 1).copy())
-    else:
-        vals = np.linalg.eigvalsh(A)
-    return np.sort(vals)[::-1]
+    return np.sort(np.linalg.eigvalsh(A))[::-1]
 
 
 def slem(W: np.ndarray) -> float:
@@ -146,8 +135,8 @@ class StratifiedBlocks:
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
-    """Block-diagonalize the weight matrix of a symmetric or k-cored star
-    with per-stratum weights w1..wm.
+    """Block-diagonalize the weight matrix of a k-cored star (the symmetric
+    star is the case k = 1) with per-stratum weights w1..wm.
 
     W0 is the (m+1)x(m+1) tridiagonal sector block (centrals and
     branch-symmetric tails) with corner 1 - n*w1 and coupling
@@ -157,13 +146,10 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     without its first row and column, and every entry is affine in w.
     The complete-cored family is checked by dense eigensolve instead.
     """
-    if isinstance(topology, SymmetricStar):
-        m, n, k = topology.m, topology.n, 1
-    elif isinstance(topology, KcsStar):
-        m, n, k = topology.m, topology.n, topology.k
-    else:
+    if not isinstance(topology, KcsStar):
         raise SpectralError("stratification is implemented for symmetric "
                             "and k-cored stars only")
+    m, n, k = topology.m, topology.n, topology.k
     if assignment.per_stratum is None:
         raise SpectralError("stratification needs per-stratum weights")
     w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)], dtype=float)
@@ -219,11 +205,9 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
 def slem_closed_form(topology: Topology) -> float:
     """Optimal-weight SLEM of a star family via its characteristic equation.
 
-    Symmetric (the k-cored star with k = 1) and KCS: cos of the smallest
-    root of the k-cored equation; CCS: cos(pi/(2(m+1))), independent of n.
+    KCS (the symmetric star is the case k = 1): cos of the smallest root
+    of the k-cored equation; CCS: cos(pi/(2(m+1))), independent of n.
     """
-    if isinstance(topology, SymmetricStar):
-        return math.cos(theta_root_kcs(topology.m, topology.n, 1))
     if isinstance(topology, CcsStar):
         return math.cos(math.pi / (2 * (topology.m + 1)))
     if isinstance(topology, KcsStar):

@@ -2,12 +2,13 @@
 
 Three families are supported:
 
-* symmetric star: one central node with n path tails of length m (m edges
-  per tail),
+* KCS star (k-cored): k parallel central nodes, n path tails of m edges
+  each, every tail attached to all k centrals, no edges among them,
+* symmetric star: one central node, i.e. the KCS star with k = 1
+  (``SymmetricStar`` is a ``KcsStar`` with k fixed at 1, so every layer
+  handles it through the k-cored code),
 * CCS star (complete-cored): the n tails meet in a complete graph on n
-  core nodes,
-* KCS star (k-cored): k parallel central nodes, every tail attached to
-  all k of them, no edges among the centrals.
+  core nodes.
 
 Edges are labeled by stratum (orbit under branch permutation): stratum 0
 for core edges, stratum j for the j-th edge of a tail counted from the
@@ -19,7 +20,7 @@ lowest indices, then tail nodes in branch-major order, inner to outer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Graph",
@@ -103,17 +104,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class SymmetricStar:
-    """One central node, n tails of m edges each."""
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise TopologyError("symmetric star requires m >= 1, n >= 1")
-
-
-@dataclass(frozen=True)
 class CcsStar:
     """Complete core on n nodes, one tail path of m edges hanging off each
     core node (a branch is a path with m edges whose inner endpoint is the
@@ -137,7 +127,16 @@ class KcsStar:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.k < 1:
-            raise TopologyError("KCS star requires m, n, k >= 1")
+            raise TopologyError(f"{type(self).__name__} requires m, n, k >= 1")
+
+
+@dataclass(frozen=True)
+class SymmetricStar(KcsStar):
+    """One central node, n tails of m edges each: the KCS star with k = 1.
+
+    Constructed as ``SymmetricStar(m, n)``; k is fixed, not an argument.
+    """
+    k: int = field(default=1, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,22 +160,6 @@ def build(topology: Topology) -> Graph:
 
     edges: list[tuple[int, int]] = []
     strata: dict[tuple[int, int], int] = {}
-
-    if isinstance(topology, SymmetricStar):
-        m, n = topology.m, topology.n
-
-        def tail(i, j):  # branch i (0-based), position j = 1..m
-            return 1 + i * m + (j - 1)
-
-        for i in range(n):
-            e = (0, tail(i, 1))
-            edges.append(e)
-            strata[e] = 1
-            for j in range(2, m + 1):
-                e = (tail(i, j - 1), tail(i, j))
-                edges.append(e)
-                strata[e] = j
-        return Graph(1 + n * m, tuple(edges), strata)
 
     if isinstance(topology, CcsStar):
         m, n = topology.m, topology.n

@@ -18,7 +18,6 @@ from .topology import (
     CcsStar,
     Graph,
     KcsStar,
-    SymmetricStar,
     Topology,
     build,
 )
@@ -69,14 +68,10 @@ class WeightAssignment:
 def optimal_weights(topology: Topology) -> WeightAssignment:
     """Closed-form optimal weights for the three star families.
 
-    Symmetric star: central edges 2/(n+2), rest 1/2.
+    KCS star: central edges 2/(n+2k), rest 1/2 (flagged beyond k_max);
+    the symmetric star is the case k = 1, with central edges 2/(n+2).
     CCS star: core edges 1/n, tails 1/2.
-    KCS star: central edges 2/(n+2k), rest 1/2 (flagged beyond k_max).
     """
-    if isinstance(topology, SymmetricStar):
-        w = {1: 2.0 / (topology.n + 2)}
-        w.update({j: 0.5 for j in range(2, topology.m + 1)})
-        return WeightAssignment(per_stratum=w)
     if isinstance(topology, CcsStar):
         w = {0: 1.0 / topology.n}
         w.update({j: 0.5 for j in range(1, topology.m + 1)})
@@ -86,7 +81,10 @@ def optimal_weights(topology: Topology) -> WeightAssignment:
         w = {1: 2.0 / (n + 2 * k)}
         w.update({j: 0.5 for j in range(2, m + 1)})
         from .spectral import k_max  # local import to avoid a cycle
-        return WeightAssignment(per_stratum=w, beyond_k_max=k > k_max(m, n))
+        # k_max >= 1 by definition, so k = 1 is never beyond it; testing k
+        # first keeps the root solver (and scipy.optimize) out of k = 1 runs.
+        beyond_k_max = k > 1 and k > k_max(m, n)
+        return WeightAssignment(per_stratum=w, beyond_k_max=beyond_k_max)
     raise WeightError("optimal weights are defined only for the star families")
 
 

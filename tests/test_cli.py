@@ -16,14 +16,16 @@ def run(capsys, *argv):
 
 
 def test_cli_import_defers_scipy_optimize():
-    # scipy.optimize is imported by the functions that solve, not at start-up
+    # scipy.optimize is imported by the functions that solve, not at start-up,
+    # and nothing in the package needs scipy.linalg
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
-    code = "import sys, star_consensus.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, star_consensus.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 def test_slem_symmetric(capsys):

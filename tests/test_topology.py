@@ -56,12 +56,16 @@ def test_kcs_star_counts():
     assert g.degrees()[0] == 5 and g.degrees()[1] == 5
 
 
-def test_kcs_k1_equals_symmetric_star():
-    a = build(KcsStar(3, 4, 1))
-    b = build(SymmetricStar(3, 4))
-    assert a.node_count == b.node_count
-    assert set(a.edges) == set(b.edges)
-    assert a.stratum_of_edge == b.stratum_of_edge
+def test_symmetric_star_is_kcs_k1():
+    s = SymmetricStar(2, 3)
+    assert isinstance(s, KcsStar) and s.k == 1
+    assert repr(s) == "SymmetricStar(m=2, n=3)"
+    assert s != KcsStar(2, 3, 1)
+    with pytest.raises(TypeError):
+        SymmetricStar(2, 3, 1)
+    # the CLI prints this message, so it names the family the user asked for
+    with pytest.raises(TopologyError, match="SymmetricStar"):
+        SymmetricStar(0, 3)
 
 
 def test_parameter_validation():

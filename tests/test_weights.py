@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,26 @@ from star_consensus.weights import (
 def test_optimal_symmetric_star():
     w = optimal_weights(SymmetricStar(3, 5))
     assert w.per_stratum == {1: 2 / 7, 2: 0.5, 3: 0.5}
+
+
+def test_optimal_symmetric_star_skips_k_max():
+    # k = 1 is never beyond k_max >= 1, so the symmetric star needs no root
+    # solve and never loads scipy.optimize
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from star_consensus.topology import SymmetricStar\n"
+        "from star_consensus.weights import optimal_weights, scheme_matrix\n"
+        "scheme_matrix(SymmetricStar(3, 50), 'optimal')\n"
+        "flags = [optimal_weights(SymmetricStar(m, n)).beyond_k_max\n"
+        "         for m in range(1, 7) for n in range(1, 9)]\n"
+        "print(any(flags), 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_optimal_ccs():
