@@ -118,6 +118,19 @@ def test_stratify_kcs_block_entries():
                        np.sort(np.linalg.eigvalsh(blocks.w0_block)), atol=1e-14)
 
 
+def test_stratify_symmetric_is_kcs_k1():
+    # SymmetricStar must stratify exactly as the k-cored star it stands for
+    for m, n in ((1, 1), (2, 3), (4, 5)):
+        assign = optimal_weights(SymmetricStar(m, n))
+        a = stratify(SymmetricStar(m, n), assign)
+        b = stratify(KcsStar(m, n, 1), assign)
+        assert np.array_equal(a.w0_block, b.w0_block)
+        assert np.array_equal(a.w1_block, b.w1_block)
+        assert np.array_equal(a.perron_vector, b.perron_vector)
+        assert (a.w1_multiplicity, a.core_value, a.core_multiplicity) == \
+            (b.w1_multiplicity, b.core_value, b.core_multiplicity)
+
+
 def test_stratify_rejects_ccs():
     with pytest.raises(SpectralError):
         stratify(CcsStar(2, 3), optimal_weights(CcsStar(2, 3)))

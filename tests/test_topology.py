@@ -56,6 +56,14 @@ def test_kcs_star_counts():
     assert g.degrees()[0] == 5 and g.degrees()[1] == 5
 
 
+def test_kcs_k1_equals_symmetric_star():
+    a = build(KcsStar(3, 4, 1))
+    b = build(SymmetricStar(3, 4))
+    assert a.node_count == b.node_count
+    assert set(a.edges) == set(b.edges)
+    assert a.stratum_of_edge == b.stratum_of_edge
+
+
 def test_symmetric_star_is_kcs_k1():
     s = SymmetricStar(2, 3)
     assert isinstance(s, KcsStar) and s.k == 1
