@@ -19,12 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
-
-if "STAR_CONSENSUS_THREADS" in os.environ:  # must precede numpy import
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["STAR_CONSENSUS_THREADS"])
 
 import numpy as np
 
@@ -357,10 +352,10 @@ def _verify_optimizer() -> list[str]:
         res = optimality.minimize_slem(
             graph, symmetry_classes=dict(graph.stratum_of_edge))
         cf = spectral.slem_closed_form(topo)
-        if abs(res.slem - cf) > 1e-3:
+        if abs(res.slem - cf) > 1e-9:
             fails.append(f"optimizer slem off on {topo}: "
                          f"{res.slem:.6f} vs {cf:.6f}")
-        if abs(res.class_weights[central_stratum] - w_star) > 1e-2:
+        if abs(res.class_weights[central_stratum] - w_star) > 1e-8:
             fails.append(f"optimizer central weight off on {topo}")
     return fails
 
@@ -377,7 +372,7 @@ def _verify_invariance() -> list[str]:
     fails = []
     for core, branches in cases:
         rep = optimality.central_weight_invariance(core, branches)
-        if rep.deviation > 1e-2:
+        if rep.deviation > 1e-8:
             fails.append(f"invariance {core} core, {len(branches)} branches: "
                          f"deviation {rep.deviation:.2e}")
     return fails

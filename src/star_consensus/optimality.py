@@ -1,20 +1,20 @@
 """Independent verification that the closed-form star weights are optimal,
 and optimal k-cored weights where the closed form stops being optimal.
 
-Four routes:
+Three routes:
 
 * complementary-slackness residuals: the dual certificate of the
   semidefinite program reduces to Chebyshev-type recursions in the
   coordinates a_i, b_i; at the closed-form weights and the characteristic
   angle every residual must vanish,
-* a general numerical SLEM minimizer (projected subgradient on the
-  extreme eigenvalues), usable on arbitrary connected graphs with
-  optional weight tying by symmetry class; it serves composite graphs
-  and is the dense oracle for the block solve below,
-* the tied optimum of a k-cored star beyond k_max: an epigraph program
-  over the spectra of the stratified blocks (m per-stratum weights,
-  blocks of size at most m + 1), solved by SLSQP with exact eigenvalue
-  gradients; ``kcs_slem_curve`` uses it for every k > k_max,
+* one SLEM minimizer: an epigraph program over the spectra of affine
+  symmetric blocks, solved by SLSQP with exact eigenvalue gradients.  It
+  serves arbitrary connected graphs with optional weight tying by
+  symmetry class (``minimize_slem``, one dense block on the complement of
+  the ones vector) and the tied optimum of a k-cored star beyond k_max
+  (``kcs_tied_optimum``, the stratified blocks: m per-stratum weights,
+  blocks of size at most m + 1), which ``kcs_slem_curve`` uses for every
+  k > k_max; the closed forms and the dense eigensolve stay its oracles,
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import Graph, KcsStar, SymmetricStar
 from .spectral import (
     SpectralError,
+    complement_basis,
     k_max,
     slem_closed_form,
     stratify,
@@ -173,172 +174,53 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
 
 @dataclass
 class OptimizeResult:
-    """Outcome of the numerical SLEM minimization."""
+    """Outcome of the dense SLEM minimization."""
 
     class_weights: dict
     per_edge: dict[tuple[int, int], float]
     slem: float
     iterations: int
     converged: bool
-    history: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def weights(self) -> WeightAssignment:
-        return WeightAssignment(per_edge=dict(self.per_edge))
-
-
-def minimize_slem(graph: Graph,
-                  symmetry_classes: dict[tuple[int, int], object] | None = None,
-                  max_iters: int = 5000,
-                  step_scale: float = 0.1,
-                  tie_tol: float = 1e-12) -> OptimizeResult:
-    """Subgradient minimization of max(lam_2, -lam_N) over edge weights.
-
-    Weights sharing a symmetry class are tied to a single variable.
-    Initialization is the Metropolis scheme (class average); the step is
-    step_scale/sqrt(t).  When the top and bottom eigenvalues tie within
-    tie_tol the two subgradients are averaged.  A derivative-free polish
-    (Nelder-Mead on the class weights) refines the subgradient answer;
-    both stages are deterministic, so identical inputs give identical
-    results.
-    """
-    if not graph.is_connected():
-        raise ValueError("SLEM minimization requires a connected graph")
-    N = graph.node_count
-    edges = list(graph.edges)
-    if symmetry_classes is None:
-        classes = {e: e for e in edges}
-    else:
-        classes = {(min(e), max(e)): symmetry_classes[(min(e), max(e))] for e in edges}
-    labels = sorted(set(classes.values()), key=repr)
-    lab_index = {c: i for i, c in enumerate(labels)}
-    edge_class = np.array([lab_index[classes[e]] for e in edges])
-
-    # class incidence: W(w) = I - sum_c w_c * L_c
-    u_idx = np.array([e[0] for e in edges])
-    v_idx = np.array([e[1] for e in edges])
-
-    W_met = metropolis_weights(graph)
-    w = np.zeros(len(labels))
-    cnt = np.zeros(len(labels))
-    for e, ci in zip(edges, edge_class):
-        w[ci] += W_met[e[0], e[1]]
-        cnt[ci] += 1
-    w /= cnt
-
-    ones_shift = np.ones((N, N)) / N
-
-    def build_W(wvec):
-        W = np.zeros((N, N))
-        W[u_idx, v_idx] = wvec[edge_class]
-        W += W.T
-        np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-        return W
-
-    def eval_f(wvec):
-        W = build_W(wvec)
-        lam, vec = np.linalg.eigh(W - ones_shift)
-        top, bot = lam[-1], lam[0]
-        grads = []
-        if top >= -bot - tie_tol:
-            u = vec[:, -1]
-            g = np.zeros(len(labels))
-            np.add.at(g, edge_class, -(u[u_idx] - u[v_idx]) ** 2)
-            grads.append(g)
-        if -bot >= top - tie_tol:
-            u = vec[:, 0]
-            g = np.zeros(len(labels))
-            np.add.at(g, edge_class, (u[u_idx] - u[v_idx]) ** 2)
-            grads.append(g)
-        return max(top, -bot), sum(grads) / len(grads)
-
-    best_w = w.copy()
-    best_f, _ = eval_f(w)
-    history = [best_f]
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        f, g = eval_f(w)
-        if f < best_f:
-            best_f = f
-            best_w = w.copy()
-        history.append(best_f)
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
-            converged = True
-            break
-        w = w - (step_scale / math.sqrt(it)) * g
-        if it >= 1000 and history[-1000] - history[-1] < 1e-10:
-            converged = True
-            break
-
-    from scipy.optimize import minimize
-
-    polish = minimize(lambda v: eval_f(v)[0], best_w, method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-12,
-                               "maxiter": 200 * len(labels), "disp": False})
-    if polish.fun < best_f:
-        best_f = float(polish.fun)
-        best_w = np.asarray(polish.x, dtype=float)
-        history.append(best_f)
-
-    per_edge = {e: float(best_w[ci]) for e, ci in zip(edges, edge_class)}
-    class_weights = {labels[i]: float(best_w[i]) for i in range(len(labels))}
-    return OptimizeResult(class_weights=class_weights, per_edge=per_edge,
-                          slem=float(best_f), iterations=it,
-                          converged=converged, history=history)
-
-
-@dataclass(frozen=True)
-class TiedOptimum:
-    """Optimal per-stratum weights of a k-cored star from its block
-    spectra, with the SLSQP iteration count and stop message."""
-
-    weights: WeightAssignment
-    slem: float
-    iterations: int
-    message: str
 
 
 # SLSQP exits accepted as converged: 0 is success, and 8 ("Positive
 # directional derivative for linesearch") also occurs at the optimum once
 # rounding leaves no descent direction.  Either way the reported value is
-# the block spectrum at the returned weights, never the solver's bound.
+# the spectrum at the returned weights, never the solver's bound.
 SLSQP_CONVERGED = (0, 8)
 SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 1000}
 
 
-def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
-    """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights.
+def _epigraph_slem(base, slopes, start, what: str):
+    """Minimize max_j |lam_j(B_b(w))| over w for affine symmetric blocks
+    B_b(w) = base[b] + sum_i w_i slopes[b][i], starting from ``start``.
 
-    The deflated blocks of ``stratify`` (sector block without its Perron
-    eigenvalue, tail block, core eigenvalue) are affine in the weights,
-    B(w) = B(0) + sum_i w_i (B(e_i) - B(0)).  With nonzero weights the
-    sector and tail blocks are unreduced tridiagonal, so their eigenvalues
-    are simple and each lam_j(B(w)) is smooth with gradient
-    v_j^T (B(e_i) - B(0)) v_j.  The
-    SLEM is convex in w, and its minimum is the epigraph program
+    With simple eigenvalues each lam_j(B_b(w)) is smooth with gradient
+    v_j^T slopes[b][i] v_j.  The objective is convex in w, and its minimum
+    is the epigraph program
 
-        min s  subject to  -s <= lam_j(B(w)) <= s  for every block eigenvalue,
+        min s  subject to  -s <= lam_j(B_b(w)) <= s  for every block eigenvalue,
 
-    solved by SLSQP from the closed-form weights (2/(n+2k), 1/2, ..., 1/2).
-    If SLSQP ends above its start, the start is returned.
+    solved by SLSQP with those exact gradients.  Returns (w, value,
+    iterations, message), where value is the objective at w, recomputed
+    from the blocks; if SLSQP ends above the start, the start is returned.
+    An SLSQP exit outside SLSQP_CONVERGED raises SpectralError naming
+    ``what``.
     """
-    topo = KcsStar(m, n, k)
+    from scipy.optimize import minimize
 
-    def blocks_at(w):
-        assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
-        return stratify(topo, assignment)
+    def at(w):
+        return [b0 + np.tensordot(w, d, 1) for b0, d in zip(base, slopes)]
 
-    base = blocks_at(np.zeros(m)).deflated_blocks()
-    units = [blocks_at(e).deflated_blocks() for e in np.eye(m)]
-    slopes = [np.stack([u[b] - base[b] for u in units]) for b in range(len(base))]
+    def value(w):
+        lam = np.concatenate([np.linalg.eigvalsh(b) for b in at(w)])
+        return float(max(lam.max(), -lam.min()))
 
     def spectrum(w):
         """Every block eigenvalue at w and its gradient in w, one row each."""
         lam, grad = [], []
-        for b0, d in zip(base, slopes):
-            vals, vecs = np.linalg.eigh(b0 + np.tensordot(w, d, 1))
+        for b, d in zip(at(w), slopes):
+            vals, vecs = np.linalg.eigh(b)
             lam.append(vals)
             grad.append(np.einsum("aj,iab,bj->ji", vecs, d, vecs))
         return np.concatenate(lam), np.concatenate(grad)
@@ -352,26 +234,104 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
         one = np.ones((len(g), 1))
         return np.block([[-g, one], [g, one]])
 
-    start = np.full(m, 0.5)
-    start[0] = 2.0 / (n + 2 * k)
-    start_slem = blocks_at(start).slem()
-    objective_grad = np.eye(m + 1)[-1]
-    from scipy.optimize import minimize
-
-    res = minimize(lambda x: x[-1], np.append(start, start_slem),
+    start_value = value(start)
+    objective_grad = np.eye(len(start) + 1)[-1]
+    res = minimize(lambda x: x[-1], np.append(start, start_value),
                    jac=lambda x: objective_grad, method="SLSQP",
                    constraints=[{"type": "ineq", "fun": bounds, "jac": bounds_jac}],
                    options=SLSQP_OPTIONS)
     if res.status not in SLSQP_CONVERGED:
-        raise SpectralError(f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k}) "
-                            f"did not converge: {res.message}")
+        raise SpectralError(f"{what} did not converge: {res.message}")
     w = res.x[:-1]
-    value = blocks_at(w).slem()
-    if value > start_slem:
-        w, value = start, start_slem
+    w_value = value(w)
+    if w_value > start_value:
+        w, w_value = start, start_value
+    return w, w_value, int(res.nit), str(res.message)
+
+
+def minimize_slem(graph: Graph,
+                  symmetry_classes: dict[tuple[int, int], object] | None = None
+                  ) -> OptimizeResult:
+    """Minimize the SLEM max(lam_2, -lam_N) of a graph over its edge weights.
+
+    Weights sharing a symmetry class are tied to a single variable w_c
+    (without ``symmetry_classes`` every edge is its own class), so
+    W(w) = I - sum_c w_c L_c with L_c the Laplacian of the class-c edges.
+    Restricted to the orthogonal complement of the ones vector (basis Q),
+    W(w) is the affine block I - sum_c w_c Q^T L_c Q with the spectrum of W
+    without its eigenvalue 1, and the shared epigraph solve minimizes its
+    SLEM from the class-averaged Metropolis weights.  The solve is
+    deterministic; a solver failure raises SpectralError, so every
+    returned result has ``converged`` set.
+    """
+    if graph.node_count < 2 or not graph.is_connected():
+        raise ValueError("SLEM minimization requires a connected graph "
+                         "of two or more nodes")
+    N = graph.node_count
+    edges = list(graph.edges)
+    if symmetry_classes is None:
+        classes = {e: e for e in edges}
+    else:
+        classes = {(min(e), max(e)): symmetry_classes[(min(e), max(e))] for e in edges}
+    labels = sorted(set(classes.values()), key=repr)
+    lab_index = {c: i for i, c in enumerate(labels)}
+    edge_class = np.array([lab_index[classes[e]] for e in edges])
+    u_idx = np.array([e[0] for e in edges])
+    v_idx = np.array([e[1] for e in edges])
+
+    # Q^T L_c Q is the sum of d d^T over the class-c edges, d = Q^T (e_u - e_v)
+    Q = complement_basis(np.full(N, 1.0 / math.sqrt(N)))
+    d = Q[u_idx] - Q[v_idx]
+    slopes = np.zeros((len(labels), N - 1, N - 1))
+    np.add.at(slopes, edge_class, -d[:, :, None] * d[:, None, :])
+
+    start = (np.bincount(edge_class, metropolis_weights(graph)[u_idx, v_idx])
+             / np.bincount(edge_class))
+    w, value, iterations, _ = _epigraph_slem([np.eye(N - 1)], [slopes], start,
+                                             f"SLEM minimization on {N} nodes")
+    per_edge = {e: float(w[ci]) for e, ci in zip(edges, edge_class)}
+    class_weights = {labels[i]: float(w[i]) for i in range(len(labels))}
+    return OptimizeResult(class_weights=class_weights, per_edge=per_edge,
+                          slem=value, iterations=iterations, converged=True)
+
+
+@dataclass(frozen=True)
+class TiedOptimum:
+    """Optimal per-stratum weights of a k-cored star from its block
+    spectra, with the SLSQP iteration count and stop message."""
+
+    weights: WeightAssignment
+    slem: float
+    iterations: int
+    message: str
+
+
+def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
+    """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights.
+
+    The deflated blocks of ``stratify`` (sector block without its Perron
+    eigenvalue, tail block, core eigenvalue) are affine in the weights,
+    B(w) = B(0) + sum_i w_i (B(e_i) - B(0)).  With nonzero weights the
+    sector and tail blocks are unreduced tridiagonal, so their eigenvalues
+    are simple, and the epigraph program over their spectra is solved from
+    the closed-form weights (2/(n+2k), 1/2, ..., 1/2).
+    """
+    topo = KcsStar(m, n, k)
+
+    def blocks_at(w):
+        assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
+        return stratify(topo, assignment).deflated_blocks()
+
+    base = blocks_at(np.zeros(m))
+    units = [blocks_at(e) for e in np.eye(m)]
+    slopes = [np.stack([u[b] - base[b] for u in units]) for b in range(len(base))]
+    start = np.full(m, 0.5)
+    start[0] = 2.0 / (n + 2 * k)
+    w, value, iterations, message = _epigraph_slem(
+        base, slopes, start, f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
     per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
     return TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
-                       slem=value, iterations=int(res.nit), message=str(res.message))
+                       slem=value, iterations=iterations, message=message)
 
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
@@ -437,8 +397,7 @@ def _compose(core: str, branches: list[tuple[Graph, int]]) -> tuple[Graph, dict,
 
 
 def central_weight_invariance(core: str,
-                              branch_graphs: list[tuple[Graph, int]],
-                              max_iters: int = 5000) -> InvarianceReport:
+                              branch_graphs: list[tuple[Graph, int]]) -> InvarianceReport:
     """Numerically optimize a composite topology and compare the central
     weight with the branch-independent closed form.
 
@@ -452,7 +411,7 @@ def central_weight_invariance(core: str,
         if not (0 <= attach < g.node_count):
             raise ValueError("attachment node out of range")
     graph, classes, central = _compose(core, branch_graphs)
-    res = minimize_slem(graph, symmetry_classes=classes, max_iters=max_iters)
+    res = minimize_slem(graph, symmetry_classes=classes)
     closed = 2.0 / (2 + n) if core == "star" else 1.0 / n
     got = res.class_weights[central]
     return InvarianceReport(core=core, branch_count=n,

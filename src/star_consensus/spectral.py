@@ -83,6 +83,16 @@ def slem(W: np.ndarray) -> float:
     return float(max(lam[1], -lam[-1]))
 
 
+def complement_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the unit vector v:
+    the last len(v) - 1 columns of the Householder reflector that maps v to
+    e_1.  v must not be e_1 (the Perron vector of a star and the normalized
+    ones vector of two or more nodes never are)."""
+    u = v.copy()
+    u[0] -= 1.0
+    return (np.eye(u.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+
+
 @dataclass(frozen=True)
 class StratifiedBlocks:
     """Blocks of the branch-permutation diagonalization of a k-cored star
@@ -113,14 +123,10 @@ class StratifiedBlocks:
         spectrum of W without its eigenvalue 1 and without the repeated
         copies of W1 and of the core eigenvalue.
 
-        The basis of that complement is the last m columns of the
-        Householder reflector that maps the Perron vector v to e_1 (v is
-        never e_1, since m, n >= 1).  It depends on (m, n, k) only, so the
-        blocks stay affine in the weights.
+        The basis of that complement (``complement_basis``) depends on
+        (m, n, k) only, so the blocks stay affine in the weights.
         """
-        u = self.perron_vector.copy()
-        u[0] -= 1.0
-        Q = (np.eye(u.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+        Q = complement_basis(self.perron_vector)
         out = [Q.T @ self.w0_block @ Q]
         if self.w1_multiplicity:
             out.append(self.w1_block)

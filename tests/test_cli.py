@@ -28,6 +28,32 @@ def test_cli_import_defers_scipy_optimize():
     assert out.split() == ["False", "False"]
 
 
+def test_thread_cap_precedes_numpy_import():
+    # STAR_CONSENSUS_THREADS reaches the BLAS thread variables before numpy
+    # is first imported, whichever package module is imported first
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    env["STAR_CONSENSUS_THREADS"] = "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(v) for v in\n"
+        "                         ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',\n"
+        "                          'MKL_NUM_THREADS')])\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import star_consensus.cli\n"
+        "print(*seen[0])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "1", "1"]
+
+
 def test_slem_symmetric(capsys):
     code, out, err = run(capsys, "slem", "--topology", "symmetric-star",
                          "--m", "3", "--n", "3")

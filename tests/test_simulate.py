@@ -305,7 +305,7 @@ def test_kernel_thread_count_independent():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)  # the CLI module sets them from STAR_CONSENSUS_THREADS
+        env.pop(var, None)  # the package sets them from STAR_CONSENSUS_THREADS
     expected = _kernel_digest()
     for threads in ("1", "2"):
         env["STAR_CONSENSUS_THREADS"] = threads
