@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Graph, KcsStar, SymmetricStar
+from .topology import CcsStar, Graph, KcsStar, SymmetricStar
 from .spectral import (
     SpectralError,
     complement_basis,
@@ -37,7 +37,7 @@ from .spectral import (
     stratify,
     theta_root_kcs,
 )
-from .weights import WeightAssignment, metropolis_weights
+from .weights import WeightAssignment, metropolis_weights, optimal_weights
 
 __all__ = [
     "SlacknessReport",
@@ -109,8 +109,8 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     matrix equations (s I - W1) z1 = 0, (s I + W0) z2 = 0 are reported
     separately; at these weights they agree.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m, n must be >= 1")
+    topo = SymmetricStar(m, n)
+    assignment = optimal_weights(topo)
     theta = theta_root_kcs(m, n, 1)
     s = math.cos(theta)
     if abs(math.sin(theta)) < 1e-12:
@@ -119,8 +119,7 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     idx = np.arange(1, m + 1)
     a = np.sin((m - idx + 1) * theta) / math.sin(theta)
     b = np.sin((m - idx + 1) * (math.pi - theta)) / math.sin(math.pi - theta)
-    w = np.full(m, 0.5)
-    w[0] = 2.0 / (n + 2)
+    w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)])
 
     res: dict[str, float] = {}
 
@@ -163,8 +162,7 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
             r23 = max(r23, abs((a[i] * b[j]) ** 2 - (a[j] * b[i]) ** 2))
     res["eq23"] = r23
 
-    blocks = stratify(SymmetricStar(m, n),
-                      WeightAssignment(per_stratum={j + 1: w[j] for j in range(m)}))
+    blocks = stratify(topo, assignment)
     res["matrix_w1"] = float(np.max(np.abs(s * z1 - blocks.w1_block @ z1)))
     res["matrix_w0"] = float(np.max(np.abs(s * z2 + blocks.w0_block @ z2)))
 
@@ -325,8 +323,8 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     base = blocks_at(np.zeros(m))
     units = [blocks_at(e) for e in np.eye(m)]
     slopes = [np.stack([u[b] - base[b] for u in units]) for b in range(len(base))]
-    start = np.full(m, 0.5)
-    start[0] = 2.0 / (n + 2 * k)
+    closed = optimal_weights(topo).per_stratum
+    start = np.array([closed[j] for j in range(1, m + 1)])
     w, value, iterations, message = _epigraph_slem(
         base, slopes, start, f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
     per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
@@ -344,8 +342,6 @@ def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     km = k_max(m, n)
     out = []
     for k in k_range:
-        if k < 1:
-            raise ValueError("k must be >= 1")
         if k <= km:
             out.append((k, slem_closed_form(KcsStar(m, n, k))))
         else:
@@ -412,7 +408,8 @@ def central_weight_invariance(core: str,
             raise ValueError("attachment node out of range")
     graph, classes, central = _compose(core, branch_graphs)
     res = minimize_slem(graph, symmetry_classes=classes)
-    closed = 2.0 / (2 + n) if core == "star" else 1.0 / n
+    closed = (optimal_weights(SymmetricStar(1, n)).per_stratum[1] if core == "star"
+              else optimal_weights(CcsStar(1, n)).per_stratum[0])
     got = res.class_weights[central]
     return InvarianceReport(core=core, branch_count=n,
                             recovered_central_weight=got,

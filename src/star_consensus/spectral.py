@@ -52,6 +52,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
+INTERLACING_TOL = 1e-10
 # The k_max comparison (2k-n)/(2k+n) <= cos(theta) is exact at some integer
 # points (m = 1, k = n gives 1/3 on both sides); sides closer than this
 # count as equal, so a rounding error in the root cannot break the tie.
@@ -209,15 +210,19 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
 
 
 def slem_closed_form(topology: Topology) -> float:
-    """Optimal-weight SLEM of a star family via its characteristic equation.
+    """Optimal SLEM of a star family via its characteristic equation.
 
-    KCS (the symmetric star is the case k = 1): cos of the smallest root
-    of the k-cored equation; CCS: cos(pi/(2(m+1))), independent of n.
+    KCS (k = 1 is the symmetric star): cos of the smallest k-cored root,
+    refused past k_max(m, n); CCS: cos(pi/(2(m+1))), independent of n.
     """
     if isinstance(topology, CcsStar):
         return math.cos(math.pi / (2 * (topology.m + 1)))
     if isinstance(topology, KcsStar):
-        return math.cos(theta_root_kcs(topology.m, topology.n, topology.k))
+        m, n, k = topology.m, topology.n, topology.k
+        theta = theta_root_kcs(m, n, k)
+        if k > 1 and not _closed_form_optimal(n, k, theta):
+            raise SpectralError(f"{topology} is past k_max = {k_max(m, n)}")
+        return math.cos(theta)
     raise SpectralError("closed-form SLEM is defined only for the star families")
 
 
@@ -254,9 +259,9 @@ def _r_star(m: int) -> float:
     return r
 
 
-def _closed_form_optimal(m: int, n: int, k: int) -> bool:
+def _closed_form_optimal(n: int, k: int, theta: float) -> bool:
     """(2k-n)/(2k+n) <= cos(theta(m, n, k)), ties within TIE_TOL included."""
-    return (2 * k - n) / (2 * k + n) <= math.cos(theta_root_kcs(m, n, k)) + TIE_TOL
+    return (2 * k - n) / (2 * k + n) <= math.cos(theta) + TIE_TOL
 
 
 def k_max(m: int, n: int) -> int:
@@ -271,9 +276,9 @@ def k_max(m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise SpectralError("m, n must be >= 1")
     k = max(1, math.floor(n * _r_star(m)))
-    while k > 1 and not _closed_form_optimal(m, n, k):
+    while k > 1 and not _closed_form_optimal(n, k, theta_root_kcs(m, n, k)):
         k -= 1
-    while _closed_form_optimal(m, n, k + 1):
+    while _closed_form_optimal(n, k + 1, theta_root_kcs(m, n, k + 1)):
         k += 1
     return k
 
@@ -286,8 +291,8 @@ class InterlacingReport:
     lambda_min_matches_w1_bottom: bool
 
 
-def interlacing_check(blocks: StratifiedBlocks, W: np.ndarray | None = None,
-                      tol: float = 1e-10) -> InterlacingReport:
+def interlacing_check(blocks: StratifiedBlocks,
+                      W: np.ndarray | None = None) -> InterlacingReport:
     """Verify Cauchy interlacing of the tail block inside the center block.
 
     With both spectra ascending, lam_j(W0) <= lam_j(W1) <= lam_{j+1}(W0)
@@ -314,10 +319,10 @@ def interlacing_check(blocks: StratifiedBlocks, W: np.ndarray | None = None,
         top = lam1[-1] if blocks.w1_multiplicity else lam0[-2]
         if blocks.core_multiplicity:
             top = max(top, blocks.core_value)
-        top_ok = abs(lam[1] - top) <= tol
-        bottom_ok = abs(lam[-1] - lam1[0]) <= tol
+        top_ok = abs(lam[1] - top) <= INTERLACING_TOL
+        bottom_ok = abs(lam[-1] - lam1[0]) <= INTERLACING_TOL
     return InterlacingReport(
-        holds=viol <= tol and top_ok,
+        holds=viol <= INTERLACING_TOL and top_ok,
         max_violation=float(max(viol, 0.0)),
         lambda2_matches_w1_top=top_ok,
         lambda_min_matches_w1_bottom=bottom_ok,

@@ -10,7 +10,7 @@ occur for the optimal weights on star centers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +40,10 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Per-stratum or per-edge edge weights.
-
-    ``beyond_k_max`` flags KCS assignments with k past the optimality
-    threshold: the closed-form weights are still returned but are not
-    guaranteed optimal there.
-    """
+    """Per-stratum or per-edge edge weights."""
 
     per_stratum: dict[int, float] | None = None
     per_edge: dict[tuple[int, int], float] | None = None
-    beyond_k_max: bool = field(default=False)
 
     def edge_weight(self, edge: tuple[int, int], stratum: int | None) -> float:
         if self.per_edge is not None:
@@ -66,26 +60,21 @@ class WeightAssignment:
 
 
 def optimal_weights(topology: Topology) -> WeightAssignment:
-    """Closed-form optimal weights for the three star families.
+    """The paper's closed-form weights for the three star families.
 
-    KCS star: central edges 2/(n+2k), rest 1/2 (flagged beyond k_max);
-    the symmetric star is the case k = 1, with central edges 2/(n+2).
-    CCS star: core edges 1/n, tails 1/2.
+    KCS star: central edges 2/(n+2k), tails 1/2 (the symmetric star is
+    k = 1); CCS star: core edges 1/n, tails 1/2.  The KCS weights are
+    optimal only while k <= k_max(m, n); past it
+    ``optimality.kcs_tied_optimum`` gives the optimal weights.
     """
     if isinstance(topology, CcsStar):
         w = {0: 1.0 / topology.n}
-        w.update({j: 0.5 for j in range(1, topology.m + 1)})
-        return WeightAssignment(per_stratum=w)
-    if isinstance(topology, KcsStar):
-        m, n, k = topology.m, topology.n, topology.k
-        w = {1: 2.0 / (n + 2 * k)}
-        w.update({j: 0.5 for j in range(2, m + 1)})
-        from .spectral import k_max  # local import to avoid a cycle
-        # k_max >= 1 by definition, so k = 1 is never beyond it; testing k
-        # first keeps the root solver (and scipy.optimize) out of k = 1 runs.
-        beyond_k_max = k > 1 and k > k_max(m, n)
-        return WeightAssignment(per_stratum=w, beyond_k_max=beyond_k_max)
-    raise WeightError("optimal weights are defined only for the star families")
+    elif isinstance(topology, KcsStar):
+        w = {1: 2.0 / (topology.n + 2 * topology.k)}
+    else:
+        raise WeightError("optimal weights are defined only for the star families")
+    w.update({j: 0.5 for j in range(1, topology.m + 1) if j not in w})
+    return WeightAssignment(per_stratum=w)
 
 
 def _require_connected(graph: Graph):

@@ -92,6 +92,23 @@ def test_numerical_failure_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [(), ("--check",), ("--method", "eigen")])
+def test_slem_refuses_past_k_max(capsys, argv):
+    # k_max(2, 3) = 9: at k = 11 the closed form is not the optimum
+    code, out, err = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
+                         "--n", "3", "--k", "11", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "k_max = 9" in err
+
+
+def test_slem_check_at_k_max(capsys):
+    code, out, _ = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
+                       "--n", "3", "--k", "9", "--check")
+    assert code == 0
+    assert json.loads(out)["diff"] <= 1e-12
+
+
 def test_table2(capsys):
     code, out, _ = run(capsys, "table", "--id", "2")
     assert code == 0
@@ -192,6 +209,20 @@ def test_config_bad_input_is_usage_error(capsys, tmp_path, text):
     assert len(err.strip().splitlines()) == 1 and "config" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--id", "4", "--k-max-only"), "--k-max-only"),
+    (("--id", "2", "--seed", "3"), "--seed"),
+    (("--id", "2", "--k-max-only", "--output", "x.csv"), "--output"),
+])
+def test_fig_rejects_ignored_flags(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "fig", *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fig2(capsys, tmp_path):
     code, out, _ = run(capsys, "fig", "--id", "2", "--k-max-only")
     assert code == 0
@@ -219,7 +250,8 @@ def test_fig4(capsys, tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("slackness", "optimizer", "invariance", "stratification"):
+    for suite in ("slackness", "optimizer", "invariance", "stratification",
+                  "interlacing"):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0, suite
         assert json.loads(out)["passed"]

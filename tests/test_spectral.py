@@ -258,6 +258,24 @@ def test_k_max_boundary():
         assert central(km + 1) > math.cos(theta_root_kcs(m, n, km + 1))
 
 
+def test_slem_closed_form_refuses_past_k_max():
+    # the closed form is the optimal SLEM exactly up to k_max; past it
+    # there is no closed-form answer, so it is refused
+    for m in range(1, 7):
+        for n in range(1, 9):
+            km = k_max(m, n)
+            for k in range(1, km + 4):
+                if k <= km:
+                    slem_closed_form(KcsStar(m, n, k))
+                else:
+                    with pytest.raises(SpectralError, match=f"k_max = {km}"):
+                        slem_closed_form(KcsStar(m, n, k))
+    assert k_max(2, 3) == 9
+    slem_closed_form(KcsStar(2, 3, 9))
+    with pytest.raises(SpectralError):
+        slem_closed_form(KcsStar(2, 3, 10))
+
+
 def _k_max_by_increment(m, n):
     """The k-increment loop: raise k from 1 until the central eigenvalue
     (2(k+1)-n)/(2(k+1)+n) first exceeds cos(theta(m, n, k+1))."""

@@ -25,24 +25,27 @@ def test_optimal_symmetric_star():
     assert w.per_stratum == {1: 2 / 7, 2: 0.5, 3: 0.5}
 
 
-def test_optimal_symmetric_star_skips_k_max():
-    # k = 1 is never beyond k_max >= 1, so the symmetric star needs no root
-    # solve and never loads scipy.optimize
+def test_optimal_scheme_never_loads_scipy_optimize():
+    # the closed-form weights need no root solve, within k_max or past it,
+    # so neither the optimal matrix nor a Monte Carlo run on it loads
+    # scipy.optimize
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
     code = (
         "import sys\n"
-        "from star_consensus.topology import SymmetricStar\n"
-        "from star_consensus.weights import optimal_weights, scheme_matrix\n"
-        "scheme_matrix(SymmetricStar(3, 50), 'optimal')\n"
-        "flags = [optimal_weights(SymmetricStar(m, n)).beyond_k_max\n"
-        "         for m in range(1, 7) for n in range(1, 9)]\n"
-        "print(any(flags), 'scipy.optimize' in sys.modules)\n"
+        "from star_consensus.simulate import QuantizerSpec, monte_carlo\n"
+        "from star_consensus.topology import KcsStar, SymmetricStar\n"
+        "from star_consensus.weights import scheme_matrix\n"
+        "for topo in (SymmetricStar(3, 50), KcsStar(2, 3, 2), KcsStar(2, 3, 12)):\n"
+        "    scheme_matrix(topo, 'optimal')\n"
+        "monte_carlo(KcsStar(2, 3, 2), 'optimal',\n"
+        "            QuantizerSpec(4, 'probabilistic'), 10, 1)\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False"]
 
 
 def test_optimal_ccs():
@@ -54,13 +57,6 @@ def test_optimal_kcs():
     w = optimal_weights(KcsStar(2, 3, 2))
     assert w.per_stratum[1] == pytest.approx(2 / 7)
     assert w.per_stratum[2] == 0.5
-    assert not w.beyond_k_max
-
-
-def test_kcs_beyond_validity_flagged():
-    # for m=2, n=3 the closed form stops being optimal after k=9
-    assert not optimal_weights(KcsStar(2, 3, 9)).beyond_k_max
-    assert optimal_weights(KcsStar(2, 3, 10)).beyond_k_max
 
 
 def _check_scheme(W, g):
