@@ -219,6 +219,12 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
     return buf.getvalue()
 
 
+def _check_seed(seed: int | None):
+    """The one range rule for --seed, shared by table and fig."""
+    if seed is not None and seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {seed}", EXIT_USAGE)
+
+
 # table flags that only the Monte Carlo tables 3-5 read
 SIM_TABLE_FLAGS = ("bits", "weighting", "trials", "seed", "config")
 
@@ -232,8 +238,7 @@ def cmd_table(args) -> int:
                               f"{', '.join(given)} (tables 3-5 only)", EXIT_USAGE)
     if args.trials is not None and args.trials < 1:
         raise SystemExit2(f"--trials must be >= 1, got {args.trials}", EXIT_USAGE)
-    if args.seed is not None and args.seed < 0:
-        raise SystemExit2(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
+    _check_seed(args.seed)
     cfg = {}
     if args.config:
         try:
@@ -280,6 +285,7 @@ def cmd_fig(args) -> int:
         return EXIT_OK
     if args.k_max_only:
         raise SystemExit2("fig --id 4 does not take --k-max-only", EXIT_USAGE)
+    _check_seed(args.seed)
     # figure 4: one 6-bit run per quantizer on the 5-branch, length-3 star
     topo = topology.SymmetricStar(3, 5)
     graph, W = weights.scheme_matrix(topo, "optimal")

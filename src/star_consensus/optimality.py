@@ -1,20 +1,26 @@
 """Independent verification that the closed-form star weights are optimal,
 and optimal k-cored weights where the closed form stops being optimal.
 
-Three routes:
+Four routes:
 
 * complementary-slackness residuals: the dual certificate of the
   semidefinite program reduces to Chebyshev-type recursions in the
   coordinates a_i, b_i; at the closed-form weights and the characteristic
   angle every residual must vanish,
+* the tied optimum of a k-cored star beyond k_max (``kcs_tied_optimum``,
+  which ``kcs_slem_curve`` uses for every k > k_max): an exact solve of
+  its known active set by nested bracketed root finds on the tridiagonal
+  sector and tail blocks (m per-stratum weights, blocks of size at most
+  m + 1), and certified by the KKT conditions of Boyd, Diaconis and Xiao.
+  The certificate's residual comes with every result: near zero, it
+  proves the weights optimal, whatever produced them,
 * one SLEM minimizer: an epigraph program over the spectra of affine
   symmetric blocks, solved by SLSQP with exact eigenvalue gradients.  It
   serves arbitrary connected graphs with optional weight tying by
   symmetry class (``minimize_slem``, one dense block on the complement of
-  the ones vector) and the tied optimum of a k-cored star beyond k_max
-  (``kcs_tied_optimum``, the stratified blocks: m per-stratum weights,
-  blocks of size at most m + 1), which ``kcs_slem_curve`` uses for every
-  k > k_max; the closed forms and the dense eigensolve stay its oracles,
+  the ones vector), and is the fallback for a tied optimum whose
+  certificate fails; the closed forms and the dense eigensolve stay its
+  oracles,
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
@@ -31,8 +37,10 @@ import numpy as np
 from .topology import CcsStar, Graph, KcsStar, SymmetricStar
 from .spectral import (
     SpectralError,
+    _closed_form_optimal,
     complement_basis,
     k_max,
+    sector_block,
     slem_closed_form,
     stratify,
     theta_root_kcs,
@@ -189,6 +197,18 @@ SLSQP_CONVERGED = (0, 8)
 SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 1000}
 
 
+def _spectrum(blocks, slopes):
+    """Every eigenvalue of the symmetric blocks, ascending within each
+    block, and its gradient v^T slopes[b][i] v in the weights, one row
+    each; slopes[b][i] is the derivative of block b in weight i."""
+    lam, grad = [], []
+    for b, d in zip(blocks, slopes):
+        vals, vecs = np.linalg.eigh(b)
+        lam.append(vals)
+        grad.append(np.einsum("aj,iab,bj->ji", vecs, d, vecs))
+    return np.concatenate(lam), np.concatenate(grad)
+
+
 def _epigraph_slem(base, slopes, start, what: str):
     """Minimize max_j |lam_j(B_b(w))| over w for affine symmetric blocks
     B_b(w) = base[b] + sum_i w_i slopes[b][i], starting from ``start``.
@@ -214,21 +234,12 @@ def _epigraph_slem(base, slopes, start, what: str):
         lam = np.concatenate([np.linalg.eigvalsh(b) for b in at(w)])
         return float(max(lam.max(), -lam.min()))
 
-    def spectrum(w):
-        """Every block eigenvalue at w and its gradient in w, one row each."""
-        lam, grad = [], []
-        for b, d in zip(at(w), slopes):
-            vals, vecs = np.linalg.eigh(b)
-            lam.append(vals)
-            grad.append(np.einsum("aj,iab,bj->ji", vecs, d, vecs))
-        return np.concatenate(lam), np.concatenate(grad)
-
     def bounds(x):  # s - lam_j >= 0 and s + lam_j >= 0
-        lam, _ = spectrum(x[:-1])
+        lam, _ = _spectrum(at(x[:-1]), slopes)
         return np.concatenate((x[-1] - lam, x[-1] + lam))
 
     def bounds_jac(x):
-        _, g = spectrum(x[:-1])
+        _, g = _spectrum(at(x[:-1]), slopes)
         one = np.ones((len(g), 1))
         return np.block([[-g, one], [g, one]])
 
@@ -296,48 +307,169 @@ def minimize_slem(graph: Graph,
 @dataclass(frozen=True)
 class TiedOptimum:
     """Optimal per-stratum weights of a k-cored star from its block
-    spectra, with the SLSQP iteration count and stop message."""
+    spectra, with the KKT residual that certifies them.
+
+    ``iterations`` and ``message`` name the route: 0 and "closed form",
+    the outer root-find iterations and "active-set solve", or the SLSQP
+    iteration count and stop message when the certificate sent the point
+    to the fallback.
+    """
 
     weights: WeightAssignment
     slem: float
     iterations: int
     message: str
+    certificate_residual: float
+
+
+# A block eigenvalue within ACTIVE_TOL of +-s takes part in the KKT
+# certificate, and a residual at most CERTIFICATE_TOL certifies the point.
+ACTIVE_TOL = 1e-9
+CERTIFICATE_TOL = 1e-10
+
+
+def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
+    """SLEM of KcsStar(len(w), n, k) at per-stratum weights w, and the KKT
+    residual there.
+
+    The constrained eigenvalues are those of the sector block without its
+    Perron eigenvalue 1, of the tail block (n >= 2) and the core value
+    1 - n*w1 (k >= 2).  For those within ACTIVE_TOL of +-s, with signs
+    sigma_j and exact gradients g_j = v_j^T (dB/dw) v_j, the residual is
+    min ||sum_j mu_j sigma_j g_j|| over mu >= 0 with sum_j mu_j = 1 (both
+    conditions in one nonnegative least-squares solve).  Zero is the
+    optimality condition of the convex program (Boyd, Diaconis and Xiao,
+    SIAM Review 46(4), 2004): then no weights w' have a SLEM below
+    s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
+    tridiagonal, so their eigenvalues are simple and each has one gradient.
+    """
+    from scipy.optimize import nnls
+
+    m = len(w)
+    W0 = sector_block(n, k, w)
+    slopes = (np.stack([sector_block(n, k, e) for e in np.eye(m)])
+              - sector_block(n, k, np.zeros(m)))
+    lam, grad = _spectrum([W0, W0[1:, 1:]] if n > 1 else [W0],
+                          [slopes, slopes[:, 1:, 1:]])
+    # W0's largest eigenvalue is the Perron eigenvalue 1
+    lam, grad = np.delete(lam, m), np.delete(grad, m, 0)
+    if k > 1:
+        lam = np.append(lam, 1.0 - n * w[0])
+        grad = np.vstack((grad, -n * np.eye(m)[0]))
+    s = float(max(lam.max(), -lam.min()))
+    active = np.abs(np.abs(lam) - s) <= ACTIVE_TOL
+    A = np.vstack(((np.sign(lam[active])[:, None] * grad[active]).T,
+                   np.ones(active.sum())))
+    return s, float(nnls(A, np.eye(m + 1)[-1])[1])
+
+
+def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
+    """Per-stratum weights of KcsStar(m, n, k) past k_max on the known
+    active set, and the outer root-find iteration count.
+
+    Past k_max three eigenvalues sit at +-s: the core value 1 - n*w1 at
+    +s, the top of the tail block (for n = 1, of the sector block without
+    its Perron eigenvalue) at +s and the bottom of the sector block at -s,
+    with w3..wm = 1/2.  (For n = 1 and m >= 5 just past k_max the active
+    set can differ; the certificate then fails.)  So w1 = (1 - s)/n, and two equations are left in
+    w2 and s.  For a given s, the tail top falls from 1 at w2 = 0 to at
+    most s at w2 = 1/2 (no block eigenvalue rises with any weight), and the
+    inner Brent solve finds w2.  The outer Brent solve finds the s at which
+    the sector bottom is -s, between cos(theta(m, n, k)), the optimum
+    without the core constraint, and (2k-n)/(2k+n), the SLEM at the closed
+    form weights.  For n = 1 there is no tail block and the sector block
+    alone can beat cos(theta), so the lower end steps down by the bracket
+    width until the sector bottom lies below -s.  Near k_max the tail top
+    is nearly flat in w2, so at the final s, w2 solves the better
+    conditioned sector-bottom equation instead: on [0, 1] the sector bottom
+    falls from above -s to below -1.  m = 1 is closed form: w1 = 2/(2n+k),
+    SLEM k/(2n+k).  A bracket without a sign change raises ValueError.
+    """
+    if m == 1:
+        return np.array([2.0 / (2 * n + k)]), 0
+    from scipy.optimize import brentq
+
+    eps = np.finfo(float).eps
+    # the sector block is affine in (s, w2) once w1 = (1-s)/n and w3.. = 1/2
+    half = np.append([0.0, 0.0], np.full(m - 2, 0.5))
+    base = sector_block(n, k, half)
+    d_w1, d_w2 = (sector_block(n, k, half + e) - base for e in np.eye(m)[:2])
+
+    def sector(s, w2):
+        return base + ((1.0 - s) / n) * d_w1 + w2 * d_w2
+
+    def top_minus_s(w2, s):
+        W0 = sector(s, w2)
+        if n > 1:
+            return np.linalg.eigvalsh(W0[1:, 1:])[-1] - s
+        return np.linalg.eigvalsh(W0)[-2] - s
+
+    def bottom_plus_s(w2, s):
+        return np.linalg.eigvalsh(sector(s, w2))[0] + s
+
+    def outer(s):
+        return bottom_plus_s(brentq(top_minus_s, 0.0, 0.5, args=(s,), xtol=eps), s)
+
+    hi = (2 * k - n) / (2 * k + n)
+    lo = cos_theta
+    if n == 1:
+        while lo > 0 and outer(lo) > 0:
+            lo -= hi - lo
+    s, info = brentq(outer, lo, hi, xtol=eps, full_output=True)
+    w2 = brentq(bottom_plus_s, 0.0, 1.0, args=(s,), xtol=eps)
+    return np.append([(1.0 - s) / n, w2], half[2:]), info.iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
-    """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights.
+    """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights, and
+    certify the result.
 
-    The deflated blocks of ``stratify`` (sector block without its Perron
-    eigenvalue, tail block, core eigenvalue) are affine in the weights,
-    B(w) = B(0) + sum_i w_i (B(e_i) - B(0)).  With nonzero weights the
-    sector and tail blocks are unreduced tridiagonal, so their eigenvalues
-    are simple, and the epigraph program over their spectra is solved from
-    the closed-form weights (2/(n+2k), 1/2, ..., 1/2).
+    Up to k_max the candidate is the closed-form weights; past it, the
+    exact solve of the known active set (``_active_set_weights``).  Every
+    candidate is checked by the KKT certificate (``_kcs_certificate``),
+    whose residual the result reports.  Only a candidate whose residual
+    exceeds CERTIFICATE_TOL, or whose solve finds no bracket, goes to the
+    SLSQP epigraph solve that ``minimize_slem`` uses, on the deflated blocks
+    of ``stratify`` from the closed-form weights; its residual is reported
+    as it is.  The reported SLEM is the block spectrum at the returned
+    weights.
     """
     topo = KcsStar(m, n, k)
-
-    def blocks_at(w):
-        assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
-        return stratify(topo, assignment).deflated_blocks()
-
-    base = blocks_at(np.zeros(m))
-    units = [blocks_at(e) for e in np.eye(m)]
-    slopes = [np.stack([u[b] - base[b] for u in units]) for b in range(len(base))]
     closed = optimal_weights(topo).per_stratum
     start = np.array([closed[j] for j in range(1, m + 1)])
-    w, value, iterations, message = _epigraph_slem(
-        base, slopes, start, f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
+    theta = theta_root_kcs(m, n, k)
+    w, iterations, message = start, 0, "closed form"
+    if not _closed_form_optimal(n, k, theta):
+        try:
+            w, iterations = _active_set_weights(m, n, k, math.cos(theta))
+            message = "active-set solve"
+        except ValueError:  # no bracket: the closed form in w fails below
+            pass
+    value, residual = _kcs_certificate(n, k, w)
+    if residual > CERTIFICATE_TOL:
+        def blocks_at(w):
+            assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
+            return stratify(topo, assignment).deflated_blocks()
+
+        base = blocks_at(np.zeros(m))
+        units = [blocks_at(e) for e in np.eye(m)]
+        slopes = [np.stack([u[b] - base[b] for u in units])
+                  for b in range(len(base))]
+        w, _, iterations, message = _epigraph_slem(
+            base, slopes, start, f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
+        value, residual = _kcs_certificate(n, k, w)
     per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
     return TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
-                       slem=value, iterations=iterations, message=message)
+                       slem=value, iterations=iterations, message=message,
+                       certificate_residual=residual)
 
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     """Optimal SLEM of the k-cored star versus k.
 
     Within the closed-form validity range the characteristic-equation
-    value is used; beyond it the per-stratum weights are re-optimized
-    over the stratified block spectra (``kcs_tied_optimum``).
+    value is used; beyond it the certified tied optimum
+    (``kcs_tied_optimum``).
     """
     km = k_max(m, n)
     out = []

@@ -160,19 +160,19 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     if assignment.per_stratum is None:
         raise SpectralError("stratification needs per-stratum weights")
     w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)], dtype=float)
-
-    diag1 = 1.0 - w - np.append(w[1:], 0.0)
-    diag1[0] -= (k - 1) * w[0]
-    W1 = np.diag(diag1) + np.diag(w[1:], 1) + np.diag(w[1:], -1)
-
-    W0 = np.zeros((m + 1, m + 1))
-    W0[1:, 1:] = W1
-    W0[0, 0] = 1.0 - n * w[0]
-    W0[0, 1] = W0[1, 0] = math.sqrt(n * k) * w[0]
-
+    W0 = sector_block(n, k, w)
     perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
-    return StratifiedBlocks(W0, W1, n - 1, 1.0 - n * w[0], k - 1,
+    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, 1.0 - n * w[0], k - 1,
                             perron / np.linalg.norm(perron))
+
+
+def sector_block(n: int, k: int, w: np.ndarray) -> np.ndarray:
+    """The (m+1)x(m+1) tridiagonal sector block W0 of a k-cored star with
+    per-stratum weights w = (w1..wm); the tail block W1 is W0[1:, 1:]."""
+    diag = np.append(1.0 - n * w[0], 1.0 - w - np.append(w[1:], 0.0))
+    diag[1] -= (k - 1) * w[0]
+    off = np.append(math.sqrt(n * k) * w[0], w[1:])
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def char_kcs(theta, m: int, n: int, k: int):

@@ -65,7 +65,8 @@ def optimal_weights(topology: Topology) -> WeightAssignment:
     KCS star: central edges 2/(n+2k), tails 1/2 (the symmetric star is
     k = 1); CCS star: core edges 1/n, tails 1/2.  The KCS weights are
     optimal only while k <= k_max(m, n); past it
-    ``optimality.kcs_tied_optimum`` gives the optimal weights.
+    ``optimality.kcs_tied_optimum`` gives the optimal weights, solved
+    exactly on their known active set and certified by a KKT residual.
     """
     if isinstance(topology, CcsStar):
         w = {0: 1.0 / topology.n}

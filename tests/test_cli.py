@@ -54,6 +54,24 @@ def test_thread_cap_precedes_numpy_import():
     assert out.split() == ["1", "1", "1"]
 
 
+def test_fig2_independent_of_thread_count():
+    # every fig-2 point, the active-set solves past k_max included, is the
+    # same to the last byte under one and two BLAS threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        env["STAR_CONSENSUS_THREADS"] = threads
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "star_consensus.cli", "fig", "--id", "2"],
+            env=env, check=True, capture_output=True).stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 31
+
+
 def test_slem_symmetric(capsys):
     code, out, err = run(capsys, "slem", "--topology", "symmetric-star",
                          "--m", "3", "--n", "3")
@@ -213,6 +231,7 @@ def test_config_bad_input_is_usage_error(capsys, tmp_path, text):
     (("--id", "4", "--k-max-only"), "--k-max-only"),
     (("--id", "2", "--seed", "3"), "--seed"),
     (("--id", "2", "--k-max-only", "--output", "x.csv"), "--output"),
+    (("--id", "4", "--seed", "-1"), "--seed"),
 ])
 def test_fig_rejects_ignored_flags(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -221,6 +240,13 @@ def test_fig_rejects_ignored_flags(capsys, tmp_path, monkeypatch, argv, flag):
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_range_rule_is_shared(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = run(capsys, "table", "--id", "3", "--seed", "-1")
+    fig = run(capsys, "fig", "--id", "4", "--seed", "-1")
+    assert table == fig == (1, "", "error: --seed must be >= 0, got -1\n")
 
 
 def test_fig2(capsys, tmp_path):

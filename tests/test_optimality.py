@@ -119,6 +119,8 @@ def test_tied_optimum_matches_closed_form_up_to_k_max():
         for k in range(1, k_max(m, n) + 1):
             tied = kcs_tied_optimum(m, n, k)
             assert abs(tied.slem - slem_closed_form(KcsStar(m, n, k))) <= 1e-12, (m, n, k)
+            assert tied.message == "closed form"
+            assert tied.certificate_residual <= 1e-12, (m, n, k)
 
 
 def test_kcs_curve_anchors():
@@ -142,6 +144,8 @@ TIED_CASES = [(1, 1, 2), (1, 3, 4), (2, 1, 4), (2, 3, 10), (2, 2, 9), (3, 2, 15)
 def test_tied_optimum_vs_dense_minimizer(m, n, k):
     assert k > k_max(m, n)
     tied = kcs_tied_optimum(m, n, k)
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
     g = build(KcsStar(m, n, k))
     dense = minimize_slem(g, symmetry_classes=dict(g.stratum_of_edge))
     assert tied.slem <= dense.slem + 1e-9
@@ -162,6 +166,62 @@ def test_fig2_points_beyond_k_max_pinned(monkeypatch):
     assert curve[10] == pytest.approx(0.72854020495388871, abs=1e-9)
     assert curve[20] == pytest.approx(0.79828019975254405, abs=1e-9)
     assert curve[30] == pytest.approx(0.84776715443746309, abs=1e-9)
+
+
+# (m, n) x k in {k_max + 1, 2 k_max, 5 k_max + 3}
+CERTIFIED_CASES = [(m, n, k) for m, n in ((2, 3), (3, 4), (5, 2), (6, 8))
+                   for k in (k_max(m, n) + 1, 2 * k_max(m, n), 5 * k_max(m, n) + 3)]
+
+
+@pytest.mark.parametrize("m,n,k", CERTIFIED_CASES)
+def test_active_set_solve_is_certified(m, n, k):
+    tied = kcs_tied_optimum(m, n, k)
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
+    w = tied.weights.per_stratum
+    assert 1.0 - n * w[1] == pytest.approx(tied.slem, abs=1e-15)  # core active
+    assert all(w[j] == 0.5 for j in range(3, m + 1))
+
+
+def test_active_set_solve_beats_slsqp_stop():
+    # with one BLAS thread, SLSQP stopped at 0.9660236216124574 here
+    # (status 8), 1.5e-10 above the tied optimum
+    tied = kcs_tied_optimum(6, 8, 233)
+    assert tied.certificate_residual <= 1e-12
+    assert tied.slem < 0.9660236216124574 - 1e-10
+
+
+@pytest.mark.parametrize("dw1", [1e-6, -1e-6])
+def test_certificate_rejects_moved_weights(monkeypatch, dw1):
+    m, n, k = 2, 3, 10
+    tied = kcs_tied_optimum(m, n, k)
+    w = np.array([tied.weights.per_stratum[j] for j in range(1, m + 1)])
+    moved = w + [dw1, 0.0]
+    _, residual = optimality._kcs_certificate(n, k, moved)
+    assert residual > 1e-3
+    # a candidate that fails the certificate goes to the SLSQP fallback
+    monkeypatch.setattr(optimality, "_active_set_weights", lambda *a: (moved, 0))
+    fallback = kcs_tied_optimum(m, n, k)
+    assert fallback.message != "active-set solve"
+    assert fallback.slem == pytest.approx(tied.slem, abs=1e-9)
+
+
+def test_fig2_never_reaches_slsqp(monkeypatch):
+    def slsqp_not_used(*args, **kwargs):
+        raise AssertionError("_epigraph_slem called")
+
+    monkeypatch.setattr(optimality, "_epigraph_slem", slsqp_not_used)
+    curve = kcs_slem_curve(3, 2, range(1, 31))
+    assert min(curve, key=lambda t: t[1])[0] == 10
+
+
+def test_fig2_points_certified_and_not_above_slsqp(monkeypatch):
+    exact = {k: kcs_tied_optimum(2, 3, k) for k in range(10, 31)}
+    assert all(t.certificate_residual <= 1e-12 for t in exact.values())
+    # a negative tolerance fails every certificate, so SLSQP decides
+    monkeypatch.setattr(optimality, "CERTIFICATE_TOL", -1.0)
+    for k, t in exact.items():
+        assert t.slem <= kcs_tied_optimum(2, 3, k).slem + 1e-14, k
 
 
 def test_invariance_star_core():
