@@ -26,6 +26,14 @@ values and recorded trajectories.  The product is a sparse sum over each
 row's nonzeros in a fixed order and every other step acts on each trial
 alone, so a trial's outcome and trajectory are bit-identical whatever the
 batch it runs in and whatever the BLAS thread count.
+
+Two shortcuts keep the step short without changing a bit.  Up to 21
+bits, the loop rounds probabilistically in two operations, ceil(y - u):
+its draws lie on the 2^-32 grid, so y - u is exact or keeps its sign,
+and the result is floor(y) + [u < y - floor(y)] (``_quantize_into``);
+from 22 bits, and in the public ``quantize``, the floor and compare
+route does the rounding.  And a finished trial's column is only marked
+dead; the live columns are gathered once a quarter of them are dead.
 """
 
 from __future__ import annotations
@@ -161,18 +169,38 @@ class QuantizerSpec:
         return -1.0 + self.delta * np.arange(self.level_count)
 
 
-def _quantize_into(y, spec, u=None, lo=None, up=None):
+# Largest bit count at which the kernel rounds its 2^-32-grid draws as
+# ceil(y - u): below 2^21, y - u is exact (see ``_quantize_into``).
+_CEIL_ROUTE_MAX_BITS = 21
+
+
+def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False):
     """Round level positions y = (x + 1)/delta in place to level indices.
 
     y is clipped to [0, 2^b - 1] first, then rounded: uniform to
     floor(y + 1/2), probabilistic to floor(y) + [u < y - floor(y)], with
     the draws read from u and lo (float) and up (bool) as scratch of y's
     shape.  Returns y.
+
+    ``grid_draws`` says that every draw is a multiple of 2^-32, as the
+    kernel's stage draws are (``_stage_draws_into``).  Then, for b <= 21,
+    the probabilistic rule is the two operations ceil(y - u) and lo and up
+    are not used.  That is the same rule: for y >= 1 both y and u are
+    multiples of ulp(y) <= 2^-32, so y - u is exact, and for y < 1 the
+    rounded difference keeps the sign of the exact one and lies in
+    (-1, 1).  At 22 bits ulp(y) reaches 2^-31 and the identity fails
+    (y = 2^21 + 1/2, u = 1/2 - 2^-32 must round up, but y - u rounds to
+    2^21), so larger b, and draws of any precision, take the floor and
+    compare route.  Index 0 may come out as -0.0, which compares equal
+    to 0.0 and forms the same value.
     """
     np.clip(y, 0.0, float(spec.level_count - 1), out=y)
     if spec.scheme == "uniform":
         np.add(y, 0.5, out=y)
         return np.floor(y, out=y)
+    if grid_draws and spec.bits <= _CEIL_ROUTE_MAX_BITS:
+        np.subtract(y, u, out=y)
+        return np.ceil(y, out=y)
     np.floor(y, out=lo)
     np.subtract(y, lo, out=y)  # fractional position inside the cell
     np.less(u, y, out=up)  # round up
@@ -233,6 +261,10 @@ def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarr
 
 _UNQUANTIZED_TOL = 1e-9
 
+# The kernel gathers its active columns once at least this share of them
+# belong to finished trials.
+_COMPACT_DEAD_SHARE = 0.25
+
 
 def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     """Run many trials in lockstep.  x0_batch: (trials, N) raw states.
@@ -255,13 +287,22 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     unquantized mean is a sequential node sum.  So no trial's arithmetic
     depends on the other trials or on the BLAS thread count.  The draw and
     quantizer scratch is allocated once, for all trials, and each step
-    uses its leading elements for the active trials.
+    uses its leading elements for the active columns.
+
+    The probabilistic rule rounds the stage draws, which lie on the 2^-32
+    grid, by ceil(y - u) up to 21 bits (see ``_quantize_into``).
+    Compaction is deferred: a finished trial's column is only marked dead
+    in ``live``, and the columns are gathered once at least a quarter of
+    them are dead (``_COMPACT_DEAD_SHARE``).  Dead columns keep stepping,
+    but nothing reads them: ``done &= live`` keeps a trial from finishing
+    twice, and trial 0's record stops when it finishes.
     """
     Wc = csr_matrix(np.asarray(W, dtype=float))
     n_trials, N = x0_batch.shape
     x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
     seeds = np.asarray(trial_seeds, dtype=np.uint64)[None, :]
     active = np.arange(n_trials)
+    live = np.ones(n_trials, dtype=bool)
     quantized = spec.scheme is not None
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
@@ -270,8 +311,11 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     if probabilistic:
         z = np.empty(pairs * n_trials, np.uint64)
         tmp = np.empty_like(z)
-        u, lo = np.empty(2 * pairs * n_trials), np.empty(N * n_trials)
+        u = np.empty(2 * pairs * n_trials)
         pair_keys = _pair_keys(N)
+        # the floor and compare route's scratch (flags is the other half)
+        lo = (None if spec.bits <= _CEIL_ROUTE_MAX_BITS
+              else np.empty(N * n_trials))
 
     def lead(buf, rows, k):
         return buf[:rows * k].reshape(rows, k)
@@ -282,8 +326,8 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
             draws = lead(u, 2 * pairs, k)
             _stage_draws_into(seeds, stage, N, pair_keys, lead(z, pairs, k),
                               lead(tmp, pairs, k), draws)
-            _quantize_into(y, spec, draws[:N], lead(lo, N, k),
-                           lead(flags, N, k))
+            scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
+            _quantize_into(y, spec, draws[:N], *scratch, grid_draws=True)
         elif quantized:
             _quantize_into(y, spec)
 
@@ -295,7 +339,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     values = np.full(n_trials, np.nan)
 
     def check(x, t):
-        nonlocal seeds, active
+        nonlocal seeds, active, live
         if quantized:
             same = lead(flags, N, x.shape[1])
             np.equal(x, x[:1], out=same)
@@ -303,14 +347,20 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
         else:
             mean = np.add.accumulate(x, axis=0)[-1] / N
             done = np.max(np.abs(x - mean), axis=0) <= _UNQUANTIZED_TOL
+        done &= live
         if not done.any():
             return x
         finished = active[done]
         reached[finished] = True
         iters[finished] = t
         values[finished] = value_of(x[0, done]) if quantized else mean[done]
-        keep = ~done
+        live &= ~done
+        n_live = np.count_nonzero(live)
+        if live.size - n_live < _COMPACT_DEAD_SHARE * live.size:
+            return x
+        keep = live
         seeds, active = seeds[:, keep], active[keep]
+        live = np.ones(n_live, dtype=bool)
         return x[:, keep]
 
     if quantized:
@@ -325,7 +375,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
         t += 1
         x = Wc @ x
         quantize_stage(t + 1, x)
-        if record is not None and active[0] == 0:
+        if record is not None and not reached[0]:
             record.append(value_of(x[:, 0]))
         x = check(x, t)
     return reached, iters, values

@@ -15,6 +15,7 @@ from star_consensus.simulate import (
     QuantizerSpec,
     _batch_run,
     _pair_keys,
+    _quantize_into,
     _stage_draws_into,
     derive_trial_seed,
     initial_states,
@@ -431,12 +432,15 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
     return reached, t, val if reached else float("nan"), traj
 
 
-@pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=lambda t: type(t).__name__)
-def test_kernel_matches_python_oracle(topo):
+# 21 and 22 bits sit on both sides of the kernel's two rounding routes.
+@pytest.mark.parametrize("topo, bits", [
+    pytest.param(topo, bits, id=type(topo).__name__ + ("" if bits == 8 else f"-{bits}"))
+    for bits in (8, 21, 22) for topo in KERNEL_TOPOLOGIES])
+def test_kernel_matches_python_oracle(topo, bits):
     W, x0, seeds = _kernel_inputs(topo, 4, 11)
     steps = 0
     for scheme in KERNEL_SCHEMES:
-        spec = QuantizerSpec(8, scheme)
+        spec = QuantizerSpec(bits, scheme)
         record = []
         reached, iters, values = _batch_run(W, x0, spec, 200, seeds, record)
         for i in range(len(seeds)):
@@ -447,3 +451,32 @@ def test_kernel_matches_python_oracle(topo):
             if i == 0:
                 assert np.array_equal(np.array(record), np.array(traj))
     assert steps >= 200
+
+
+def test_grid_draw_rounding_is_the_probabilistic_rule():
+    # The kernel rounds its 2^-32-grid draws by ceil(y - u) up to 21 bits;
+    # at every bit count it must give floor(y) + [u < y - floor(y)].
+    grid = 2.0**-32
+    us = np.array([0.0, grid, 0.25, 0.5 - grid, 0.5, 0.5 + grid, 0.75,
+                   1.0 - grid])
+    for bits in range(1, 23):
+        top = float(2**bits - 1)
+        ys = [0.0, -0.0, 1e-300, -1e-300, grid, grid / 2, 1.0 - grid,
+              top, np.nextafter(top, 0.0), top - 0.5, top + 0.5]  # y > top clips
+        for i in (1.0, 2.0, 3.0, float(2**(bits - 1)), top - 1.0):
+            ys += [i, np.nextafter(i, 0.0), np.nextafter(i, np.inf)]
+        ys += [i + f for i in (0.0, 1.0, top - 1.0) for f in us[1:]]  # frac(y) == u
+        if bits == 22:
+            ys.append(2.0**21 + 0.5)
+        y, u = np.repeat(ys, us.size), np.tile(us, len(ys))
+        p = np.clip(y, 0.0, top)
+        ref = np.floor(p) + (u < p - np.floor(p))
+        got = _quantize_into(y.copy(), QuantizerSpec(bits, "probabilistic"), u,
+                             np.empty_like(y), np.empty(y.shape, dtype=bool),
+                             grid_draws=True)
+        assert np.array_equal(got, ref), bits
+    y = np.array([2.0**21 + 0.5])
+    assert _quantize_into(y, QuantizerSpec(22, "probabilistic"),
+                          np.array([0.5 - grid]), np.empty(1),
+                          np.empty(1, dtype=bool), grid_draws=True)[0] == 2.0**21 + 1
+
