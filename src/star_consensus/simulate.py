@@ -27,13 +27,20 @@ row's nonzeros in a fixed order and every other step acts on each trial
 alone, so a trial's outcome and trajectory are bit-identical whatever the
 batch it runs in and whatever the BLAS thread count.
 
-Two shortcuts keep the step short without changing a bit.  Up to 21
-bits, the loop rounds probabilistically in two operations, ceil(y - u):
-its draws lie on the 2^-32 grid, so y - u is exact or keeps its sign,
-and the result is floor(y) + [u < y - floor(y)] (``_quantize_into``);
-from 22 bits, and in the public ``quantize``, the floor and compare
-route does the rounding.  And a finished trial's column is only marked
-dead; the live columns are gathered once a quarter of them are dead.
+Some shortcuts keep the step short, and the record small, without
+changing a bit.  Up to 21 bits, the loop rounds probabilistically in two
+operations, ceil(y - u): its draws lie on the 2^-32 grid, so y - u is
+exact or keeps its sign, and the result is floor(y) + [u < y - floor(y)]
+(``_quantize_into``); from 22 bits, and in the public ``quantize``, the
+floor and compare route does the rounding.  A finished trial's column is
+only marked dead; the live columns are gathered once a quarter of them
+are dead.  The draws hash a key base, each trial's seed plus its pair
+keys, built once, so a stage adds one offset to it.  After the first
+stage only the rows whose rounded product can leave [0, 2^b - 1] are
+clipped: IEEE rounding is monotone, so a row with nonnegative weights
+stays between 0 and its rounded all-top sum (``_clip_rows``).  And a
+recorded trajectory is written row by row into one buffer, cut to its
+rows in place, so it costs its own size.
 """
 
 from __future__ import annotations
@@ -117,20 +124,22 @@ def _pair_keys(n_nodes):
     return (np.arange(0, 2 * pairs, 2, dtype=np.uint64) * _PHI)[:, None]
 
 
-def _stage_draws_into(seeds, stage, n_nodes, pair_keys, z, tmp, out):
+def _stage_draws_into(keys, stage, n_nodes, z, tmp, out):
     """Quantization draws of one stage: U[0,1) on a 2^-32 grid per node.
 
     Node pair p of a trial hashes counter stage * n_nodes + 2p under the
     trial's seed (the hash that would feed node 2p's 53-bit draw); node 2p
     takes the low 32 bits, node 2p + 1 the high 32 bits.  For odd n_nodes
-    the last high half is unused.  seeds is (1, k), pair_keys is
-    ``_pair_keys(n_nodes)``, z and tmp are uint64 scratch of shape (P, k)
-    with P = ceil(n_nodes / 2), and out is float (2P, k); returns out.
+    the last high half is unused.  keys is the (P, k) key base, the trial
+    seeds (1, k) plus ``_pair_keys(n_nodes)`` mod 2^64, with P =
+    ceil(n_nodes / 2); a stage adds one offset to it.  z and tmp are
+    uint64 scratch of shape (P, k), and out is float (2P, k), written
+    last, so tmp may share its memory; returns out.
     """
     P, k = z.shape
-    # (stage * n_nodes + 2p) * PHI, mod 2^64
+    # seed + (stage * n_nodes + 2p) * PHI, mod 2^64
     offset = np.uint64(stage * n_nodes * int(_PHI) % _U64)
-    np.add(seeds, pair_keys + offset, out=z)
+    np.add(keys, offset, out=z)
     _mix64(z, tmp)
     halves = z.view(np.uint32).reshape(P, k, 2)
     if _LOW_HALF:
@@ -174,13 +183,16 @@ class QuantizerSpec:
 _CEIL_ROUTE_MAX_BITS = 21
 
 
-def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False):
+def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False,
+                   clip=...):
     """Round level positions y = (x + 1)/delta in place to level indices.
 
-    y is clipped to [0, 2^b - 1] first, then rounded: uniform to
-    floor(y + 1/2), probabilistic to floor(y) + [u < y - floor(y)], with
-    the draws read from u and lo (float) and up (bool) as scratch of y's
-    shape.  Returns y.
+    The part of y that the basic index ``clip`` selects (all of y by
+    default; none if it is None) is clipped to [0, 2^b - 1] first; the
+    caller vouches that the rest lies in that range.  Then y is rounded:
+    uniform to floor(y + 1/2), probabilistic to floor(y) + [u < y -
+    floor(y)], with the draws read from u and lo (float) and up (bool) as
+    scratch of y's shape.  Returns y.
 
     ``grid_draws`` says that every draw is a multiple of 2^-32, as the
     kernel's stage draws are (``_stage_draws_into``).  Then, for b <= 21,
@@ -194,7 +206,10 @@ def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False):
     compare route.  Index 0 may come out as -0.0, which compares equal
     to 0.0 and forms the same value.
     """
-    np.clip(y, 0.0, float(spec.level_count - 1), out=y)
+    top = float(spec.level_count - 1)
+    if clip is not None:
+        view = y[clip]
+        np.clip(view, 0.0, top, out=view)
     if spec.scheme == "uniform":
         np.add(y, 0.5, out=y)
         return np.floor(y, out=y)
@@ -265,17 +280,40 @@ _UNQUANTIZED_TOL = 1e-9
 # belong to finished trials.
 _COMPACT_DEAD_SHARE = 0.25
 
+# A recorded trajectory reserves up to this many bytes at once; the pages
+# it never writes are never touched, and a longer one grows in place.
+_RECORD_RESERVE_BYTES = 1 << 26
 
-def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
+
+def _clip_rows(Wc, top):
+    """The rows of the CSR matrix Wc whose product with level indices in
+    [0, top] can leave that range, in increasing order.
+
+    IEEE rounding is monotone, so a row with nonnegative weights, summed
+    in its stored order, is nondecreasing in every index: its rounded sum
+    lies between 0 (at i = 0) and its rounded all-top sum Wc @ full(N,
+    top), the same product in the same order.  Such a row can leave the
+    range only if that sum exceeds top; a row with a negative weight can
+    leave it anyway.
+    """
+    N = Wc.shape[0]
+    leave = Wc @ np.full(N, top) > top
+    row_of = np.repeat(np.arange(N), np.diff(Wc.indptr))
+    leave[row_of[Wc.data < 0]] = True
+    return np.flatnonzero(leave)
+
+
+def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
     """Run many trials in lockstep.  x0_batch: (trials, N) raw states.
 
-    Returns (reached, iterations, values) arrays.  Stage s = 1 quantizes
-    x(0), stage s = t+1 quantizes update t; the draws of stage s use
-    counters s*N .. s*N + N-1 of the trial (see ``_stage_draws_into``),
-    clear of the initial states' 0..N-1, so a single trial and any batch
-    consume identical random streams.  If ``record`` is a list, it
-    receives a copy of trial 0's state after every stage it takes part
-    in: x(0) after quantization, then each update.
+    Returns (reached, iterations, values) arrays, and with ``record`` also
+    trial 0's trajectory: its state after every stage it takes part in,
+    x(0) after quantization, then each update, as iterations[0] + 1 rows.
+    Stage s = 1 quantizes x(0), stage s = t+1 quantizes update t; the
+    draws of stage s use counters s*N .. s*N + N-1 of the trial (see
+    ``_stage_draws_into``), clear of the initial states' 0..N-1, so a
+    single trial and any batch consume identical random streams.
+    max_iters must be an integer >= 0.
 
     The state is held node-major, one column per active trial.  A
     quantized state is held as level indices i, x = -1 + i * delta: x(0)
@@ -289,18 +327,38 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     quantizer scratch is allocated once, for all trials, and each step
     uses its leading elements for the active columns.
 
-    The probabilistic rule rounds the stage draws, which lie on the 2^-32
-    grid, by ceil(y - u) up to 21 bits (see ``_quantize_into``).
+    The recorded rows are formed straight into one float64 buffer, with
+    the same two operations as a consensus value.  It reserves
+    min(max_iters + 1, _RECORD_RESERVE_BYTES worth of) rows, grows in
+    place by doubling (up to max_iters + 1) only past that, and is cut in
+    place to its rows at the end, so the record costs its own size and a
+    huge cap on a short trial allocates no more than the reserve, whose
+    unwritten pages are never touched.
+
+    The probabilistic draws hash a (P, trials) key base, seed plus pair
+    key, built once and gathered with the columns; each stage adds one
+    offset.  The probabilistic rule rounds the stage draws, which lie on
+    the 2^-32 grid, by ceil(y - u) up to 21 bits (see
+    ``_quantize_into``).  Stage 1 clips
+    every row, as x(0) may lie anywhere.  After it every index lies in
+    [0, 2^b - 1], so later stages clip only the contiguous block of
+    node-major rows from the first to the last row of ``_clip_rows``,
+    whose rounded product can leave that range (on the optimal stars, the
+    hub row alone, for its negative self-weight).  A row left unclipped
+    holds the value the clip would give, except that an index 0 may stay
+    -0.0, which compares and forms values as 0.0 does.
+
     Compaction is deferred: a finished trial's column is only marked dead
     in ``live``, and the columns are gathered once at least a quarter of
     them are dead (``_COMPACT_DEAD_SHARE``).  Dead columns keep stepping,
     but nothing reads them: ``done &= live`` keeps a trial from finishing
     twice, and trial 0's record stops when it finishes.
     """
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     Wc = csr_matrix(np.asarray(W, dtype=float))
     n_trials, N = x0_batch.shape
     x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
-    seeds = np.asarray(trial_seeds, dtype=np.uint64)[None, :]
     active = np.arange(n_trials)
     live = np.ones(n_trials, dtype=bool)
     quantized = spec.scheme is not None
@@ -308,38 +366,57 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
     delta = spec.delta
     pairs = (N + 1) // 2
     flags = np.empty(N * n_trials, dtype=bool)
+    keys = None
+    if quantized:
+        leaving = _clip_rows(Wc, float(spec.level_count - 1))
+        # one contiguous block of node-major rows: a single clip call
+        clip_block = (slice(leaving[0], leaving[-1] + 1) if leaving.size
+                      else None)
     if probabilistic:
+        keys = (np.asarray(trial_seeds, dtype=np.uint64)[None, :]
+                + _pair_keys(N))
         z = np.empty(pairs * n_trials, np.uint64)
-        tmp = np.empty_like(z)
         u = np.empty(2 * pairs * n_trials)
-        pair_keys = _pair_keys(N)
+        # the hash's scratch; the draws are written only after the hash
+        tmp = u.view(np.uint64)
         # the floor and compare route's scratch (flags is the other half)
         lo = (None if spec.bits <= _CEIL_ROUTE_MAX_BITS
               else np.empty(N * n_trials))
+    if record:
+        traj = np.empty((min(max_iters + 1,
+                             max(1, _RECORD_RESERVE_BYTES // (8 * N))), N))
 
     def lead(buf, rows, k):
         return buf[:rows * k].reshape(rows, k)
 
-    def quantize_stage(stage, y):
+    def quantize_stage(stage, y, clip):
         k = y.shape[1]
         if probabilistic:
             draws = lead(u, 2 * pairs, k)
-            _stage_draws_into(seeds, stage, N, pair_keys, lead(z, pairs, k),
+            _stage_draws_into(keys, stage, N, lead(z, pairs, k),
                               lead(tmp, pairs, k), draws)
             scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
-            _quantize_into(y, spec, draws[:N], *scratch, grid_draws=True)
-        elif quantized:
-            _quantize_into(y, spec)
+            _quantize_into(y, spec, draws[:N], *scratch, grid_draws=True,
+                           clip=clip)
+        else:
+            _quantize_into(y, spec, clip=clip)
 
-    def value_of(i):
-        return i * delta - 1.0 if quantized else i.copy()
+    def record_row(t, x):
+        if t == len(traj):
+            traj.resize((min(2 * t, max_iters + 1), N), refcheck=False)
+        row = traj[t]
+        if quantized:  # i * delta - 1.0, as a consensus value is formed
+            np.multiply(x[:, 0], delta, out=row)
+            np.subtract(row, 1.0, out=row)
+        else:
+            row[:] = x[:, 0]
 
     reached = np.zeros(n_trials, dtype=bool)
     iters = np.full(n_trials, max_iters, dtype=np.int64)
     values = np.full(n_trials, np.nan)
 
     def check(x, t):
-        nonlocal seeds, active, live
+        nonlocal keys, active, live
         if quantized:
             same = lead(flags, N, x.shape[1])
             np.equal(x, x[:1], out=same)
@@ -353,32 +430,38 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=None):
         finished = active[done]
         reached[finished] = True
         iters[finished] = t
-        values[finished] = value_of(x[0, done]) if quantized else mean[done]
+        values[finished] = x[0, done] * delta - 1.0 if quantized else mean[done]
         live &= ~done
         n_live = np.count_nonzero(live)
         if live.size - n_live < _COMPACT_DEAD_SHARE * live.size:
             return x
         keep = live
-        seeds, active = seeds[:, keep], active[keep]
+        active = active[keep]
+        if keys is not None:
+            keys = keys[:, keep]
         live = np.ones(n_live, dtype=bool)
         return x[:, keep]
 
     if quantized:
         np.add(x, 1.0, out=x)
         np.divide(x, delta, out=x)  # level units
-    quantize_stage(1, x)
-    if record is not None:
-        record.append(value_of(x[:, 0]))
+        quantize_stage(1, x, ...)
+    if record:
+        record_row(0, x)
     x = check(x, 0)
     t = 0
     while active.size and t < max_iters:
         t += 1
         x = Wc @ x
-        quantize_stage(t + 1, x)
-        if record is not None and not reached[0]:
-            record.append(value_of(x[:, 0]))
+        if quantized:
+            quantize_stage(t + 1, x, clip_block)
+        if record and not reached[0]:
+            record_row(t, x)
         x = check(x, t)
-    return reached, iters, values
+    if not record:
+        return reached, iters, values
+    traj.resize((int(iters[0]) + 1, N), refcheck=False)
+    return reached, iters, values, traj
 
 
 def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
@@ -389,15 +472,26 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     all components are exactly equal on the level grid (or, without a
     quantizer, within 1e-9 of the mean), or at max_iters (counted as
     non-consensus).  ``iterations`` is the number of update steps taken.
+    max_iters must be an integer >= 0 and x0 must hold one state per node
+    of W; anything else raises ValueError.
+
+    With ``return_trajectory``, the states after every stage come back as
+    an (iterations + 1, N) array, written row by row into one buffer that
+    is cut to those rows in place: the record costs its own size.  A
+    large max_iters on a trial that stops early reserves at most 64 MiB
+    of address space, of which only the written rows are touched.
     """
     x0 = np.asarray(x0, dtype=float)
-    traj = [] if return_trajectory else None
-    reached, iters, values = _batch_run(
-        W, x0[None, :], spec, max_iters,
-        np.array([trial_seed], dtype=np.uint64), traj)
+    n = np.shape(W)[0]
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, but W has order {n}: "
+                         f"x0 needs one state per node")
+    run = _batch_run(W, x0[None, :], spec, max_iters,
+                     np.array([trial_seed], dtype=np.uint64), return_trajectory)
+    reached, iters, values = run[:3]
     outcome = _make_outcome(bool(reached[0]), int(iters[0]), float(values[0]),
                             x0, spec)
-    return (outcome, np.array(traj)) if return_trajectory else outcome
+    return (outcome, run[3]) if return_trajectory else outcome
 
 
 def _make_outcome(reached, iters, value, x0_raw, spec):

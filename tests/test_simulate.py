@@ -1,19 +1,24 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from star_consensus.topology import CcsStar, Custom, Graph, KcsStar, SymmetricStar
 from star_consensus.weights import scheme_matrix
 from star_consensus.spectral import slem
+from star_consensus import simulate
 from star_consensus.simulate import (
     QuantizerSpec,
     _batch_run,
+    _clip_rows,
     _pair_keys,
     _quantize_into,
     _stage_draws_into,
@@ -157,6 +162,56 @@ def test_run_trial_cap_counts_as_failure():
     if not out.consensus_reached:
         assert out.iterations == 50
         assert out.consensus_value is None and out.normalized_error is None
+
+
+def test_bad_cap_and_x0_refused():
+    topo = SymmetricStar(2, 3)
+    g, W = scheme_matrix(topo, "optimal")
+    spec = QuantizerSpec(4, "probabilistic")
+    x0 = initial_states(1, 0, g.node_count)
+    for cap in (-1, 2.5):
+        with pytest.raises(ValueError, match="max_iters"):
+            run_trial(W, x0, spec, max_iters=cap)
+        with pytest.raises(ValueError, match="max_iters"):
+            monte_carlo(topo, "optimal", spec, 3, 1, max_iters=cap)
+    with pytest.raises(ValueError, match=r"shape \(6,\), but W has order 7"):
+        run_trial(W, x0[:-1], spec)
+    out, traj = run_trial(W, x0, spec, max_iters=0, return_trajectory=True)
+    assert out.iterations == 0 and traj.shape == (1, g.node_count)
+
+
+def test_trajectory_record_costs_its_own_size():
+    # The benchmark's large-star replay: trial 0 runs to the cap.  Holding
+    # every row twice, as a list and as its copy, took about 2x.
+    g, W = scheme_matrix(SymmetricStar(3, 50), "optimal")
+    x0 = initial_states(1, 0, g.node_count)
+    tracemalloc.start()
+    try:
+        out, traj = run_trial(W, x0, QuantizerSpec(8, "probabilistic"),
+                              max_iters=10_000, trial_seed=derive_trial_seed(1, 0),
+                              return_trajectory=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (out.iterations + 1, g.node_count)
+    assert peak <= 1.25 * traj.nbytes
+
+
+def test_huge_cap_trajectory_is_the_short_one(monkeypatch):
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    spec = QuantizerSpec(4, "probabilistic")
+    x0, seed = initial_states(3, 0, g.node_count), derive_trial_seed(3, 0)
+    out, ref = run_trial(W, x0, spec, max_iters=500, trial_seed=seed,
+                         return_trajectory=True)
+    assert out.consensus_reached and out.iterations > 4
+    # the default reserve, and a 3-row one that the record must outgrow
+    for reserve in (simulate._RECORD_RESERVE_BYTES, 3 * 8 * g.node_count):
+        monkeypatch.setattr(simulate, "_RECORD_RESERVE_BYTES", reserve)
+        for cap in (4, 500, 10**12):
+            got, traj = run_trial(W, x0, spec, max_iters=cap, trial_seed=seed,
+                                  return_trajectory=True)
+            assert got.iterations == min(cap, out.iterations)
+            assert np.array_equal(traj, ref[:cap + 1])
 
 
 def test_initial_states_deterministic_and_in_range():
@@ -321,9 +376,9 @@ def test_fig4_trajectory_is_trial0_of_batch():
         spec = QuantizerSpec(6, scheme)
         out, traj = run_trial(W, x0[0], spec, max_iters=500,
                               trial_seed=int(seeds[0]), return_trajectory=True)
-        record = []
-        reached, iters, values = _batch_run(W, x0, spec, 500, seeds, record)
-        assert np.array_equal(np.array(record), traj)
+        reached, iters, values, record = _batch_run(W, x0, spec, 500, seeds,
+                                                    record=True)
+        assert np.array_equal(record, traj)
         assert (bool(reached[0]), int(iters[0])) == (out.consensus_reached,
                                                      out.iterations)
 
@@ -351,8 +406,8 @@ def _kernel_stage_draws(trial_seed, stage, n_nodes):
     pairs = (n_nodes + 1) // 2
     z = np.empty((pairs, 1), np.uint64)
     out = np.empty((2 * pairs, 1))
-    _stage_draws_into(np.array([[trial_seed]], np.uint64), stage, n_nodes,
-                      _pair_keys(n_nodes), z, np.empty_like(z), out)
+    keys = np.array([[trial_seed]], np.uint64) + _pair_keys(n_nodes)
+    _stage_draws_into(keys, stage, n_nodes, z, np.empty_like(z), out)
     return out[:n_nodes, 0].tolist()
 
 
@@ -438,19 +493,62 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
     for bits in (8, 21, 22) for topo in KERNEL_TOPOLOGIES])
 def test_kernel_matches_python_oracle(topo, bits):
     W, x0, seeds = _kernel_inputs(topo, 4, 11)
-    steps = 0
-    for scheme in KERNEL_SCHEMES:
-        spec = QuantizerSpec(bits, scheme)
-        record = []
-        reached, iters, values = _batch_run(W, x0, spec, 200, seeds, record)
-        for i in range(len(seeds)):
-            ok, t, value, traj = _oracle_run(W, x0[i], spec, 200, int(seeds[i]))
-            steps += t
-            assert (bool(reached[i]), int(iters[i])) == (ok, t)
-            assert np.array_equal(values[i], value, equal_nan=True)
-            if i == 0:
-                assert np.array_equal(np.array(record), np.array(traj))
+    steps = sum(_assert_kernel_matches_oracle(W, x0, seeds,
+                                              QuantizerSpec(bits, scheme))
+                for scheme in KERNEL_SCHEMES)
     assert steps >= 200
+
+
+def _assert_kernel_matches_oracle(W, x0, seeds, spec, max_iters=200):
+    """Every trial's outcome and trial 0's trajectory, bit for bit; returns
+    the oracle's total step count."""
+    reached, iters, values, record = _batch_run(W, x0, spec, max_iters, seeds,
+                                                record=True)
+    steps = 0
+    for i in range(len(seeds)):
+        ok, t, value, traj = _oracle_run(W, x0[i], spec, max_iters, int(seeds[i]))
+        steps += t
+        assert (bool(reached[i]), int(iters[i])) == (ok, t)
+        assert np.array_equal(values[i], value, equal_nan=True)
+        if i == 0:
+            assert np.array_equal(record, np.array(traj))
+    return steps
+
+
+# Row 1 has a negative weight.  Row 3 is nonnegative, but its all-top sum
+# rounds above 2^b - 1 at 4 and 52 bits; it was found by a search over rows
+# (a, b, c)/d with d < 30.  The other rows stay in range, rows 0 and 4
+# outside the block 1..3 that the kernel clips.
+_CLIP_W = np.array([
+    [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0],
+    [-0.25, 1.25, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.1, 0.2, 0.7],
+    [0.0, 1 / 11, 2 / 11, 8 / 11, 0.0],
+    [1 / 7, 0.0, 0.0, 2 / 7, 4 / 7],
+])
+
+
+@pytest.mark.parametrize("bits", (4, 52))
+def test_clip_rule_rows(bits):
+    top = float(2**bits - 1)
+    Wc = csr_matrix(_CLIP_W)
+    assert _clip_rows(Wc, top).tolist() == [1, 3]
+    assert Wc[3] @ np.full(5, top) > top
+    # the product at every corner of [0, top]^5: only rows 1 and 3 leave
+    corners = np.array(list(itertools.product((0.0, top), repeat=5))).T
+    y = Wc @ corners
+    assert np.flatnonzero(((y < 0) | (y > top)).any(axis=1)).tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("bits", (4, 8, 21, 22))
+def test_kernel_clip_rule_matches_python_oracle(bits):
+    # states at -1 and 1 start on indices 0 and 2^b - 1
+    x0 = np.array([[-1.0, 1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0, -1.0],
+                   [1.0, 1.0, -1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, 1.0, 1.0]])
+    seeds = derive_trial_seed(11, np.arange(len(x0)))
+    for scheme in ("uniform", "probabilistic"):
+        _assert_kernel_matches_oracle(_CLIP_W, x0, seeds,
+                                      QuantizerSpec(bits, scheme))
 
 
 def test_grid_draw_rounding_is_the_probabilistic_rule():
