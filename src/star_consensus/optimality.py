@@ -9,11 +9,12 @@ Four routes:
   angle every residual must vanish,
 * the tied optimum of a k-cored star beyond k_max (``kcs_tied_optimum``,
   which ``kcs_slem_curve`` uses for every k > k_max): an exact solve of
-  its known active set by nested bracketed root finds on the tridiagonal
-  sector and tail blocks (m per-stratum weights, blocks of size at most
-  m + 1), and certified by the KKT conditions of Boyd, Diaconis and Xiao.
-  The certificate's residual comes with every result: near zero, it
-  proves the weights optimal, whatever produced them,
+  its known active set by nested bracketed root finds (``spectral._brentq``)
+  on the tridiagonal sector and tail blocks (m per-stratum weights, blocks
+  of size at most m + 1), and certified by the KKT conditions of Boyd,
+  Diaconis and Xiao through a small nonnegative least-squares solve
+  (``_nnls_residual``).  The certificate's residual comes with every
+  result: near zero, it proves the weights optimal, whatever produced them,
 * one SLEM minimizer: an epigraph program over the spectra of affine
   symmetric blocks, solved by SLSQP with exact eigenvalue gradients.  It
   serves arbitrary connected graphs with optional weight tying by
@@ -24,19 +25,25 @@ Four routes:
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
+
+Only the SLSQP solve loads scipy.optimize, so the closed forms, k_max and
+the certified tied optimum (table 1, fig 2) never do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import CcsStar, Graph, KcsStar, SymmetricStar
 from .spectral import (
+    EPS,
     SpectralError,
+    _brentq,
     _closed_form_optimal,
     complement_basis,
     k_max,
@@ -343,8 +350,6 @@ def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
     s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
     tridiagonal, so their eigenvalues are simple and each has one gradient.
     """
-    from scipy.optimize import nnls
-
     m = len(w)
     W0 = sector_block(n, k, w)
     slopes = (np.stack([sector_block(n, k, e) for e in np.eye(m)])
@@ -360,7 +365,80 @@ def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
     active = np.abs(np.abs(lam) - s) <= ACTIVE_TOL
     A = np.vstack(((np.sign(lam[active])[:, None] * grad[active]).T,
                    np.ones(active.sum())))
-    return s, float(nnls(A, np.eye(m + 1)[-1])[1])
+    return s, _nnls_residual(A, np.eye(m + 1)[-1])
+
+
+def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
+    """min ||A x - b|| over x >= 0, by the active-set method of Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23).
+
+    A^T A and A^T b are formed once; each least-squares solve on the
+    passive set P is then the |P| x |P| system A_P^T A_P z = A_P^T b, small
+    enough (A has one column per active eigenvalue) to solve on Python
+    floats.  An index joins P while the dual A^T (b - A x) is positive on
+    it beyond rounding; a step that would make a passive component
+    nonpositive stops where the first one reaches zero, and it leaves P.
+    x stays feasible throughout, so even a solve cut at 3 * columns outer
+    iterations (scipy.optimize.nnls's cap) bounds the minimum from above.
+    A final refinement step, on the residual in A's own space, recovers
+    the accuracy that forming A^T A loses.
+    """
+    G, c = (A.T @ A).tolist(), (A.T @ b).tolist()
+    rows, target = A.tolist(), b.tolist()
+    cols = len(c)
+    tol = 10 * EPS * cols * max(abs(v) for row in G + [c] for v in row)
+    x = [0.0] * cols
+    P: list[int] = []
+
+    def solve(rhs):
+        """z with G_PP z_P = rhs_P and zero off P."""
+        z = [0.0] * cols
+        for i, v in zip(P, _solve_spd([[G[i][j] for j in P] for i in P],
+                                      [rhs[i] for i in P])):
+            z[i] = v
+        return z
+
+    def residual(x):
+        return [bi - sum(map(mul, row, x)) for row, bi in zip(rows, target)]
+
+    for _ in range(3 * cols):
+        dual = {i: c[i] - sum(map(mul, G[i], x)) for i in range(cols) if i not in P}
+        j = max(dual, key=dual.__getitem__, default=None)
+        if j is None or dual[j] <= tol:
+            break
+        P.append(j)
+        z = solve(c)
+        if z[j] <= 0:  # the dual was positive by rounding only
+            P.pop()
+            break
+        while any(z[i] <= 0 for i in P):
+            alpha, stop = min((x[i] / (x[i] - z[i]), i) for i in P if z[i] <= 0)
+            x = [xi + alpha * (zi - xi) for xi, zi in zip(x, z)]
+            x[stop] = 0.0
+            P = [i for i in P if x[i] > 0]
+            z = solve(c)
+        x = z
+    r = residual(x)
+    step = solve([sum(map(mul, column, r)) for column in zip(*rows)])
+    r = residual([max(xi + si, 0.0) for xi, si in zip(x, step)])
+    return math.hypot(*r)
+
+
+def _solve_spd(M: list[list[float]], v: list[float]) -> list[float]:
+    """Solution of the small symmetric positive definite system M z = v, by
+    Gaussian elimination, which needs no pivoting on such a matrix."""
+    size = len(v)
+    rows = [row + [vi] for row, vi in zip(M, v)]
+    for col in range(size):
+        top = rows[col]
+        for r in range(col + 1, size):
+            f = rows[r][col] / top[col]
+            rows[r] = [a - f * p for a, p in zip(rows[r], top)]
+    z = [0.0] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        z[i] = (row[size] - sum(map(mul, row[i + 1:size], z[i + 1:]))) / row[i]
+    return z
 
 
 def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
@@ -387,9 +465,6 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     """
     if m == 1:
         return np.array([2.0 / (2 * n + k)]), 0
-    from scipy.optimize import brentq
-
-    eps = np.finfo(float).eps
     # the sector block is affine in (s, w2) once w1 = (1-s)/n and w3.. = 1/2
     half = np.append([0.0, 0.0], np.full(m - 2, 0.5))
     base = sector_block(n, k, half)
@@ -408,16 +483,16 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
         return np.linalg.eigvalsh(sector(s, w2))[0] + s
 
     def outer(s):
-        return bottom_plus_s(brentq(top_minus_s, 0.0, 0.5, args=(s,), xtol=eps), s)
+        return bottom_plus_s(_brentq(top_minus_s, 0.0, 0.5, (s,), EPS)[0], s)
 
     hi = (2 * k - n) / (2 * k + n)
     lo = cos_theta
     if n == 1:
         while lo > 0 and outer(lo) > 0:
             lo -= hi - lo
-    s, info = brentq(outer, lo, hi, xtol=eps, full_output=True)
-    w2 = brentq(bottom_plus_s, 0.0, 1.0, args=(s,), xtol=eps)
-    return np.append([(1.0 - s) / n, w2], half[2:]), info.iterations
+    s, iterations = _brentq(outer, lo, hi, (), EPS)
+    w2 = _brentq(bottom_plus_s, 0.0, 1.0, (s,), EPS)[0]
+    return np.append([(1.0 - s) / n, w2], half[2:]), iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:

@@ -511,10 +511,11 @@ def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
     eta, mu, rho are computed only over trials that reached consensus
     (rho is the population variance).  Per-trial randomness is keyed by
     (master_seed, trial index), so every trial draws the same stream
-    whatever the trial count.
+    whatever the trial count.  trials must be an integer >= 1 (not a bool).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     graph, W = scheme_matrix(topology, weighting)
     N = graph.node_count
     seeds = derive_trial_seed(master_seed, np.arange(trials))

@@ -16,9 +16,11 @@ the case k = 1) can be written
 On (0, pi/(2m)) both cosines are positive, so f has the sign of
 tan(mt) tan(t/2) - 2k/n, which increases strictly from -2k/n to +inf.
 Hence f(0) = -4k < 0, f(pi/(2m)) = 2n sin(pi/(4m)) > 0, and the smallest
-positive root is the only root in that bracket, found by Brent's method
-to machine precision for every m.  The k_max threshold depends on (n, k)
-only through r = k/n and is computed once per m the same way.
+positive root is the only root in that bracket, found to machine
+precision for every m by ``_brentq``, the package's own port of scipy's
+Brent solver, on a float form of f.  The k_max threshold depends on (n, k)
+only through r = k/n and is computed once per m the same way.  No analysis
+path loads scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
 
 Dense eigenproblems, tridiagonal or not, go to one LAPACK solver through
 numpy.linalg.eigvalsh, deterministic for identical input bits;
@@ -189,13 +191,96 @@ def char_kcs(theta, m: int, n: int, k: int):
     return (n - 2 * k) * np.cos((m - 0.5) * t) - (n + 2 * k) * np.cos((m + 0.5) * t)
 
 
+def _char_kcs_float(theta: float, m: int, n: int, k: int) -> float:
+    """``char_kcs`` at one float angle, on math.cos: in the root solve's
+    loop a numpy call per value would cost more than the solve itself.
+    Where numpy's cos and the C library's agree (the tests check the
+    roots), it gives the same bits as ``char_kcs``."""
+    return ((n - 2 * k) * math.cos((m - 0.5) * theta)
+            - (n + 2 * k) * math.cos((m + 0.5) * theta))
+
+
+EPS = float(np.finfo(float).eps)
+# scipy.optimize.brentq's defaults
+BRENT_RTOL = 4 * EPS
+BRENT_MAXITER = 100
+
+
+def _brentq(f, a: float, b: float, args: tuple, xtol: float) -> tuple[float, int]:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), and the number of iterations taken.
+
+    A line-for-line port of scipy's C ``brentq``: the same relative
+    tolerance BRENT_RTOL, the same BRENT_MAXITER and the same order of the
+    interpolate, extrapolate and bisect steps, so it returns the same root
+    bits after as many iterations.  A root at an end point returns at once
+    with 0 iterations.  Like scipy, it raises ValueError on a bracket
+    without a sign change or on a NaN value, and RuntimeError when
+    BRENT_MAXITER iterations do not converge.
+    """
+    def value(x):
+        fx = float(f(x, *args))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, BRENT_MAXITER + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, i
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {BRENT_MAXITER} iterations")
+
+
 def _bracketed_root(f, m: int, args) -> float:
     """The single root of f in (0, pi/(2m)), where f(0) < 0 < f(pi/(2m)),
     to machine precision."""
-    from scipy.optimize import brentq
-
     right = math.pi / (2 * m)
-    return float(brentq(f, 0.0, right, args=args, xtol=np.finfo(float).eps * right))
+    return _brentq(f, 0.0, right, args, EPS * right)[0]
 
 
 def theta_root_kcs(m: int, n: int, k: int) -> float:
@@ -206,7 +291,7 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
     """
     if m < 1 or n < 1 or k < 1:
         raise SpectralError("m, n, k must be >= 1")
-    return _bracketed_root(char_kcs, m, (m, n, k))
+    return _bracketed_root(_char_kcs_float, m, (m, n, k))
 
 
 def slem_closed_form(topology: Topology) -> float:

@@ -16,8 +16,9 @@ def run(capsys, *argv):
 
 
 def test_cli_import_defers_scipy_optimize():
-    # scipy.optimize is imported by the functions that solve, not at start-up,
-    # and nothing in the package needs scipy.linalg
+    # scipy.optimize is imported only by the SLSQP solve, never at start-up
+    # (test_analysis_commands_never_load_scipy_optimize covers the analysis
+    # commands), and nothing in the package needs scipy.linalg
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
@@ -26,6 +27,29 @@ def test_cli_import_defers_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_analysis_commands_never_load_scipy_optimize():
+    # table 1, fig 2, the slem command and the closed-form roots of the
+    # benchmark run on the package's own Brent solver and NNLS
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    code = (
+        "import contextlib, io, sys\n"
+        "from star_consensus import cli, spectral, topology\n"
+        "commands = (['table', '--id', '1'], ['fig', '--id', '2'],\n"
+        "            ['slem', '--topology', 'kcs-star', '--m', '2', '--n', '3', '--k', '2'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in commands]\n"
+        "for m in (10, 100, 1000, 4000, 6000, 20000):\n"
+        "    spectral.slem_closed_form(topology.SymmetricStar(m, 3))\n"
+        "    spectral.slem_closed_form(topology.KcsStar(m, 40, 2))\n"
+        "print(*codes, 'scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0", "0", "False"]
 
 
 def test_thread_cap_precedes_numpy_import():

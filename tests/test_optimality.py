@@ -206,6 +206,59 @@ def test_certificate_rejects_moved_weights(monkeypatch, dw1):
     assert fallback.slem == pytest.approx(tied.slem, abs=1e-9)
 
 
+def test_active_set_brentq_matches_scipy(monkeypatch):
+    # every root solve of the fig-2 points past k_max(2, 3) = 9, the inner
+    # w2 solves inside the outer s solve included, gives the root bits and
+    # iteration count of scipy.optimize.brentq
+    from scipy.optimize import brentq
+
+    port = optimality._brentq
+    solves = []
+
+    def checked(f, a, b, args, xtol):
+        got = port(f, a, b, args, xtol)
+        root, info = brentq(f, a, b, args=args, xtol=xtol, full_output=True)
+        assert got == (root, info.iterations)
+        solves.append(f.__name__)
+        return got
+
+    monkeypatch.setattr(optimality, "_brentq", checked)
+    for k in range(10, 31):
+        optimality._active_set_weights(2, 3, k, math.cos(theta_root_kcs(2, 3, k)))
+    assert {"top_minus_s", "outer", "bottom_plus_s"} <= set(solves)
+
+
+def test_nnls_matches_scipy_on_random_problems():
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        rows, cols = rng.integers(1, 8), rng.integers(1, 6)
+        A = rng.standard_normal((rows, cols))
+        if trial % 4 == 0:  # two equal columns: a rank-deficient A^T A
+            A[:, -1] = A[:, 0]
+        b = rng.standard_normal(rows)
+        assert optimality._nnls_residual(A, b) == pytest.approx(nnls(A, b)[1], abs=1e-13)
+
+
+@pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES)
+def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
+    from scipy.optimize import nnls
+
+    port = optimality._nnls_residual
+    problems = []
+
+    def recorded(A, b):
+        problems.append((A, b))
+        return port(A, b)
+
+    monkeypatch.setattr(optimality, "_nnls_residual", recorded)
+    kcs_tied_optimum(m, n, k)
+    assert problems
+    for A, b in problems:
+        assert port(A, b) == pytest.approx(nnls(A, b)[1], abs=1e-13)
+
+
 def test_fig2_never_reaches_slsqp(monkeypatch):
     def slsqp_not_used(*args, **kwargs):
         raise AssertionError("_epigraph_slem called")

@@ -180,6 +180,16 @@ def test_bad_cap_and_x0_refused():
     assert out.iterations == 0 and traj.shape == (1, g.node_count)
 
 
+def test_bad_trial_count_refused():
+    topo = SymmetricStar(2, 3)
+    spec = QuantizerSpec(4, "probabilistic")
+    for trials in (0, -1, 2.5, 3.0, True, np.True_, "3"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            monte_carlo(topo, "optimal", spec, trials, 1)
+    assert monte_carlo(topo, "optimal", spec, np.int64(3), 1) == \
+        monte_carlo(topo, "optimal", spec, 3, 1)
+
+
 def test_trajectory_record_costs_its_own_size():
     # The benchmark's large-star replay: trial 0 runs to the cap.  Holding
     # every row twice, as a list and as its copy, took about 2x.

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
 from star_consensus.topology import CcsStar, Custom, Graph, KcsStar, SymmetricStar, build
+from star_consensus import spectral
 from star_consensus.spectral import (
     SpectralError,
     char_kcs,
@@ -308,3 +310,50 @@ def test_char_functions_vectorized():
     t = np.linspace(0.1, 3.0, 7)
     assert char_kcs(t, 2, 3, 1).shape == (7,)
     assert char_kcs(t, 2, 3, 2).shape == (7,)
+
+
+def _brentq_both(f, a, b, args, xtol):
+    """(root, iterations) of the package's Brent port and of scipy's."""
+    got = spectral._brentq(f, a, b, args, xtol)
+    root, info = brentq(f, a, b, args=args, xtol=xtol, full_output=True)
+    return got, (root, info.iterations)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (40, 1), (2, 3), (3, 9), (40, 2), (8, 233)])
+def test_brentq_port_matches_scipy_on_char_kcs(n, k):
+    for m in list(range(1, 21)) + [1000, 6000, 20000]:
+        right = math.pi / (2 * m)
+        got, want = _brentq_both(char_kcs, 0.0, right, (m, n, k), spectral.EPS * right)
+        assert got == want, (m, n, k)
+        # the float form that theta_root_kcs solves gives the same root
+        assert theta_root_kcs(m, n, k) == want[0], (m, n, k)
+
+
+def test_brentq_port_matches_scipy_on_threshold_char():
+    for m in range(1, 51):
+        right = math.pi / (2 * m)
+        got, want = _brentq_both(spectral._threshold_char, 0.0, right, (m,),
+                                 spectral.EPS * right)
+        assert got == want, m
+
+
+def test_brentq_port_errors_and_bisection():
+    def step(x):
+        return -1.0 if x < 0 else 1.0
+
+    # a jump in place of a root: the bracket still closes on x = 0
+    got, want = _brentq_both(step, -1.0, 2.0, (), 2e-12)
+    assert got == want
+    # halving [-1, 2] down to a 1e-300 tolerance takes ~1000 iterations
+    with pytest.raises(RuntimeError):
+        brentq(step, -1.0, 2.0, xtol=1e-300)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        spectral._brentq(step, -1.0, 2.0, (), 1e-300)
+    with pytest.raises(ValueError, match="different signs"):
+        spectral._brentq(lambda x: x * x + 1.0, -1.0, 1.0, (), 2e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        spectral._brentq(lambda x: math.nan, 0.0, 1.0, (), 2e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        spectral._brentq(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7,
+                         0.0, 1.0, (), 2e-12)
+    assert spectral._brentq(lambda x: x, 0.0, 1.0, (), 2e-12) == (0.0, 0)
