@@ -124,6 +124,8 @@ def config_from_json(text: str) -> dict:
 
 def _topology_from_flags(args) -> topology.Topology:
     kind = args.topology
+    if kind != "kcs-star" and args.k is not None:
+        raise SystemExit2(f"{kind} takes no --k (kcs-star only)", EXIT_USAGE)
     if kind == "symmetric-star":
         return topology.SymmetricStar(args.m, args.n)
     if kind == "ccs-star":
@@ -151,9 +153,12 @@ def _emit(text: str, output: str | None):
 
 
 def cmd_slem(args) -> int:
+    if args.check and args.method is not None:
+        raise SystemExit2("--check runs both methods and takes no --method", EXIT_USAGE)
+    method = args.method or "closed-form"
     topo = _topology_from_flags(args)
     closed = spectral.slem_closed_form(topo)
-    if args.check or args.method == "eigen":
+    if args.check or method == "eigen":
         graph, W = weights.scheme_matrix(topo, "optimal")
         eig = spectral.slem(W)
     if args.check:
@@ -163,9 +168,9 @@ def cmd_slem(args) -> int:
         print(f"closed-form {closed:.6f}  eigensolve {eig:.6f}  "
               f"diff {diff:.2e}", file=sys.stderr)
     else:
-        value = eig if args.method == "eigen" else closed
+        value = eig if method == "eigen" else closed
         print(f"{value:.17g}")
-        print(f"SLEM({topo}) = {value:.6f} [{args.method}]", file=sys.stderr)
+        print(f"SLEM({topo}) = {value:.6f} [{method}]", file=sys.stderr)
     return EXIT_OK
 
 
@@ -427,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True, help="branch count")
     ps.add_argument("--k", type=int, help="central node count (kcs-star)")
     ps.add_argument("--method", choices=["closed-form", "eigen"],
-                    default="closed-form",
                     help="computation method (default: closed-form)")
     ps.add_argument("--check", action="store_true",
                     help="compute both methods and report the difference")

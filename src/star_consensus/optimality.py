@@ -12,16 +12,17 @@ Four routes:
   its known active set by nested bracketed root finds (``spectral._brentq``)
   on the tridiagonal sector and tail blocks (m per-stratum weights, blocks
   of size at most m + 1), and certified by the KKT conditions of Boyd,
-  Diaconis and Xiao through a small nonnegative least-squares solve
-  (``_nnls_residual``).  The certificate's residual comes with every
-  result: near zero, it proves the weights optimal, whatever produced them,
-* one SLEM minimizer: an epigraph program over the spectra of affine
-  symmetric blocks, solved by SLSQP with exact eigenvalue gradients.  It
-  serves arbitrary connected graphs with optional weight tying by
-  symmetry class (``minimize_slem``, one dense block on the complement of
-  the ones vector), and is the fallback for a tied optimum whose
-  certificate fails; the closed forms and the dense eigensolve stay its
-  oracles,
+  Diaconis and Xiao on ``StratifiedBlocks.nontrivial_spectrum`` through a
+  small nonnegative least-squares solve (``_nnls_residual``).  The
+  residual comes with every result: near zero, it proves the weights
+  optimal, whatever produced them,
+* one SLEM minimizer: an epigraph program over the eigenvalues of affine
+  symmetric blocks and their gradients, solved by SLSQP.  It serves
+  arbitrary connected graphs with optional weight tying by symmetry class
+  (``minimize_slem``, one dense block on the complement of the ones
+  vector), and is the fallback for a tied optimum whose certificate
+  fails, on the spectrum the certificate reads; the closed forms and the
+  dense eigensolve stay its oracles,
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
@@ -46,8 +47,11 @@ from .spectral import (
     _brentq,
     _closed_form_optimal,
     complement_basis,
+    eig_with_gradients,
     k_max,
+    kcs_blocks,
     sector_block,
+    sector_slopes,
     slem_closed_form,
     stratify,
     theta_root_kcs,
@@ -204,49 +208,32 @@ SLSQP_CONVERGED = (0, 8)
 SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 1000}
 
 
-def _spectrum(blocks, slopes):
-    """Every eigenvalue of the symmetric blocks, ascending within each
-    block, and its gradient v^T slopes[b][i] v in the weights, one row
-    each; slopes[b][i] is the derivative of block b in weight i."""
-    lam, grad = [], []
-    for b, d in zip(blocks, slopes):
-        vals, vecs = np.linalg.eigh(b)
-        lam.append(vals)
-        grad.append(np.einsum("aj,iab,bj->ji", vecs, d, vecs))
-    return np.concatenate(lam), np.concatenate(grad)
+def _epigraph_slem(spectrum, start, what: str):
+    """Minimize max_j |lam_j(w)| over w from ``start``, where ``spectrum``
+    maps w to the eigenvalues lam_j(w) of affine symmetric blocks and their
+    gradients, one row each (exact where lam_j is simple).
 
+    The objective is convex in w, and its minimum is the epigraph program
 
-def _epigraph_slem(base, slopes, start, what: str):
-    """Minimize max_j |lam_j(B_b(w))| over w for affine symmetric blocks
-    B_b(w) = base[b] + sum_i w_i slopes[b][i], starting from ``start``.
-
-    With simple eigenvalues each lam_j(B_b(w)) is smooth with gradient
-    v_j^T slopes[b][i] v_j.  The objective is convex in w, and its minimum
-    is the epigraph program
-
-        min s  subject to  -s <= lam_j(B_b(w)) <= s  for every block eigenvalue,
+        min s  subject to  -s <= lam_j(w) <= s  for every eigenvalue,
 
     solved by SLSQP with those exact gradients.  Returns (w, value,
     iterations, message), where value is the objective at w, recomputed
-    from the blocks; if SLSQP ends above the start, the start is returned.
+    from the spectrum; if SLSQP ends above the start, the start is returned.
     An SLSQP exit outside SLSQP_CONVERGED raises SpectralError naming
     ``what``.
     """
     from scipy.optimize import minimize
 
-    def at(w):
-        return [b0 + np.tensordot(w, d, 1) for b0, d in zip(base, slopes)]
-
     def value(w):
-        lam = np.concatenate([np.linalg.eigvalsh(b) for b in at(w)])
-        return float(max(lam.max(), -lam.min()))
+        return float(np.abs(spectrum(w)[0]).max())
 
     def bounds(x):  # s - lam_j >= 0 and s + lam_j >= 0
-        lam, _ = _spectrum(at(x[:-1]), slopes)
+        lam = spectrum(x[:-1])[0]
         return np.concatenate((x[-1] - lam, x[-1] + lam))
 
     def bounds_jac(x):
-        _, g = _spectrum(at(x[:-1]), slopes)
+        g = spectrum(x[:-1])[1]
         one = np.ones((len(g), 1))
         return np.block([[-g, one], [g, one]])
 
@@ -303,8 +290,10 @@ def minimize_slem(graph: Graph,
 
     start = (np.bincount(edge_class, metropolis_weights(graph)[u_idx, v_idx])
              / np.bincount(edge_class))
-    w, value, iterations, _ = _epigraph_slem([np.eye(N - 1)], [slopes], start,
-                                             f"SLEM minimization on {N} nodes")
+    w, value, iterations, _ = _epigraph_slem(
+        lambda w: eig_with_gradients(np.eye(N - 1) + np.tensordot(w, slopes, 1),
+                                     slopes),
+        start, f"SLEM minimization on {N} nodes")
     per_edge = {e: float(w[ci]) for e, ci in zip(edges, edge_class)}
     class_weights = {labels[i]: float(w[i]) for i in range(len(labels))}
     return OptimizeResult(class_weights=class_weights, per_edge=per_edge,
@@ -339,33 +328,23 @@ def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
     """SLEM of KcsStar(len(w), n, k) at per-stratum weights w, and the KKT
     residual there.
 
-    The constrained eigenvalues are those of the sector block without its
-    Perron eigenvalue 1, of the tail block (n >= 2) and the core value
-    1 - n*w1 (k >= 2).  For those within ACTIVE_TOL of +-s, with signs
-    sigma_j and exact gradients g_j = v_j^T (dB/dw) v_j, the residual is
-    min ||sum_j mu_j sigma_j g_j|| over mu >= 0 with sum_j mu_j = 1 (both
-    conditions in one nonnegative least-squares solve).  Zero is the
+    Of the blocks' ``nontrivial_spectrum``, each eigenvalue within
+    ACTIVE_TOL of +s gives the term +g_j (its gradient), and each within
+    ACTIVE_TOL of -s the term -g_j (near s = 0, one eigenvalue gives both).
+    The residual is min ||sum mu_t term_t|| over mu >= 0 with
+    sum mu_t = 1, in one nonnegative least-squares solve.  Zero is the
     optimality condition of the convex program (Boyd, Diaconis and Xiao,
     SIAM Review 46(4), 2004): then no weights w' have a SLEM below
     s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
     tridiagonal, so their eigenvalues are simple and each has one gradient.
     """
-    m = len(w)
-    W0 = sector_block(n, k, w)
-    slopes = (np.stack([sector_block(n, k, e) for e in np.eye(m)])
-              - sector_block(n, k, np.zeros(m)))
-    lam, grad = _spectrum([W0, W0[1:, 1:]] if n > 1 else [W0],
-                          [slopes, slopes[:, 1:, 1:]])
-    # W0's largest eigenvalue is the Perron eigenvalue 1
-    lam, grad = np.delete(lam, m), np.delete(grad, m, 0)
-    if k > 1:
-        lam = np.append(lam, 1.0 - n * w[0])
-        grad = np.vstack((grad, -n * np.eye(m)[0]))
-    s = float(max(lam.max(), -lam.min()))
-    active = np.abs(np.abs(lam) - s) <= ACTIVE_TOL
-    A = np.vstack(((np.sign(lam[active])[:, None] * grad[active]).T,
-                   np.ones(active.sum())))
-    return s, _nnls_residual(A, np.eye(m + 1)[-1])
+    lam, grad = kcs_blocks(n, k, w).nontrivial_spectrum()
+    s = float(np.abs(lam).max())
+    signs = (np.column_stack((lam >= s - ACTIVE_TOL, lam <= ACTIVE_TOL - s))
+             * [1.0, -1.0])
+    j, side = np.nonzero(signs)
+    A = np.vstack(((signs[j, side][:, None] * grad[j]).T, np.ones(j.size)))
+    return s, _nnls_residual(A, np.eye(len(w) + 1)[-1])
 
 
 def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
@@ -468,7 +447,7 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     # the sector block is affine in (s, w2) once w1 = (1-s)/n and w3.. = 1/2
     half = np.append([0.0, 0.0], np.full(m - 2, 0.5))
     base = sector_block(n, k, half)
-    d_w1, d_w2 = (sector_block(n, k, half + e) - base for e in np.eye(m)[:2])
+    d_w1, d_w2 = sector_slopes(n, k, m)[:2]
 
     def sector(s, w2):
         return base + ((1.0 - s) / n) * d_w1 + w2 * d_w2
@@ -504,13 +483,12 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     candidate is checked by the KKT certificate (``_kcs_certificate``),
     whose residual the result reports.  Only a candidate whose residual
     exceeds CERTIFICATE_TOL, or whose solve finds no bracket, goes to the
-    SLSQP epigraph solve that ``minimize_slem`` uses, on the deflated blocks
-    of ``stratify`` from the closed-form weights; its residual is reported
-    as it is.  The reported SLEM is the block spectrum at the returned
-    weights.
+    SLSQP epigraph solve that ``minimize_slem`` uses, on the same block
+    spectrum that the certificate checks, from the closed-form weights; its
+    residual is reported as it is.  The reported SLEM is the block spectrum
+    at the returned weights.
     """
-    topo = KcsStar(m, n, k)
-    closed = optimal_weights(topo).per_stratum
+    closed = optimal_weights(KcsStar(m, n, k)).per_stratum
     start = np.array([closed[j] for j in range(1, m + 1)])
     theta = theta_root_kcs(m, n, k)
     w, iterations, message = start, 0, "closed form"
@@ -522,16 +500,9 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
             pass
     value, residual = _kcs_certificate(n, k, w)
     if residual > CERTIFICATE_TOL:
-        def blocks_at(w):
-            assignment = WeightAssignment(per_stratum=dict(enumerate(w, start=1)))
-            return stratify(topo, assignment).deflated_blocks()
-
-        base = blocks_at(np.zeros(m))
-        units = [blocks_at(e) for e in np.eye(m)]
-        slopes = [np.stack([u[b] - base[b] for u in units])
-                  for b in range(len(base))]
         w, _, iterations, message = _epigraph_slem(
-            base, slopes, start, f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
+            lambda w: kcs_blocks(n, k, w).nontrivial_spectrum(), start,
+            f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
         value, residual = _kcs_certificate(n, k, w)
     per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
     return TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),

@@ -148,21 +148,28 @@ def _stage_draws_into(keys, stage, n_nodes, z, tmp, out):
     return out
 
 
+def _is_integer(v) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 MAX_BITS = 52
 
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """bits: level count is 2**bits on the fixed range [-1, 1], 1 <= bits
-    <= 52 (float64 keeps every level index exact up to 2^52);
-    scheme: 'uniform' | 'probabilistic' | None (no quantization)."""
+    """bits: level count is 2**bits on the fixed range [-1, 1], an integer
+    (not a bool) with 1 <= bits <= 52 (float64 keeps every level index
+    exact up to 2^52); scheme: 'uniform' | 'probabilistic' | None (no
+    quantization)."""
 
     bits: int
     scheme: str | None
 
     def __post_init__(self):
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in 1..{MAX_BITS}")
+        if not _is_integer(self.bits) or not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be an integer in 1..{MAX_BITS}, "
+                             f"got {self.bits!r}")
         if self.scheme not in ("uniform", "probabilistic", None):
             raise ValueError(f"unknown quantizer scheme {self.scheme!r}")
 
@@ -313,7 +320,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
     draws of stage s use counters s*N .. s*N + N-1 of the trial (see
     ``_stage_draws_into``), clear of the initial states' 0..N-1, so a
     single trial and any batch consume identical random streams.
-    max_iters must be an integer >= 0.
+    max_iters must be an integer >= 0 (not a bool).
 
     The state is held node-major, one column per active trial.  A
     quantized state is held as level indices i, x = -1 + i * delta: x(0)
@@ -354,7 +361,7 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
     but nothing reads them: ``done &= live`` keeps a trial from finishing
     twice, and trial 0's record stops when it finishes.
     """
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+    if not _is_integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     Wc = csr_matrix(np.asarray(W, dtype=float))
     n_trials, N = x0_batch.shape
@@ -472,8 +479,8 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     all components are exactly equal on the level grid (or, without a
     quantizer, within 1e-9 of the mean), or at max_iters (counted as
     non-consensus).  ``iterations`` is the number of update steps taken.
-    max_iters must be an integer >= 0 and x0 must hold one state per node
-    of W; anything else raises ValueError.
+    max_iters must be an integer >= 0 (not a bool) and x0 must hold one
+    state per node of W; anything else raises ValueError.
 
     With ``return_trajectory``, the states after every stage come back as
     an (iterations + 1, N) array, written row by row into one buffer that
@@ -513,8 +520,7 @@ def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
     (master_seed, trial index), so every trial draws the same stream
     whatever the trial count.  trials must be an integer >= 1 (not a bool).
     """
-    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-            or trials < 1):
+    if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     graph, W = scheme_matrix(topology, weighting)
     N = graph.node_count

@@ -7,6 +7,11 @@ copies of the core eigenvalue, the characteristic equation whose
 smallest positive root gives the optimal SLEM, the k_max threshold for
 k-cored stars, and Cauchy-interlacing consistency checks.
 
+``StratifiedBlocks.nontrivial_spectrum`` alone knows which block
+eigenvalues make up W's spectrum without its eigenvalue 1, and their
+weight gradients; everything else (block SLEM, interlacing check, the
+certificate and SLSQP fallback of ``kcs_tied_optimum``) reads it.
+
 The characteristic function of the k-cored star (the symmetric star is
 the case k = 1) can be written
 
@@ -18,12 +23,12 @@ tan(mt) tan(t/2) - 2k/n, which increases strictly from -2k/n to +inf.
 Hence f(0) = -4k < 0, f(pi/(2m)) = 2n sin(pi/(4m)) > 0, and the smallest
 positive root is the only root in that bracket, found to machine
 precision for every m by ``_brentq``, the package's own port of scipy's
-Brent solver, on a float form of f.  The k_max threshold depends on (n, k)
+Brent solver, on f (``char_kcs``).  The k_max threshold depends on (n, k)
 only through r = k/n and is computed once per m the same way.  No analysis
 path loads scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
 
-Dense eigenproblems, tridiagonal or not, go to one LAPACK solver through
-numpy.linalg.eigvalsh, deterministic for identical input bits;
+Dense eigenproblems go to LAPACK through numpy.linalg.eigvalsh (eigh for
+gradients), deterministic for identical input bits;
 ``eig_symmetric`` is the dense oracle that the block and closed-form fast
 paths are tested against.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,11 +95,19 @@ def slem(W: np.ndarray) -> float:
 def complement_basis(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the unit vector v:
     the last len(v) - 1 columns of the Householder reflector that maps v to
-    e_1.  v must not be e_1 (the Perron vector of a star and the normalized
-    ones vector of two or more nodes never are)."""
+    e_1.  v must not be e_1 (the normalized ones vector of two or more
+    nodes never is)."""
     u = v.copy()
     u[0] -= 1.0
     return (np.eye(u.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+
+
+def eig_with_gradients(block: np.ndarray, slopes: np.ndarray):
+    """Eigenvalues of the symmetric block, ascending, and their gradients
+    v_j^T slopes[i] v_j in the weights (exact for simple eigenvalues), one
+    row each; slopes[i] is the derivative of the block in weight i."""
+    vals, vecs = np.linalg.eigh(block)
+    return vals, np.einsum("aj,iab,bj->ji", vecs, slopes, vecs)
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,8 @@ class StratifiedBlocks:
     The full matrix is orthogonally similar to
     diag(W0, W1, ..., W1, c, ..., c) with n-1 copies of the tail block W1
     and k-1 copies of the core eigenvalue c = 1 - n*w1.  W0 holds the
-    Perron eigenvalue 1, with eigenvector ``perron_vector``.
+    Perron eigenvalue 1.  ``nontrivial_spectrum`` is the one place that
+    says which of these eigenvalues make up the rest of W's spectrum.
     """
 
     w0_block: np.ndarray
@@ -112,7 +127,6 @@ class StratifiedBlocks:
     w1_multiplicity: int
     core_value: float
     core_multiplicity: int
-    perron_vector: np.ndarray
 
     def combined_spectrum(self) -> np.ndarray:
         vals = [eig_symmetric(self.w0_block)]
@@ -120,27 +134,32 @@ class StratifiedBlocks:
         vals += [np.array([self.core_value])] * self.core_multiplicity
         return np.sort(np.concatenate(vals))[::-1]
 
-    def deflated_blocks(self) -> list[np.ndarray]:
-        """One copy of each block, with W0 restricted to the orthogonal
-        complement of its Perron vector: together their spectra are the
-        spectrum of W without its eigenvalue 1 and without the repeated
-        copies of W1 and of the core eigenvalue.
+    def nontrivial_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """W's eigenvalues other than the Perron 1, one copy per block, and
+        their gradients in w1..wm, one row each.
 
-        The basis of that complement (``complement_basis``) depends on
-        (m, n, k) only, so the blocks stay affine in the weights.
+        In order: W0 without its Perron eigenvalue (ascending), W1
+        (ascending, n >= 2) and the core value (k >= 2).  The Perron
+        eigenvalue is the one nearest 1: W0 (sqrt(k), sqrt(n), ...)^T =
+        (sqrt(k), sqrt(n), ...)^T at every w, and at nonnegative weights it
+        is W0's largest.  The blocks are affine in w with the constant
+        slopes of ``sector_slopes``.
         """
-        Q = complement_basis(self.perron_vector)
-        out = [Q.T @ self.w0_block @ Q]
+        m = self.w1_block.shape[0]
+        d = sector_slopes(self.w1_multiplicity + 1, self.core_multiplicity + 1, m)
+        vals, grads = eig_with_gradients(self.w0_block, d)
+        perron = np.argmin(np.abs(vals - 1.0))
+        parts = [(np.delete(vals, perron), np.delete(grads, perron, 0))]
         if self.w1_multiplicity:
-            out.append(self.w1_block)
+            parts.append(eig_with_gradients(self.w1_block, d[:, 1:, 1:]))
         if self.core_multiplicity:
-            out.append(np.array([[self.core_value]]))
-        return out
+            parts.append(([self.core_value], d[None, :, 0, 0]))
+        lam, grad = zip(*parts)
+        return np.concatenate(lam), np.concatenate(grad)
 
     def slem(self) -> float:
-        """SLEM of W from the deflated block spectra."""
-        lam = np.concatenate([np.linalg.eigvalsh(b) for b in self.deflated_blocks()])
-        return float(max(lam.max(), -lam.min()))
+        """SLEM of W from the block spectra."""
+        return float(np.abs(self.nontrivial_spectrum()[0]).max())
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
@@ -158,14 +177,16 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     if not isinstance(topology, KcsStar):
         raise SpectralError("stratification is implemented for symmetric "
                             "and k-cored stars only")
-    m, n, k = topology.m, topology.n, topology.k
     if assignment.per_stratum is None:
         raise SpectralError("stratification needs per-stratum weights")
-    w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)], dtype=float)
+    w = [assignment.per_stratum[j] for j in range(1, topology.m + 1)]
+    return kcs_blocks(topology.n, topology.k, np.array(w, dtype=float))
+
+
+def kcs_blocks(n: int, k: int, w: np.ndarray) -> StratifiedBlocks:
+    """The stratified blocks of KcsStar(len(w), n, k) at weights w1..wm."""
     W0 = sector_block(n, k, w)
-    perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
-    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, 1.0 - n * w[0], k - 1,
-                            perron / np.linalg.norm(perron))
+    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, 1.0 - n * w[0], k - 1)
 
 
 def sector_block(n: int, k: int, w: np.ndarray) -> np.ndarray:
@@ -177,25 +198,27 @@ def sector_block(n: int, k: int, w: np.ndarray) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def char_kcs(theta, m: int, n: int, k: int):
+@lru_cache(maxsize=8)
+def sector_slopes(n: int, k: int, m: int) -> np.ndarray:
+    """The constant slopes dW0/dw_i, i = 1..m, stacked: W0 at the unit
+    vectors less W0 at zero, exact (every entry is an integer or sqrt(nk)).
+    Read-only, and cached for the last few (n, k, m): m^3 floats each."""
+    slopes = (np.stack([sector_block(n, k, e) for e in np.eye(m)])
+              - sector_block(n, k, np.zeros(m)))
+    slopes.flags.writeable = False
+    return slopes
+
+
+def char_kcs(theta: float, m: int, n: int, k: int) -> float:
     """Characteristic function of the k-cored SLEM angle:
-    (n-2k)cos((m-1/2)t) - (n+2k)cos((m+1/2)t).
+    (n-2k)cos((m-1/2)t) - (n+2k)cos((m+1/2)t), at one float angle.
 
     Derived from the tail block of the branch-permutation decomposition
     (innermost tail diagonal 1 - k*w1 - w2 with w1 = 2/(n+2k)); at k = 1
     it is the symmetric-star equation, and it reproduces the published
     k-cored SLEM values, which the commonly circulated sin-form of the
-    equation does not.
-    """
-    t = np.asarray(theta, dtype=float)
-    return (n - 2 * k) * np.cos((m - 0.5) * t) - (n + 2 * k) * np.cos((m + 0.5) * t)
-
-
-def _char_kcs_float(theta: float, m: int, n: int, k: int) -> float:
-    """``char_kcs`` at one float angle, on math.cos: in the root solve's
-    loop a numpy call per value would cost more than the solve itself.
-    Where numpy's cos and the C library's agree (the tests check the
-    roots), it gives the same bits as ``char_kcs``."""
+    equation does not.  On math.cos: a numpy call per value would cost
+    more than the root solve itself."""
     return ((n - 2 * k) * math.cos((m - 0.5) * theta)
             - (n + 2 * k) * math.cos((m + 0.5) * theta))
 
@@ -291,7 +314,7 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
     """
     if m < 1 or n < 1 or k < 1:
         raise SpectralError("m, n, k must be >= 1")
-    return _bracketed_root(_char_kcs_float, m, (m, n, k))
+    return _bracketed_root(char_kcs, m, (m, n, k))
 
 
 def slem_closed_form(topology: Topology) -> float:
@@ -382,9 +405,9 @@ def interlacing_check(blocks: StratifiedBlocks,
 
     With both spectra ascending, lam_j(W0) <= lam_j(W1) <= lam_{j+1}(W0)
     must hold for every j.  When the full matrix is supplied, also check
-    that its second largest eigenvalue is the top of W1 (a consequence
-    of interlacing; with n = 1, the second eigenvalue of W0), or the core
-    eigenvalue 1 - n*w1 where that is larger (a k-cored star past k_max),
+    that its second largest eigenvalue is the largest of
+    ``blocks.nontrivial_spectrum()`` (by interlacing, the top of W1 when
+    n >= 2, unless the core eigenvalue 1 - n*w1 is larger, as past k_max),
     and report whether its smallest eigenvalue equals the bottom of W1.
     The latter identity is *not* implied by interlacing (which only gives
     lam_min(W0) <= lam_min(W1)), and at the optimal weights the smallest
@@ -393,22 +416,16 @@ def interlacing_check(blocks: StratifiedBlocks,
     """
     lam0 = np.sort(eig_symmetric(blocks.w0_block))  # ascending
     lam1 = np.sort(eig_symmetric(blocks.w1_block))
-    m = lam1.size
-    viol = 0.0
-    for j in range(m):
-        viol = max(viol, lam0[j] - lam1[j], lam1[j] - lam0[j + 1])
+    viol = max(0.0, np.max(lam0[:-1] - lam1), np.max(lam1 - lam0[1:]))
     top_ok = bottom_ok = True
     if W is not None:
         lam = eig_symmetric(W)
-        # with one branch (n = 1), W1 is not in the spectrum of W
-        top = lam1[-1] if blocks.w1_multiplicity else lam0[-2]
-        if blocks.core_multiplicity:
-            top = max(top, blocks.core_value)
+        top = blocks.nontrivial_spectrum()[0].max()
         top_ok = abs(lam[1] - top) <= INTERLACING_TOL
         bottom_ok = abs(lam[-1] - lam1[0]) <= INTERLACING_TOL
     return InterlacingReport(
         holds=viol <= INTERLACING_TOL and top_ok,
-        max_violation=float(max(viol, 0.0)),
+        max_violation=float(viol),
         lambda2_matches_w1_top=top_ok,
         lambda_min_matches_w1_bottom=bottom_ok,
     )

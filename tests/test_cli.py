@@ -128,6 +128,28 @@ def test_usage_errors(capsys):
     assert run(capsys, "table", "--id", "9")[0] == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--topology", "symmetric-star", "--k", "5"), "symmetric-star takes no --k"),
+    (("--topology", "ccs-star", "--k", "5"), "ccs-star takes no --k"),
+    (("--topology", "kcs-star", "--k", "2", "--check", "--method", "eigen"),
+     "takes no --method"),
+    (("--topology", "kcs-star", "--k", "2", "--check", "--method", "closed-form"),
+     "takes no --method"),
+])
+def test_slem_rejects_ignored_flags(capsys, argv, message):
+    code, out, err = run(capsys, "slem", "--m", "2", "--n", "3", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_slem_explicit_closed_form_method(capsys):
+    argv = ("slem", "--topology", "kcs-star", "--m", "2", "--n", "3", "--k", "2")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and "[closed-form]" in plain[2]
+    assert run(capsys, *argv, "--method", "closed-form") == plain
+
+
 def test_numerical_failure_exit(capsys):
     code, _, err = run(capsys, "slem", "--topology", "ccs-star",
                        "--m", "2", "--n", "1")

@@ -206,6 +206,16 @@ def test_certificate_rejects_moved_weights(monkeypatch, dw1):
     assert fallback.slem == pytest.approx(tied.slem, abs=1e-9)
 
 
+def test_certificate_near_zero_slem_takes_both_signs():
+    # KcsStar(1, 1, 1) is one edge: its one nontrivial eigenvalue 1 - 2 w1
+    # is 0 at the optimum w1 = 1/2, where it touches +s and -s at once.
+    # With the sign of the eigenvalue alone the residual read 0.894.
+    assert optimality._kcs_certificate(1, 1, np.array([0.5 - 1e-10])) == \
+        pytest.approx((2e-10, 0.0), abs=1e-15)
+    tied = kcs_tied_optimum(1, 1, 1)
+    assert tied.slem <= 1e-12 and tied.certificate_residual <= 1e-12
+
+
 def test_active_set_brentq_matches_scipy(monkeypatch):
     # every root solve of the fig-2 points past k_max(2, 3) = 9, the inner
     # w2 solves inside the outer s solve included, gives the root bits and

@@ -45,8 +45,10 @@ def test_quantizer_levels():
     assert spec.level_count == 4
     assert spec.delta == pytest.approx(2 / 3)
     assert np.allclose(spec.levels(), [-1, -1 / 3, 1 / 3, 1])
-    with pytest.raises(ValueError):
-        QuantizerSpec(0, "uniform")
+    for bits in (0, True, np.True_, 2.0, 2.5):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            QuantizerSpec(bits, "uniform")
+    assert QuantizerSpec(np.int64(2), "uniform").level_count == 4
     with pytest.raises(ValueError):
         QuantizerSpec(4, "stochastic")
 
@@ -169,7 +171,7 @@ def test_bad_cap_and_x0_refused():
     g, W = scheme_matrix(topo, "optimal")
     spec = QuantizerSpec(4, "probabilistic")
     x0 = initial_states(1, 0, g.node_count)
-    for cap in (-1, 2.5):
+    for cap in (-1, 2.5, True, False, np.True_):
         with pytest.raises(ValueError, match="max_iters"):
             run_trial(W, x0, spec, max_iters=cap)
         with pytest.raises(ValueError, match="max_iters"):

@@ -13,6 +13,7 @@ from star_consensus.spectral import (
     eig_symmetric,
     interlacing_check,
     k_max,
+    kcs_blocks,
     slem,
     slem_closed_form,
     stratify,
@@ -113,11 +114,20 @@ def test_stratify_kcs_block_entries():
     assert np.array_equal(blocks.w0_block[1:, 1:], blocks.w1_block)
     assert (blocks.w1_multiplicity, blocks.core_multiplicity) == (n - 1, k - 1)
     assert blocks.core_value == pytest.approx(1 - n * w[1])
-    assert np.allclose(blocks.w0_block @ blocks.perron_vector, blocks.perron_vector)
-    # deflation drops exactly the eigenvalue 1 of the sector block
-    sector = np.sort(np.linalg.eigvalsh(blocks.deflated_blocks()[0]))
-    assert np.allclose(np.append(sector, 1.0),
-                       np.sort(np.linalg.eigvalsh(blocks.w0_block)), atol=1e-14)
+    _assert_drops_sector_perron_eigenvalue(blocks, n, k)
+
+
+def _assert_drops_sector_perron_eigenvalue(blocks, n, k):
+    """W0 maps (sqrt(k), sqrt(n), ..., sqrt(n)) to itself, and the first m
+    entries of the nontrivial spectrum are W0's spectrum without exactly
+    that eigenvalue 1."""
+    m = blocks.w1_block.shape[0]
+    perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
+    assert np.allclose(blocks.w0_block @ perron, perron, rtol=0, atol=1e-14)
+    lam = blocks.nontrivial_spectrum()[0]
+    assert lam.size == m + m * (n > 1) + (k > 1)
+    assert np.allclose(np.append(lam[:m], 1.0),
+                       np.sort(np.linalg.eigvalsh(blocks.w0_block)), rtol=0, atol=1e-14)
 
 
 def test_stratify_symmetric_is_kcs_k1():
@@ -128,9 +138,64 @@ def test_stratify_symmetric_is_kcs_k1():
         b = stratify(KcsStar(m, n, 1), assign)
         assert np.array_equal(a.w0_block, b.w0_block)
         assert np.array_equal(a.w1_block, b.w1_block)
-        assert np.array_equal(a.perron_vector, b.perron_vector)
         assert (a.w1_multiplicity, a.core_value, a.core_multiplicity) == \
             (b.w1_multiplicity, b.core_value, b.core_multiplicity)
+        for got, want in zip(a.nontrivial_spectrum(), b.nontrivial_spectrum()):
+            assert np.array_equal(got, want)
+        _assert_drops_sector_perron_eigenvalue(a, n, 1)
+
+
+def _nontrivial_cases():
+    """(topology, weights) for the symmetric and k-cored stars with m 1..4,
+    n 1..5 and k 1..4, at the closed-form and at random positive weights."""
+    rng = np.random.default_rng(15)
+    for m in range(1, 5):
+        for n in range(1, 6):
+            for topo in [SymmetricStar(m, n)] + [KcsStar(m, n, k) for k in range(1, 5)]:
+                yield topo, optimal_weights(topo)
+                yield topo, WeightAssignment(per_stratum=dict(
+                    enumerate(rng.uniform(0.05, 0.6, m), start=1)))
+
+
+def test_nontrivial_spectrum_matches_dense_eigensolve():
+    for topo, assign in _nontrivial_cases():
+        blocks = stratify(topo, assign)
+        lam, grad = blocks.nontrivial_spectrum()
+        m = topo.m
+        assert grad.shape == (lam.size, m)
+        # one copy per block: W0 without its eigenvalue 1, W1, the core value
+        expanded = ([lam[:m], [1.0]] + [lam[m:2 * m]] * blocks.w1_multiplicity
+                    + [lam[-1:]] * blocks.core_multiplicity)
+        dense = eig_symmetric(assemble_matrix(build(topo), assign))
+        got = np.sort(np.concatenate(expanded))[::-1]
+        assert got.shape == dense.shape
+        assert np.max(np.abs(got - dense)) <= 1e-12, topo
+
+
+def _gaps_within_blocks(lam, m):
+    """Distance from each entry of a nontrivial spectrum to the nearest
+    other eigenvalue of its own block, W0's eigenvalue 1 included."""
+    gaps = []
+    for part in (np.append(lam[:m], 1.0), lam[m:2 * m], lam[2 * m:]):
+        d = np.abs(part[:, None] - part[None, :]) + np.diag(np.full(part.size, np.inf))
+        gaps.append(d.min(axis=1, initial=np.inf))
+    gaps[0] = np.delete(gaps[0], m)
+    return np.concatenate(gaps)
+
+
+def test_nontrivial_spectrum_gradients_match_central_differences():
+    # at positive weights the blocks are unreduced tridiagonal, so every
+    # eigenvalue is simple; on this grid each is 0.04 or more from the next
+    h = 1e-6
+    for topo, assign in _nontrivial_cases():
+        m, n, k = topo.m, topo.n, topo.k
+        w = np.array([assign.per_stratum[j] for j in range(1, m + 1)])
+        lam, grad = kcs_blocks(n, k, w).nontrivial_spectrum()
+        fd = np.column_stack([(kcs_blocks(n, k, w + h * e).nontrivial_spectrum()[0]
+                               - kcs_blocks(n, k, w - h * e).nontrivial_spectrum()[0])
+                              / (2 * h) for e in np.eye(m)])
+        assert np.all(_gaps_within_blocks(lam, m) > 1e-3), topo
+        assert np.max(np.abs(grad - fd)) <= 1e-6, topo
 
 
 def test_stratify_rejects_ccs():
@@ -199,7 +264,7 @@ def test_theta_roots_in_open_interval():
         assert 0 < t < math.pi / (2 * m)
         assert abs(char_kcs(t, m, n, k)) < 1e-9
         # no smaller root: f < 0 on a fine grid below t
-        assert np.all(char_kcs(np.linspace(0.0, t, 1001)[:-1], m, n, k) < 0)
+        assert all(char_kcs(x, m, n, k) < 0 for x in np.linspace(0.0, t, 1001)[:-1])
 
 
 def _block_slem(m, n, k):
@@ -306,12 +371,6 @@ def test_k_max_m1_is_n():
         assert slem_closed_form(topo) == pytest.approx(1 / 3, abs=1e-12)
 
 
-def test_char_functions_vectorized():
-    t = np.linspace(0.1, 3.0, 7)
-    assert char_kcs(t, 2, 3, 1).shape == (7,)
-    assert char_kcs(t, 2, 3, 2).shape == (7,)
-
-
 def _brentq_both(f, a, b, args, xtol):
     """(root, iterations) of the package's Brent port and of scipy's."""
     got = spectral._brentq(f, a, b, args, xtol)
@@ -325,7 +384,7 @@ def test_brentq_port_matches_scipy_on_char_kcs(n, k):
         right = math.pi / (2 * m)
         got, want = _brentq_both(char_kcs, 0.0, right, (m, n, k), spectral.EPS * right)
         assert got == want, (m, n, k)
-        # the float form that theta_root_kcs solves gives the same root
+        # theta_root_kcs solves the same function on the same bracket
         assert theta_root_kcs(m, n, k) == want[0], (m, n, k)
 
 
