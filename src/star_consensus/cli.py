@@ -17,6 +17,7 @@ random draws and the results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -418,6 +419,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="star-consensus",

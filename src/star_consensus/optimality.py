@@ -9,9 +9,11 @@ Four routes:
   angle every residual must vanish,
 * the tied optimum of a k-cored star beyond k_max (``kcs_tied_optimum``,
   which ``kcs_slem_curve`` uses for every k > k_max): an exact solve of
-  its known active set by nested bracketed root finds (``spectral._brentq``)
-  on the tridiagonal sector and tail blocks (m per-stratum weights, blocks
-  of size at most m + 1), and certified by the KKT conditions of Boyd,
+  its known active set by elimination, w2 in closed form from the matrix
+  determinant lemma and then one bracketed root find for s
+  (``spectral._brentq``) on O(m) pivots of the tridiagonal sector and tail
+  blocks (m per-stratum weights, blocks of size at most m + 1), with no
+  eigensolve, and certified by the KKT conditions of Boyd,
   Diaconis and Xiao on ``StratifiedBlocks.nontrivial_spectrum`` through a
   small nonnegative least-squares solve (``_nnls_residual``).  The
   residual comes with every result: near zero, it proves the weights
@@ -47,11 +49,9 @@ from .spectral import (
     _brentq,
     _closed_form_optimal,
     complement_basis,
-    eig_with_gradients,
     k_max,
     kcs_blocks,
     sector_block,
-    sector_slopes,
     slem_closed_form,
     stratify,
     theta_root_kcs,
@@ -288,12 +288,14 @@ def minimize_slem(graph: Graph,
     slopes = np.zeros((len(labels), N - 1, N - 1))
     np.add.at(slopes, edge_class, -d[:, :, None] * d[:, None, :])
 
+    def spectrum(w):  # eigenvalues and their gradients v_j^T slopes[c] v_j
+        vals, vecs = np.linalg.eigh(np.eye(N - 1) + np.tensordot(w, slopes, 1))
+        return vals, np.einsum("aj,cab,bj->jc", vecs, slopes, vecs)
+
     start = (np.bincount(edge_class, metropolis_weights(graph)[u_idx, v_idx])
              / np.bincount(edge_class))
     w, value, iterations, _ = _epigraph_slem(
-        lambda w: eig_with_gradients(np.eye(N - 1) + np.tensordot(w, slopes, 1),
-                                     slopes),
-        start, f"SLEM minimization on {N} nodes")
+        spectrum, start, f"SLEM minimization on {N} nodes")
     per_edge = {e: float(w[ci]) for e, ci in zip(edges, edge_class)}
     class_weights = {labels[i]: float(w[i]) for i in range(len(labels))}
     return OptimizeResult(class_weights=class_weights, per_edge=per_edge,
@@ -422,56 +424,80 @@ def _solve_spd(M: list[list[float]], v: list[float]) -> list[float]:
 
 def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     """Per-stratum weights of KcsStar(m, n, k) past k_max on the known
-    active set, and the outer root-find iteration count.
+    active set, and the iteration count of the root find for s.
 
     Past k_max three eigenvalues sit at +-s: the core value 1 - n*w1 at
     +s, the top of the tail block (for n = 1, of the sector block without
     its Perron eigenvalue) at +s and the bottom of the sector block at -s,
-    with w3..wm = 1/2.  (For n = 1 and m >= 5 just past k_max the active
-    set can differ; the certificate then fails.)  So w1 = (1 - s)/n, and two equations are left in
-    w2 and s.  For a given s, the tail top falls from 1 at w2 = 0 to at
-    most s at w2 = 1/2 (no block eigenvalue rises with any weight), and the
-    inner Brent solve finds w2.  The outer Brent solve finds the s at which
-    the sector bottom is -s, between cos(theta(m, n, k)), the optimum
-    without the core constraint, and (2k-n)/(2k+n), the SLEM at the closed
-    form weights.  For n = 1 there is no tail block and the sector block
-    alone can beat cos(theta), so the lower end steps down by the bracket
-    width until the sector bottom lies below -s.  Near k_max the tail top
-    is nearly flat in w2, so at the final s, w2 solves the better
-    conditioned sector-bottom equation instead: on [0, 1] the sector bottom
-    falls from above -s to below -1.  m = 1 is closed form: w1 = 2/(2n+k),
-    SLEM k/(2n+k).  A bracket without a sign change raises ValueError.
+    with w3..wm = 1/2.  So w1 = (1 - s)/n, and two equations are left in
+    w2 and s; they are solved by elimination, with no eigensolve.
+
+    w2 enters W0 through the rank-one slope -u u^T, u = e1 - e2, and at
+    w2 = 0 the block A = W0 splits into a head (rows 0..1) and the tail
+    path (rows 2..m).  By the matrix determinant lemma, det(tI - W0) =
+    det(tI - A) (1 + w2 h(t)) with h(t) = u^T (tI - A)^{-1} u: the last
+    diagonal entry of (tI - head)^{-1} plus one over the first pivot of
+    tI - path, eliminated from the bottom up in O(m).  So t, if not an
+    eigenvalue of A, is an eigenvalue of W0 exactly at w2 = -1/h(t).  The
+    tail block W1 = W0[1:, 1:] is the same with row 1 alone as its head.
+    For n = 1 the top is W0's own, and as s < 1 its Perron eigenvalue
+    drops out.
+
+    At w2 = -1/h_top(s) > 0 the top is at s (h_top is h(s) on W1, or on
+    W0 for n = 1), and det(W0 + sI) there has the sign of
+    D(s) = c + det2 * (1/p - h_top(s)), with c the first diagonal entry
+    and det2 the determinant of -sI - head, and p the first pivot of
+    -sI - path: D is det(W0 + sI) over the positive w2 * det(sI + path).
+    While at most one eigenvalue lies below -s, D > 0 says that the
+    sector bottom lies above -s.  One Brent solve finds the root of D
+    between cos(theta(m, n, k)), the optimum without the core constraint,
+    and (2k-n)/(2k+n), the SLEM at the closed-form weights; there
+    w2 = -1/h(-s) puts the sector bottom at -s.  While D is positive at
+    the lower end, it steps down by the bracket width: for n = 1 there is
+    no tail block and the sector block alone can beat cos(theta), and at
+    large m near k_max the root can lie within rounding of cos(theta).  m = 1 is closed form: w1 = 2/(2n+k), SLEM k/(2n+k).  A
+    bracket without a sign change raises ValueError, and a pole hit
+    exactly ZeroDivisionError; which eigenvalues end up at +-s is for the
+    certificate to check.
     """
     if m == 1:
         return np.array([2.0 / (2 * n + k)]), 0
-    # the sector block is affine in (s, w2) once w1 = (1-s)/n and w3.. = 1/2
     half = np.append([0.0, 0.0], np.full(m - 2, 0.5))
-    base = sector_block(n, k, half)
-    d_w1, d_w2 = sector_slopes(n, k, m)[:2]
+    path = sector_block(n, k, half)[2:, 2:]
+    path_diag = np.diag(path).tolist()
+    path_coupling = (np.diag(path, 1) ** 2).tolist()
+    root_nk = math.sqrt(n * k)
 
-    def sector(s, w2):
-        return base + ((1.0 - s) / n) * d_w1 + w2 * d_w2
+    def path_pivot(t):
+        """The first pivot of tI - path, eliminated from the bottom up; a
+        zero pivot on the way is replaced by -EPS (Kahan)."""
+        p = t - path_diag[-1]
+        for d, e2 in zip(path_diag[-2::-1], path_coupling[::-1]):
+            p = t - d - e2 / (p or -EPS)
+        return p
 
-    def top_minus_s(w2, s):
-        W0 = sector(s, w2)
-        if n > 1:
-            return np.linalg.eigvalsh(W0[1:, 1:])[-1] - s
-        return np.linalg.eigvalsh(W0)[-2] - s
+    def head(t, s):
+        """The diagonal of tI - head and its squared coupling at
+        w1 = (1 - s)/n."""
+        w1 = (1.0 - s) / n
+        return t - (1.0 - n * w1), t - (1.0 - k * w1), (root_nk * w1) ** 2
 
-    def bottom_plus_s(w2, s):
-        return np.linalg.eigvalsh(sector(s, w2))[0] + s
+    def h(t, s, sector):
+        """h(t) on W0 (sector) or on W1, at w1 = (1 - s)/n."""
+        c, g, b2 = head(t, s)
+        return (c / (c * g - b2) if sector else 1.0 / g) + 1.0 / path_pivot(t)
 
-    def outer(s):
-        return bottom_plus_s(_brentq(top_minus_s, 0.0, 0.5, (s,), EPS)[0], s)
+    def sector_bottom(s):
+        c, g, b2 = head(-s, s)
+        det2 = c * g - b2
+        return c + det2 * (1.0 / path_pivot(-s) - h(s, s, n == 1))
 
     hi = (2 * k - n) / (2 * k + n)
     lo = cos_theta
-    if n == 1:
-        while lo > 0 and outer(lo) > 0:
-            lo -= hi - lo
-    s, iterations = _brentq(outer, lo, hi, (), EPS)
-    w2 = _brentq(bottom_plus_s, 0.0, 1.0, (s,), EPS)[0]
-    return np.append([(1.0 - s) / n, w2], half[2:]), iterations
+    while lo > 0 and sector_bottom(lo) > 0:
+        lo -= hi - lo
+    s, iterations = _brentq(sector_bottom, lo, hi, (), EPS)
+    return np.append([(1.0 - s) / n, -1.0 / h(-s, s, True)], half[2:]), iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
@@ -496,8 +522,8 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
         try:
             w, iterations = _active_set_weights(m, n, k, math.cos(theta))
             message = "active-set solve"
-        except ValueError:  # no bracket: the closed form in w fails below
-            pass
+        except (ValueError, ZeroDivisionError):  # no bracket, or a pole:
+            pass  # the closed form in w fails the certificate below
     value, residual = _kcs_certificate(n, k, w)
     if residual > CERTIFICATE_TOL:
         w, _, iterations, message = _epigraph_slem(

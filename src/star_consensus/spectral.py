@@ -9,8 +9,9 @@ k-cored stars, and Cauchy-interlacing consistency checks.
 
 ``StratifiedBlocks.nontrivial_spectrum`` alone knows which block
 eigenvalues make up W's spectrum without its eigenvalue 1, and their
-weight gradients; everything else (block SLEM, interlacing check, the
-certificate and SLSQP fallback of ``kcs_tied_optimum``) reads it.
+weight gradients, in band form (each weight moves W0 by a rank-one
+slope); everything else (block SLEM, interlacing check, the certificate
+and SLSQP fallback of ``kcs_tied_optimum``) reads it.
 
 The characteristic function of the k-cored star (the symmetric star is
 the case k = 1) can be written
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,14 +102,6 @@ def complement_basis(v: np.ndarray) -> np.ndarray:
     return (np.eye(u.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
 
 
-def eig_with_gradients(block: np.ndarray, slopes: np.ndarray):
-    """Eigenvalues of the symmetric block, ascending, and their gradients
-    v_j^T slopes[i] v_j in the weights (exact for simple eigenvalues), one
-    row each; slopes[i] is the derivative of the block in weight i."""
-    vals, vecs = np.linalg.eigh(block)
-    return vals, np.einsum("aj,iab,bj->ji", vecs, slopes, vecs)
-
-
 @dataclass(frozen=True)
 class StratifiedBlocks:
     """Blocks of the branch-permutation diagonalization of a k-cored star
@@ -142,18 +134,23 @@ class StratifiedBlocks:
         (ascending, n >= 2) and the core value (k >= 2).  The Perron
         eigenvalue is the one nearest 1: W0 (sqrt(k), sqrt(n), ...)^T =
         (sqrt(k), sqrt(n), ...)^T at every w, and at nonnegative weights it
-        is W0's largest.  The blocks are affine in w with the constant
-        slopes of ``sector_slopes``.
+        is W0's largest.  The gradients come from ``_band_gradients``,
+        O(m^2) for all of them.
         """
         m = self.w1_block.shape[0]
-        d = sector_slopes(self.w1_multiplicity + 1, self.core_multiplicity + 1, m)
-        vals, grads = eig_with_gradients(self.w0_block, d)
+        n, k = self.w1_multiplicity + 1, self.core_multiplicity + 1
+        vals, vecs = np.linalg.eigh(self.w0_block)
         perron = np.argmin(np.abs(vals - 1.0))
-        parts = [(np.delete(vals, perron), np.delete(grads, perron, 0))]
+        grads = _band_gradients(n, k, np.delete(vecs, perron, 1))
+        parts = [(np.delete(vals, perron), grads)]
         if self.w1_multiplicity:
-            parts.append(eig_with_gradients(self.w1_block, d[:, 1:, 1:]))
+            vals, vecs = np.linalg.eigh(self.w1_block)
+            # W1 is W0 on rows 1..m: in W0's coordinates its vectors have
+            # entry 0 zero
+            vecs = np.vstack((np.zeros(m), vecs))
+            parts.append((vals, _band_gradients(n, k, vecs)))
         if self.core_multiplicity:
-            parts.append(([self.core_value], d[None, :, 0, 0]))
+            parts.append(([self.core_value], [[-n] + [0.0] * (m - 1)]))
         lam, grad = zip(*parts)
         return np.concatenate(lam), np.concatenate(grad)
 
@@ -198,15 +195,17 @@ def sector_block(n: int, k: int, w: np.ndarray) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-@lru_cache(maxsize=8)
-def sector_slopes(n: int, k: int, m: int) -> np.ndarray:
-    """The constant slopes dW0/dw_i, i = 1..m, stacked: W0 at the unit
-    vectors less W0 at zero, exact (every entry is an integer or sqrt(nk)).
-    Read-only, and cached for the last few (n, k, m): m^3 floats each."""
-    slopes = (np.stack([sector_block(n, k, e) for e in np.eye(m)])
-              - sector_block(n, k, np.zeros(m)))
-    slopes.flags.writeable = False
-    return slopes
+def _band_gradients(n: int, k: int, vecs: np.ndarray) -> np.ndarray:
+    """v^T (dW0/dw_i) v for each column v of ``vecs`` (vectors in W0's
+    coordinates) and i = 1..m, one row per column.
+
+    Each weight enters W0 through a rank-one slope: dW0/dw1 =
+    -(sqrt(n) e0 - sqrt(k) e1)(sqrt(n) e0 - sqrt(k) e1)^T and dW0/dw_i =
+    -(e_{i-1} - e_i)(e_{i-1} - e_i)^T for i >= 2, so the gradient entries
+    are -(sqrt(n) v[0] - sqrt(k) v[1])^2 and -(v[i-1] - v[i])^2."""
+    d = vecs[:-1] - vecs[1:]
+    d[0] = math.sqrt(n) * vecs[0] - math.sqrt(k) * vecs[1]
+    return -(d * d).T
 
 
 def char_kcs(theta: float, m: int, n: int, k: int) -> float:

@@ -205,6 +205,15 @@ def test_table3_filtered(capsys, tmp_path):
     assert float(cells[2]) >= 99.0  # psi
 
 
+def test_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; a restricting flag of one call
+    # must not reach the next
+    code, out, _ = run(capsys, "table", "--id", "3", "--trials", "20", "--bits", "4")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 4
+    code, out, _ = run(capsys, "table", "--id", "3", "--trials", "20")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 12
+
+
 @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
                                         ("--seed", "-1")])
 def test_table_sim_flag_range_is_usage_error(capsys, flag, value):

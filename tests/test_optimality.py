@@ -1,11 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from star_consensus import optimality
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
-from star_consensus.spectral import k_max, slem, slem_closed_form, theta_root_kcs
+from star_consensus.spectral import (
+    k_max,
+    kcs_blocks,
+    slem,
+    slem_closed_form,
+    theta_root_kcs,
+)
 from star_consensus.weights import WeightAssignment, assemble_matrix, optimal_weights
 from star_consensus.optimality import (
     central_weight_invariance,
@@ -217,9 +224,9 @@ def test_certificate_near_zero_slem_takes_both_signs():
 
 
 def test_active_set_brentq_matches_scipy(monkeypatch):
-    # every root solve of the fig-2 points past k_max(2, 3) = 9, the inner
-    # w2 solves inside the outer s solve included, gives the root bits and
-    # iteration count of scipy.optimize.brentq
+    # the one root solve of each fig-2 point past k_max(2, 3) = 9 (w2 is
+    # in closed form) gives the root bits and iteration count of
+    # scipy.optimize.brentq
     from scipy.optimize import brentq
 
     port = optimality._brentq
@@ -235,7 +242,66 @@ def test_active_set_brentq_matches_scipy(monkeypatch):
     monkeypatch.setattr(optimality, "_brentq", checked)
     for k in range(10, 31):
         optimality._active_set_weights(2, 3, k, math.cos(theta_root_kcs(2, 3, k)))
-    assert {"top_minus_s", "outer", "bottom_plus_s"} <= set(solves)
+    assert solves == ["sector_bottom"] * 21
+
+
+def test_active_set_solve_runs_no_eigensolve(monkeypatch):
+    # w2 is eliminated in closed form and s found from a scalar function,
+    # so the solve itself never calls into numpy.linalg
+    def eigensolve_not_used(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+
+    for name in ("eigvalsh", "eigh", "eig", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, eigensolve_not_used)
+    large = (200, 3, k_max(200, 3) + 2)
+    for m, n, k in TIED_CASES + CERTIFIED_CASES + [(7, 1, 40), large]:
+        optimality._active_set_weights(m, n, k, math.cos(theta_root_kcs(m, n, k)))
+
+
+# single-branch stars near k_max: at the low end of the s bracket the w2
+# that puts the top at s lies above 1/2, where a bracketed solve for w2 on
+# [0, 1/2] finds no root, and the SLSQP fallback certified them only to
+# 2e-10..2e-8; w2 in closed form needs no bracket
+@pytest.mark.parametrize("m,n,k", [(5, 1, 21), (7, 1, 40), (8, 1, 53)])
+def test_single_branch_near_k_max_is_certified(m, n, k):
+    tied = kcs_tied_optimum(m, n, k)
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
+    g = build(KcsStar(m, n, k))
+    assert slem(assemble_matrix(g, tied.weights)) == pytest.approx(tied.slem, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [10, 25, 50])
+def test_active_set_solve_vs_dense_block_eigensolve(m):
+    # the dense eigensolve of each block is the oracle of the elimination:
+    # the core value and the tail top at +s, the sector bottom at -s
+    n = 3
+    k = k_max(m, n) + 2
+    tied = kcs_tied_optimum(m, n, k)
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
+    w = np.array([tied.weights.per_stratum[j] for j in range(1, m + 1)])
+    blocks = kcs_blocks(n, k, w)
+    sector = np.linalg.eigvalsh(blocks.w0_block)
+    tail = np.linalg.eigvalsh(blocks.w1_block)
+    s = tied.slem
+    assert abs(blocks.core_value - s) <= 1e-12
+    assert abs(tail[-1] - s) <= 1e-12
+    assert abs(sector[0] + s) <= 1e-12
+    assert max(sector[-2], -sector[0], tail[-1], -tail[0]) <= s + 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(200, 3), (100, 40), (200, 40)])
+def test_tied_optimum_at_large_m_is_certified(m, n):
+    # the elimination is O(m) per step and the certificate O(m^3) for its
+    # two eigensolves; (200, 3) takes about 0.01 s on one thread.  At
+    # (200, 40) the root lies within rounding of cos(theta), which leaves
+    # D(cos(theta)) at +3e-11, so the lower end must step down
+    start = time.perf_counter()
+    tied = kcs_tied_optimum(m, n, k_max(m, n) + 2)
+    assert time.perf_counter() - start < 1.0
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
 
 
 def test_nnls_matches_scipy_on_random_problems():

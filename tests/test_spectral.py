@@ -198,6 +198,41 @@ def test_nontrivial_spectrum_gradients_match_central_differences():
         assert np.max(np.abs(grad - fd)) <= 1e-6, topo
 
 
+def _einsum_gradients(blocks, n, k):
+    """The nontrivial spectrum's gradients by the dense einsum over the
+    stacked slopes dW0/dw_i (W0 at the unit vectors less W0 at zero), the
+    O(m^4) form that the band form replaced."""
+    m = blocks.w1_block.shape[0]
+    slopes = (np.stack([spectral.sector_block(n, k, e) for e in np.eye(m)])
+              - spectral.sector_block(n, k, np.zeros(m)))
+    vals, vecs = np.linalg.eigh(blocks.w0_block)
+    grads = np.einsum("aj,iab,bj->ji", vecs, slopes, vecs)
+    parts = [np.delete(grads, np.argmin(np.abs(vals - 1.0)), 0)]
+    if n > 1:
+        vecs = np.linalg.eigh(blocks.w1_block)[1]
+        parts.append(np.einsum("aj,iab,bj->ji", vecs, slopes[:, 1:, 1:], vecs))
+    if k > 1:
+        parts.append(slopes[None, :, 0, 0])
+    return np.concatenate(parts)
+
+
+def test_nontrivial_spectrum_band_gradients_match_einsum():
+    for topo, assign in _nontrivial_cases():
+        blocks = stratify(topo, assign)
+        grad = blocks.nontrivial_spectrum()[1]
+        want = _einsum_gradients(blocks, topo.n, topo.k)
+        assert grad.shape == want.shape
+        # entries reach n + k in size, so the bound is relative above 1
+        assert np.all(np.abs(grad - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), topo
+
+
+def test_nontrivial_spectrum_slem_at_m200_matches_closed_form():
+    # band gradients keep the block SLEM at O(m^3) for the two eigensolves
+    topo = KcsStar(200, 3, 2)
+    assert stratify(topo, optimal_weights(topo)).slem() == \
+        pytest.approx(slem_closed_form(topo), abs=1e-12)
+
+
 def test_stratify_rejects_ccs():
     with pytest.raises(SpectralError):
         stratify(CcsStar(2, 3), optimal_weights(CcsStar(2, 3)))
