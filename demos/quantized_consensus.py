@@ -15,7 +15,7 @@ from star_consensus import (
     SymmetricStar,
     derive_trial_seed,
     initial_states,
-    monte_carlo,
+    monte_carlo_row,
     run_trial,
     scheme_matrix,
 )
@@ -40,8 +40,10 @@ for scheme in ("uniform", "probabilistic"):
 print("\n10,000-trial sweep, probabilistic quantization, 4 bits")
 print(f"{'weighting':14s} {'psi%':>6s} {'eta':>7s} {'mu':>8s} {'rho':>7s}")
 spec = QuantizerSpec(4, "probabilistic")
-for scheme in ("metropolis", "max-degree", "best-constant", "optimal"):
-    st = monte_carlo(topo, scheme, spec, 10_000, master_seed=0)
+schemes = ("metropolis", "max-degree", "best-constant", "optimal")
+# one row: the four weightings run the same trials and share their draws
+for scheme, st in zip(schemes, monte_carlo_row(topo, schemes, spec, 10_000,
+                                                master_seed=0)):
     print(f"{scheme:14s} {st.psi:6.1f} {st.eta:7.2f} "
           f"{st.mu:+8.4f} {st.rho:7.3f}")
 print("\n(at coarse quantization the asymptotically optimal weights need "

@@ -63,6 +63,7 @@ from .simulate import (
     derive_trial_seed,
     initial_states,
     monte_carlo,
+    monte_carlo_row,
     quantize,
     run_trial,
 )

@@ -209,9 +209,9 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
               "delta_psi,delta_eta,delta_mu,delta_rho\n")
     for b in bit_rows:
         spec = simulate.QuantizerSpec(b, "probabilistic")
-        for sch in schemes:
-            st = simulate.monte_carlo(topo, sch, spec, trials, seed,
-                                      max_iters=max_iters)
+        row = simulate.monte_carlo_row(topo, schemes, spec, trials, seed,
+                                       max_iters=max_iters)
+        for sch, st in zip(schemes, row):
             r = ref[b][sch]
             got = (st.psi, st.eta, st.mu, st.rho)
             buf.write(f"{b},{sch},"

@@ -353,73 +353,79 @@ def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
     """min ||A x - b|| over x >= 0, by the active-set method of Lawson and
     Hanson (Solving Least Squares Problems, 1974, ch. 23).
 
-    A^T A and A^T b are formed once; each least-squares solve on the
-    passive set P is then the |P| x |P| system A_P^T A_P z = A_P^T b, small
-    enough (A has one column per active eigenvalue) to solve on Python
-    floats.  An index joins P while the dual A^T (b - A x) is positive on
-    it beyond rounding; a step that would make a passive component
-    nonpositive stops where the first one reaches zero, and it leaves P.
-    x stays feasible throughout, so even a solve cut at 3 * columns outer
-    iterations (scipy.optimize.nnls's cap) bounds the minimum from above.
-    A final refinement step, on the residual in A's own space, recovers
-    the accuracy that forming A^T A loses.
+    Each least-squares solve on the passive set P is a Householder QR of
+    A's passive columns (``_passive_least_squares``), so its accuracy
+    follows cond(A_P), where forming A^T A would square it.  The tail of
+    Q^T b is the residual of that solve in Q's basis: its norm is the
+    residual, and the dual A_j^T (b - A x) of a column off P is the tail
+    of Q^T A_j against it.  An index joins P while its dual exceeds the
+    rounding of Q^T b against its column, the column is independent of
+    P's and the solve gives it a positive component; a step that would
+    make a passive component nonpositive stops where the first one
+    reaches zero, and it leaves P.  x stays feasible throughout, so even
+    a solve cut at 3 * columns outer iterations (scipy.optimize.nnls's
+    cap) bounds the minimum from above.  A has one column per active
+    eigenvalue, so the work is small enough for Python floats, which
+    keeps it the same under any thread count.
     """
-    G, c = (A.T @ A).tolist(), (A.T @ b).tolist()
-    rows, target = A.tolist(), b.tolist()
-    cols = len(c)
-    tol = 10 * EPS * cols * max(abs(v) for row in G + [c] for v in row)
-    x = [0.0] * cols
+    columns, target = A.T.tolist(), b.tolist()
+    norms = [math.hypot(*col) for col in columns]
+    floor = 10 * EPS * math.hypot(*target)  # rounding of Q^T b
+    x = [0.0] * len(columns)
     P: list[int] = []
-
-    def solve(rhs):
-        """z with G_PP z_P = rhs_P and zero off P."""
-        z = [0.0] * cols
-        for i, v in zip(P, _solve_spd([[G[i][j] for j in P] for i in P],
-                                      [rhs[i] for i in P])):
-            z[i] = v
-        return z
-
-    def residual(x):
-        return [bi - sum(map(mul, row, x)) for row, bi in zip(rows, target)]
-
-    for _ in range(3 * cols):
-        dual = {i: c[i] - sum(map(mul, G[i], x)) for i in range(cols) if i not in P}
-        j = max(dual, key=dual.__getitem__, default=None)
-        if j is None or dual[j] <= tol:
-            break
-        P.append(j)
-        z = solve(c)
-        if z[j] <= 0:  # the dual was positive by rounding only
-            P.pop()
+    z, c, reflected = _passive_least_squares(columns, target, P)
+    for _ in range(3 * len(columns)):
+        p = len(P)
+        dual = {j: sum(map(mul, reflected[j][p:], c[p:]))
+                for j in range(len(columns)) if j not in P}
+        for j in sorted(dual, key=dual.__getitem__, reverse=True):
+            if (dual[j] <= floor * norms[j]  # zero but for rounding
+                    or math.hypot(*reflected[j][p:]) <= 100 * EPS * norms[j]):
+                continue  # or dependent on the passive columns
+            solved = _passive_least_squares(reflected, c, P + [j], p)
+            if solved[0][j] > 0:
+                P.append(j)
+                z, c, reflected = solved
+                break
+        if len(P) == p:
             break
         while any(z[i] <= 0 for i in P):
             alpha, stop = min((x[i] / (x[i] - z[i]), i) for i in P if z[i] <= 0)
             x = [xi + alpha * (zi - xi) for xi, zi in zip(x, z)]
             x[stop] = 0.0
             P = [i for i in P if x[i] > 0]
-            z = solve(c)
+            z, c, reflected = _passive_least_squares(columns, target, P)
         x = z
-    r = residual(x)
-    step = solve([sum(map(mul, column, r)) for column in zip(*rows)])
-    r = residual([max(xi + si, 0.0) for xi, si in zip(x, step)])
-    return math.hypot(*r)
+    return math.hypot(*c[len(P):])
 
 
-def _solve_spd(M: list[list[float]], v: list[float]) -> list[float]:
-    """Solution of the small symmetric positive definite system M z = v, by
-    Gaussian elimination, which needs no pivoting on such a matrix."""
-    size = len(v)
-    rows = [row + [vi] for row, vi in zip(M, v)]
-    for col in range(size):
-        top = rows[col]
-        for r in range(col + 1, size):
-            f = rows[r][col] / top[col]
-            rows[r] = [a - f * p for a, p in zip(rows[r], top)]
-    z = [0.0] * size
-    for i in reversed(range(size)):
-        row = rows[i]
-        z[i] = (row[size] - sum(map(mul, row[i + 1:size], z[i + 1:]))) / row[i]
-    return z
+def _passive_least_squares(columns: list[list[float]], target: list[float],
+                           P: list[int], start: int = 0):
+    """Least squares on the columns P of A by the Householder QR
+    Q^T A_P = R, taken in P's order.
+
+    ``columns`` and ``target`` are A's columns and b with the reflections
+    of P[:start] already applied (from scratch: A and b themselves).
+    Returns z (the solution, zero off P), Q^T b and Q^T A's columns; the
+    inputs are not changed.
+    """
+    cols = [col[:] for col in columns]
+    c = target[:]
+    for k in range(start, len(P)):
+        v = cols[P[k]]
+        norm = math.hypot(*v[k:])
+        alpha = -norm if v[k] > 0 else norm
+        u = [v[k] - alpha] + v[k + 1:]
+        scale = 1.0 / (norm * (norm + abs(v[k])))  # 2 / u^T u
+        for q in [c] + [cols[i] for i in range(len(cols)) if i not in P[:k + 1]]:
+            s = scale * sum(map(mul, u, q[k:]))
+            q[k:] = [qi - s * ui for qi, ui in zip(q[k:], u)]
+        v[k:] = [alpha] + [0.0] * (len(v) - k - 1)
+    z = [0.0] * len(cols)
+    for k in reversed(range(len(P))):
+        done = sum(cols[P[i]][k] * z[P[i]] for i in range(k + 1, len(P)))
+        z[P[k]] = (c[k] - done) / cols[P[k]][k]
+    return z, c, cols
 
 
 def _active_set_weights(m: int, n: int, k: int, cos_theta: float):

@@ -27,6 +27,17 @@ row's nonzeros in a fixed order and every other step acts on each trial
 alone, so a trial's outcome and trajectory are bit-identical whatever the
 batch it runs in and whatever the BLAS thread count.
 
+The loop steps a row of cells: the weight matrices of one Monte Carlo
+table row, which run the same trials from the same x(0) with the same
+quantizer, seed and cap (``monte_carlo_row``; ``monte_carlo`` and
+``run_trial`` are its one-cell case).  Draws are keyed by (trial seed,
+stage, node) alone, so every cell consumes the same ones: each stage
+hashes them once, for the trials that any cell still holds, and a cell
+reads them as they are while it holds all of those trials, or gathers
+its columns once it has dropped some.  x(0) is built, and quantized,
+once per row.  Each cell keeps its own state, compaction and outcomes,
+so its statistics are bit-identical to those of a row of its own.
+
 Some shortcuts keep the step short, and the record small, without
 changing a bit.  Up to 21 bits, the loop rounds probabilistically in two
 operations, ceil(y - u): its draws lie on the 2^-32 grid, so y - u is
@@ -47,10 +58,10 @@ from __future__ import annotations
 
 import io
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .topology import Topology
 from .weights import scheme_matrix
@@ -62,6 +73,7 @@ __all__ = [
     "quantize",
     "run_trial",
     "monte_carlo",
+    "monte_carlo_row",
     "derive_trial_seed",
     "initial_states",
 ]
@@ -310,17 +322,39 @@ def _clip_rows(Wc, top):
     return np.flatnonzero(leave)
 
 
-def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
-    """Run many trials in lockstep.  x0_batch: (trials, N) raw states.
+class _Cell:
+    """One weight matrix of a row: its state, one column per trial it still
+    holds (``active``; a finished trial's column is only marked dead in
+    ``live`` until the next compaction), where those columns sit among the
+    row's (``pos``, None while it holds all of them), its outcomes and its
+    recorded trajectory."""
 
-    Returns (reached, iterations, values) arrays, and with ``record`` also
-    trial 0's trajectory: its state after every stage it takes part in,
-    x(0) after quantization, then each update, as iterations[0] + 1 rows.
-    Stage s = 1 quantizes x(0), stage s = t+1 quantizes update t; the
-    draws of stage s use counters s*N .. s*N + N-1 of the trial (see
-    ``_stage_draws_into``), clear of the initial states' 0..N-1, so a
-    single trial and any batch consume identical random streams.
-    max_iters must be an integer >= 0 (not a bool).
+    def __init__(self, Wc, clip_block, x, n_trials, max_iters):
+        self.Wc = Wc
+        self.clip_block = clip_block
+        self.x = x
+        self.active = np.arange(n_trials)
+        self.live = np.ones(n_trials, dtype=bool)
+        self.pos = None
+        self.reached = np.zeros(n_trials, dtype=bool)
+        self.iters = np.full(n_trials, max_iters, dtype=np.int64)
+        self.values = np.full(n_trials, np.nan)
+        self.traj = None
+
+
+def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
+    """Run many trials in lockstep under each weight matrix of Ws, a row of
+    cells that share the trials, the quantizer and the cap.  x0_batch:
+    (trials, N) raw states.
+
+    Returns, per cell, (reached, iterations, values) arrays, and with
+    ``record`` also the trajectory of its trial 0: its state after every
+    stage it takes part in, x(0) after quantization, then each update, as
+    iterations[0] + 1 rows.  Stage s = 1 quantizes x(0), stage s = t+1
+    quantizes update t; the draws of stage s use counters s*N .. s*N + N-1
+    of the trial (see ``_stage_draws_into``), clear of the initial states'
+    0..N-1, so a single trial and any batch consume identical random
+    streams.  max_iters must be an integer >= 0 (not a bool).
 
     The state is held node-major, one column per active trial.  A
     quantized state is held as level indices i, x = -1 + i * delta: x(0)
@@ -330,9 +364,16 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
     every row's nonzeros in stored column order; the draws, the quantizer
     and the consensus check are elementwise or per column, and the
     unquantized mean is a sequential node sum.  So no trial's arithmetic
-    depends on the other trials or on the BLAS thread count.  The draw and
-    quantizer scratch is allocated once, for all trials, and each step
-    uses its leading elements for the active columns.
+    depends on the other trials, the other cells or the BLAS thread count.
+
+    Stage 1 does not depend on W, so the row quantizes x(0) once and every
+    cell starts from that state.  After it, each stage hashes its draws
+    once, for the row's columns: the trials that any cell still holds.  A
+    cell that holds all of them reads the draws as they are; one that has
+    compacted gathers its columns (``np.take`` at ``pos``).  The hash
+    scratch, the draw buffer and the quantizer and check scratch are
+    allocated once, for all trials, and shared by the cells, which use
+    their leading elements; each cell keeps its own state and outcomes.
 
     The recorded rows are formed straight into one float64 buffer, with
     the same two operations as a consensus value.  It reserves
@@ -342,43 +383,36 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
     huge cap on a short trial allocates no more than the reserve, whose
     unwritten pages are never touched.
 
-    The probabilistic draws hash a (P, trials) key base, seed plus pair
-    key, built once and gathered with the columns; each stage adds one
-    offset.  The probabilistic rule rounds the stage draws, which lie on
-    the 2^-32 grid, by ceil(y - u) up to 21 bits (see
-    ``_quantize_into``).  Stage 1 clips
-    every row, as x(0) may lie anywhere.  After it every index lies in
-    [0, 2^b - 1], so later stages clip only the contiguous block of
-    node-major rows from the first to the last row of ``_clip_rows``,
-    whose rounded product can leave that range (on the optimal stars, the
-    hub row alone, for its negative self-weight).  A row left unclipped
-    holds the value the clip would give, except that an index 0 may stay
-    -0.0, which compares and forms values as 0.0 does.
+    The probabilistic draws hash a (P, columns) key base, seed plus pair
+    key, built once and gathered when the row's columns shrink; each
+    stage adds one offset.  The probabilistic rule rounds the stage draws,
+    which lie on the 2^-32 grid, by ceil(y - u) up to 21 bits (see
+    ``_quantize_into``).  Stage 1 clips every row, as x(0) may lie
+    anywhere.  After it every index lies in [0, 2^b - 1], so later stages
+    clip only the contiguous block of node-major rows from the first to
+    the last row of ``_clip_rows``, whose rounded product can leave that
+    range (on the optimal stars, the hub row alone, for its negative
+    self-weight).  A row left unclipped holds the value the clip would
+    give, except that an index 0 may stay -0.0, which compares and forms
+    values as 0.0 does.
 
     Compaction is deferred: a finished trial's column is only marked dead
-    in ``live``, and the columns are gathered once at least a quarter of
+    in ``live``, and a cell gathers its columns once at least a quarter of
     them are dead (``_COMPACT_DEAD_SHARE``).  Dead columns keep stepping,
     but nothing reads them: ``done &= live`` keeps a trial from finishing
     twice, and trial 0's record stops when it finishes.
     """
     if not _is_integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    Wc = csr_matrix(np.asarray(W, dtype=float))
+    from scipy.sparse import csr_matrix  # only the simulator needs it
+
     n_trials, N = x0_batch.shape
     x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
-    active = np.arange(n_trials)
-    live = np.ones(n_trials, dtype=bool)
     quantized = spec.scheme is not None
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
     pairs = (N + 1) // 2
     flags = np.empty(N * n_trials, dtype=bool)
-    keys = None
-    if quantized:
-        leaving = _clip_rows(Wc, float(spec.level_count - 1))
-        # one contiguous block of node-major rows: a single clip call
-        clip_block = (slice(leaving[0], leaving[-1] + 1) if leaving.size
-                      else None)
     if probabilistic:
         keys = (np.asarray(trial_seeds, dtype=np.uint64)[None, :]
                 + _pair_keys(N))
@@ -389,41 +423,52 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
         # the floor and compare route's scratch (flags is the other half)
         lo = (None if spec.bits <= _CEIL_ROUTE_MAX_BITS
               else np.empty(N * n_trials))
-    if record:
-        traj = np.empty((min(max_iters + 1,
-                             max(1, _RECORD_RESERVE_BYTES // (8 * N))), N))
+
+    def clip_block(Wc):
+        if not quantized:
+            return None
+        leaving = _clip_rows(Wc, float(spec.level_count - 1))
+        # one contiguous block of node-major rows: a single clip call
+        return slice(leaving[0], leaving[-1] + 1) if leaving.size else None
 
     def lead(buf, rows, k):
         return buf[:rows * k].reshape(rows, k)
 
-    def quantize_stage(stage, y, clip):
-        k = y.shape[1]
-        if probabilistic:
-            draws = lead(u, 2 * pairs, k)
-            _stage_draws_into(keys, stage, N, lead(z, pairs, k),
-                              lead(tmp, pairs, k), draws)
-            scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
-            _quantize_into(y, spec, draws[:N], *scratch, grid_draws=True,
-                           clip=clip)
-        else:
-            _quantize_into(y, spec, clip=clip)
+    def stage_draws(stage):
+        """The draws of one stage for the row's columns, (N, columns)."""
+        k = keys.shape[1]
+        draws = lead(u, 2 * pairs, k)
+        _stage_draws_into(keys, stage, N, lead(z, pairs, k),
+                          lead(tmp, pairs, k), draws)
+        return draws[:N]
 
-    def record_row(t, x):
-        if t == len(traj):
-            traj.resize((min(2 * t, max_iters + 1), N), refcheck=False)
-        row = traj[t]
+    def quantize_stage(y, draws, pos, clip):
+        if not probabilistic:
+            _quantize_into(y, spec, clip=clip)
+            return
+        k = y.shape[1]
+        if pos is not None:
+            draws = np.take(draws, pos, axis=1)
+        scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
+        _quantize_into(y, spec, draws, *scratch, grid_draws=True, clip=clip)
+
+    def record_row(c, t):
+        if c.traj is None:
+            c.traj = np.empty((min(max_iters + 1,
+                                   max(1, _RECORD_RESERVE_BYTES // (8 * N))), N))
+        elif t == len(c.traj):
+            c.traj.resize((min(2 * t, max_iters + 1), N), refcheck=False)
+        row = c.traj[t]
         if quantized:  # i * delta - 1.0, as a consensus value is formed
-            np.multiply(x[:, 0], delta, out=row)
+            np.multiply(c.x[:, 0], delta, out=row)
             np.subtract(row, 1.0, out=row)
         else:
-            row[:] = x[:, 0]
+            row[:] = c.x[:, 0]
 
-    reached = np.zeros(n_trials, dtype=bool)
-    iters = np.full(n_trials, max_iters, dtype=np.int64)
-    values = np.full(n_trials, np.nan)
-
-    def check(x, t):
-        nonlocal keys, active, live
+    def check(c, t):
+        """Record the cell's trials that reached consensus at t; returns
+        whether the cell compacted."""
+        x = c.x
         if quantized:
             same = lead(flags, N, x.shape[1])
             np.equal(x, x[:1], out=same)
@@ -431,44 +476,73 @@ def _batch_run(W, x0_batch, spec, max_iters, trial_seeds, record=False):
         else:
             mean = np.add.accumulate(x, axis=0)[-1] / N
             done = np.max(np.abs(x - mean), axis=0) <= _UNQUANTIZED_TOL
-        done &= live
+        done &= c.live
         if not done.any():
-            return x
-        finished = active[done]
-        reached[finished] = True
-        iters[finished] = t
-        values[finished] = x[0, done] * delta - 1.0 if quantized else mean[done]
-        live &= ~done
-        n_live = np.count_nonzero(live)
-        if live.size - n_live < _COMPACT_DEAD_SHARE * live.size:
-            return x
-        keep = live
-        active = active[keep]
-        if keys is not None:
-            keys = keys[:, keep]
-        live = np.ones(n_live, dtype=bool)
-        return x[:, keep]
+            return False
+        finished = c.active[done]
+        c.reached[finished] = True
+        c.iters[finished] = t
+        c.values[finished] = x[0, done] * delta - 1.0 if quantized else mean[done]
+        c.live &= ~done
+        n_live = np.count_nonzero(c.live)
+        if c.live.size - n_live < _COMPACT_DEAD_SHARE * c.live.size:
+            return False
+        keep = c.live
+        c.active = c.active[keep]
+        c.pos = np.flatnonzero(keep) if c.pos is None else c.pos[keep]
+        c.x = x[:, keep]
+        c.live = np.ones(n_live, dtype=bool)
+        return True
+
+    def regroup(running):
+        """Shrink the row's columns to the trials the cells still hold,
+        once every cell has compacted."""
+        nonlocal keys
+        if any(c.pos is None for c in running):
+            return
+        held = np.zeros(keys.shape[1], dtype=bool)
+        for c in running:
+            held[c.pos] = True
+        keys = keys[:, held]
+        rank = np.cumsum(held) - 1
+        for c in running:
+            c.pos = None if c.pos.size == keys.shape[1] else rank[c.pos]
 
     if quantized:
         np.add(x, 1.0, out=x)
         np.divide(x, delta, out=x)  # level units
-        quantize_stage(1, x, ...)
-    if record:
-        record_row(0, x)
-    x = check(x, 0)
-    t = 0
-    while active.size and t < max_iters:
+        quantize_stage(x, stage_draws(1) if probabilistic else None, None, ...)
+    cells = [_Cell(Wc, clip_block(Wc), x, n_trials, max_iters)
+             for Wc in (csr_matrix(np.asarray(W, dtype=float)) for W in Ws)]
+    del x  # the cells hold it until their first update
+    compacted = False
+    for c in cells:
+        if record:
+            record_row(c, 0)
+        compacted |= check(c, 0)
+    running, t = cells, 0
+    while True:
+        if compacted:
+            running = [c for c in running if c.active.size]
+            if probabilistic:
+                regroup(running)
+        if not running or t == max_iters:
+            break
         t += 1
-        x = Wc @ x
-        if quantized:
-            quantize_stage(t + 1, x, clip_block)
-        if record and not reached[0]:
-            record_row(t, x)
-        x = check(x, t)
+        draws = stage_draws(t + 1) if probabilistic else None
+        compacted = False
+        for c in running:
+            c.x = c.Wc @ c.x
+            if quantized:
+                quantize_stage(c.x, draws, c.pos, c.clip_block)
+            if record and not c.reached[0]:
+                record_row(c, t)
+            compacted |= check(c, t)
     if not record:
-        return reached, iters, values
-    traj.resize((int(iters[0]) + 1, N), refcheck=False)
-    return reached, iters, values, traj
+        return [(c.reached, c.iters, c.values) for c in cells]
+    for c in cells:
+        c.traj.resize((int(c.iters[0]) + 1, N), refcheck=False)
+    return [(c.reached, c.iters, c.values, c.traj) for c in cells]
 
 
 def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
@@ -493,8 +567,9 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, but W has order {n}: "
                          f"x0 needs one state per node")
-    run = _batch_run(W, x0[None, :], spec, max_iters,
-                     np.array([trial_seed], dtype=np.uint64), return_trajectory)
+    run = _batch_run([W], x0[None, :], spec, max_iters,
+                     np.array([trial_seed], dtype=np.uint64),
+                     return_trajectory)[0]
     reached, iters, values = run[:3]
     outcome = _make_outcome(bool(reached[0]), int(iters[0]), float(values[0]),
                             x0, spec)
@@ -510,38 +585,60 @@ def _make_outcome(reached, iters, value, x0_raw, spec):
     return TrialOutcome(True, iters, value, err)
 
 
-def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
-                trials: int, master_seed: int,
-                max_iters: int = 10_000) -> TrialStats:
-    """Aggregate consensus statistics over independent trials.
+def monte_carlo_row(topology: Topology, weightings: Sequence[str],
+                    spec: QuantizerSpec, trials: int, master_seed: int,
+                    max_iters: int = 10_000) -> list[TrialStats]:
+    """Aggregate consensus statistics over independent trials, one
+    ``TrialStats`` per weighting, in the order given.
 
-    eta, mu, rho are computed only over trials that reached consensus
-    (rho is the population variance).  Per-trial randomness is keyed by
-    (master_seed, trial index), so every trial draws the same stream
-    whatever the trial count.  trials must be an integer >= 1 (not a bool).
+    The weightings form one row: they run the same trials from the same
+    x(0) with the same quantizer, seed and cap, in lockstep, and share
+    each stage's draws (see ``_batch_run``).  Each weighting's statistics
+    are the same, bit for bit, as from a row of its own.  eta, mu, rho
+    are computed only over trials that reached consensus (rho is the
+    population variance).  Per-trial randomness is keyed by (master_seed,
+    trial index), so every trial draws the same stream whatever the trial
+    count.  trials must be an integer >= 1 (not a bool), and at least one
+    weighting is needed.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    graph, W = scheme_matrix(topology, weighting)
-    N = graph.node_count
+    if not weightings:
+        raise ValueError("monte_carlo_row needs at least one weighting")
+    matrices = [scheme_matrix(topology, w)[1] for w in weightings]
+    N = matrices[0].shape[0]
     seeds = derive_trial_seed(master_seed, np.arange(trials))
     x0 = 2.0 * _uniforms(seeds[:, None],
                          np.arange(N, dtype=np.uint64)[None, :]) - 1.0
-    reached, iters, values = _batch_run(W, x0, spec, max_iters, seeds)
+    means = x0.mean(axis=1)
+    runs = _batch_run(matrices, x0, spec, max_iters, seeds)
+    return [_trial_stats(reached, iters, values, means, spec, trials,
+                         master_seed)
+            for reached, iters, values in runs]
 
+
+def _trial_stats(reached, iters, values, means, spec, trials, seed):
     n_ok = int(reached.sum())
     psi = 100.0 * n_ok / trials
     if n_ok == 0:
         return TrialStats(psi, float("nan"), float("nan"), float("nan"),
-                          trials, master_seed)
+                          trials, seed)
     ok_iters = iters[reached]
     if spec.scheme is None:
         errs = np.zeros(n_ok)
     else:
-        errs = (values[reached] - x0[reached].mean(axis=1)) / spec.delta
+        errs = (values[reached] - means[reached]) / spec.delta
     return TrialStats(psi=psi, eta=float(ok_iters.mean()),
                       mu=float(errs.mean()), rho=float(np.var(errs)),
-                      trials=trials, seed=master_seed)
+                      trials=trials, seed=seed)
+
+
+def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
+                trials: int, master_seed: int,
+                max_iters: int = 10_000) -> TrialStats:
+    """``monte_carlo_row`` for one weighting."""
+    return monte_carlo_row(topology, [weighting], spec, trials, master_seed,
+                           max_iters)[0]
 
 
 def trajectory_to_csv(traj: np.ndarray) -> str:

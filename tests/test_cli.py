@@ -18,20 +18,23 @@ def run(capsys, *argv):
 def test_cli_import_defers_scipy_optimize():
     # scipy.optimize is imported only by the SLSQP solve, never at start-up
     # (test_analysis_commands_never_load_scipy_optimize covers the analysis
-    # commands), and nothing in the package needs scipy.linalg
+    # commands), scipy.sparse only by the simulator's stepping loop, and
+    # nothing in the package needs scipy.linalg
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
     code = ("import sys, star_consensus.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, "
+            "'scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False", "False", "False"]
 
 
 def test_analysis_commands_never_load_scipy_optimize():
     # table 1, fig 2, the slem command and the closed-form roots of the
-    # benchmark run on the package's own Brent solver and NNLS
+    # benchmark run on the package's own Brent solver and NNLS, and never
+    # step a simulation
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
@@ -46,10 +49,11 @@ def test_analysis_commands_never_load_scipy_optimize():
         "for m in (10, 100, 1000, 4000, 6000, 20000):\n"
         "    spectral.slem_closed_form(topology.SymmetricStar(m, 3))\n"
         "    spectral.slem_closed_form(topology.KcsStar(m, 40, 2))\n"
-        "print(*codes, 'scipy.optimize' in sys.modules)\n")
+        "print(*codes, 'scipy.optimize' in sys.modules,\n"
+        "      'scipy.sparse' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0", "0", "0", "False"]
+    assert out.split() == ["0", "0", "0", "False", "False"]
 
 
 def test_thread_cap_precedes_numpy_import():

@@ -180,7 +180,17 @@ CERTIFIED_CASES = [(m, n, k) for m, n in ((2, 3), (3, 4), (5, 2), (6, 8))
                    for k in (k_max(m, n) + 1, 2 * k_max(m, n), 5 * k_max(m, n) + 3)]
 
 
-@pytest.mark.parametrize("m,n,k", CERTIFIED_CASES)
+# large n*k: the w1 row of the certificate matrix reaches 2.4e5 while the
+# tail rows are near 1e-7, and an NNLS through A^T A left residuals of
+# 2.8e-6..3.0e-3 here, sending optimal points to SLSQP
+LARGE_NK_CASES = [(200, 3, 2 * k_max(200, 3)), (500, 3, 2 * k_max(500, 3)),
+                  (200, 1, 2 * k_max(200, 1)), (50, 8, 5 * k_max(50, 8) + 3),
+                  (300, 40, k_max(300, 40) + 2), (200, 200, k_max(200, 200) + 2),
+                  (100, 1000, k_max(100, 1000) + 2),
+                  (150, 1000, k_max(150, 1000) + 2)]
+
+
+@pytest.mark.parametrize("m,n,k", CERTIFIED_CASES + LARGE_NK_CASES)
 def test_active_set_solve_is_certified(m, n, k):
     tied = kcs_tied_optimum(m, n, k)
     assert tied.message == "active-set solve"
@@ -317,7 +327,7 @@ def test_nnls_matches_scipy_on_random_problems():
         assert optimality._nnls_residual(A, b) == pytest.approx(nnls(A, b)[1], abs=1e-13)
 
 
-@pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES)
+@pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES + LARGE_NK_CASES)
 def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
     from scipy.optimize import nnls
 

@@ -25,10 +25,12 @@ from star_consensus.simulate import (
     derive_trial_seed,
     initial_states,
     monte_carlo,
+    monte_carlo_row,
     quantize,
     run_trial,
     trajectory_to_csv,
 )
+from star_consensus.cli import SIM_TOPOLOGIES, WEIGHTINGS
 
 # Topologies of every family, with a custom graph that has a cycle and a chord.
 KERNEL_TOPOLOGIES = (
@@ -320,7 +322,8 @@ def _kernel_inputs(topo, trials, seed):
 
 
 def _batched(W, x0, spec, max_iters, seeds, batch):
-    parts = [_batch_run(W, x0[i:i + batch], spec, max_iters, seeds[i:i + batch])
+    parts = [_batch_run([W], x0[i:i + batch], spec, max_iters,
+                        seeds[i:i + batch])[0]
              for i in range(0, len(seeds), batch)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
@@ -333,7 +336,7 @@ def _kernel_digest(schemes=KERNEL_SCHEMES):
         W, x0, seeds = _kernel_inputs(topo, 15, 3)
         for scheme in schemes:
             reached, iters, values = _batch_run(
-                W, x0, QuantizerSpec(4, scheme), 300, seeds)
+                [W], x0, QuantizerSpec(4, scheme), 300, seeds)[0]
             lines.append(repr((reached.tolist(), iters.tolist(),
                                [v.hex() for v in values.tolist()])))
     return "\n".join(lines)
@@ -388,11 +391,82 @@ def test_fig4_trajectory_is_trial0_of_batch():
         spec = QuantizerSpec(6, scheme)
         out, traj = run_trial(W, x0[0], spec, max_iters=500,
                               trial_seed=int(seeds[0]), return_trajectory=True)
-        reached, iters, values, record = _batch_run(W, x0, spec, 500, seeds,
-                                                    record=True)
+        reached, iters, values, record = _batch_run([W], x0, spec, 500, seeds,
+                                                    record=True)[0]
         assert np.array_equal(record, traj)
         assert (bool(reached[0]), int(iters[0])) == (out.consensus_reached,
                                                      out.iterations)
+
+
+@pytest.mark.parametrize("cap", (10_000, 40))
+@pytest.mark.parametrize("table_id", sorted(SIM_TOPOLOGIES))
+def test_monte_carlo_row_equals_per_weighting(table_id, cap):
+    # each cell of a table row is bit-identical to a row of its own; at a
+    # cap of 40 some cells are censored
+    topo = SIM_TOPOLOGIES[table_id]
+    censored = 0
+    for bits in (4, 8, 16):
+        spec = QuantizerSpec(bits, "probabilistic")
+        row = monte_carlo_row(topo, WEIGHTINGS, spec, 1000, 5, max_iters=cap)
+        assert len(row) == len(WEIGHTINGS)
+        for weighting, stats in zip(WEIGHTINGS, row):
+            alone = monte_carlo(topo, weighting, spec, 1000, 5, max_iters=cap)
+            assert repr(stats) == repr(alone), (bits, weighting)
+            censored += stats.psi < 100.0
+    if cap == 40:
+        assert censored
+
+
+def test_monte_carlo_row_needs_a_weighting():
+    with pytest.raises(ValueError, match="at least one weighting"):
+        monte_carlo_row(SymmetricStar(2, 3), [],
+                        QuantizerSpec(4, "probabilistic"), 3, 1)
+
+
+def test_row_hashes_each_stage_once(monkeypatch):
+    # at 8 bits the cells finish at different steps, so the row outlives
+    # some of them and its columns shrink; every cell equals its own row
+    W_row = [scheme_matrix(CcsStar(2, 3), w)[1] for w in WEIGHTINGS]
+    x0 = np.array([initial_states(2, i, 9) for i in range(300)])
+    seeds = derive_trial_seed(2, np.arange(300))
+    stages = []
+    hash_stage = simulate._stage_draws_into
+
+    def counted(keys, stage, *args):
+        stages.append(stage)
+        return hash_stage(keys, stage, *args)
+
+    for bits, scheme in ((8, "probabilistic"), (22, "probabilistic"),
+                         (4, "uniform"), (4, None)):
+        spec = QuantizerSpec(bits, scheme)
+        alone = [_batch_run([W], x0, spec, 200, seeds)[0] for W in W_row]
+        stages.clear()
+        monkeypatch.setattr(simulate, "_stage_draws_into", counted)
+        row = _batch_run(W_row, x0, spec, 200, seeds)
+        monkeypatch.undo()
+        last = max(int(iters.max()) for _, iters, _ in row)
+        assert stages == (list(range(1, last + 2))
+                          if scheme == "probabilistic" else [])
+        if bits == 8:
+            assert len({int(iters.max()) for _, iters, _ in row}) > 1
+        for got, want in zip(row, alone):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+def test_row_memory_stays_near_three_cell_states():
+    # one cell peaked at 4.2 MB here; a row of four shares its draw, hash
+    # and check scratch and x(0), so it adds about three cell states
+    spec = QuantizerSpec(8, "probabilistic")
+    monte_carlo_row(CcsStar(2, 3), WEIGHTINGS, spec, 20, 1)  # lazy imports
+    tracemalloc.start()
+    try:
+        monte_carlo_row(CcsStar(2, 3), WEIGHTINGS, spec, 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 _MASK64 = 2**64 - 1
@@ -514,8 +588,8 @@ def test_kernel_matches_python_oracle(topo, bits):
 def _assert_kernel_matches_oracle(W, x0, seeds, spec, max_iters=200):
     """Every trial's outcome and trial 0's trajectory, bit for bit; returns
     the oracle's total step count."""
-    reached, iters, values, record = _batch_run(W, x0, spec, max_iters, seeds,
-                                                record=True)
+    reached, iters, values, record = _batch_run([W], x0, spec, max_iters, seeds,
+                                                record=True)[0]
     steps = 0
     for i in range(len(seeds)):
         ok, t, value, traj = _oracle_run(W, x0[i], spec, max_iters, int(seeds[i]))
