@@ -64,7 +64,6 @@ from .simulate import (
     initial_states,
     monte_carlo,
     monte_carlo_row,
-    quantize,
     run_trial,
 )
 

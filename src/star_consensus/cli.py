@@ -94,6 +94,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_seed(v) -> bool:
+    """The one range rule for a master seed, --seed and the config's seed
+    alike: an integer in 0..2^64 - 1, the seeds that ``derive_trial_seed``
+    keeps apart."""
+    return _is_int(v) and 0 <= v <= simulate.MAX_SEED
+
+
 # table --config fields and the values each accepts (the matching flags'
 # choices); the table id fixes the topology and the quantizer scheme.
 CONFIG_FIELDS = {
@@ -101,7 +108,7 @@ CONFIG_FIELDS = {
     "weighting": lambda v: v in WEIGHTINGS,
     "trials": lambda v: _is_int(v) and v >= 1,
     "max_iters": lambda v: _is_int(v) and v >= 1,
-    "seed": lambda v: _is_int(v) and v >= 0,
+    "seed": _is_seed,
 }
 
 
@@ -226,9 +233,10 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
 
 
 def _check_seed(seed: int | None):
-    """The one range rule for --seed, shared by table and fig."""
-    if seed is not None and seed < 0:
-        raise SystemExit2(f"--seed must be >= 0, got {seed}", EXIT_USAGE)
+    """--seed, for table and fig, under ``_is_seed``."""
+    if seed is not None and not _is_seed(seed):
+        raise SystemExit2(f"--seed must be in 0..{simulate.MAX_SEED}, "
+                          f"got {seed}", EXIT_USAGE)
 
 
 # table flags that only the Monte Carlo tables 3-5 read

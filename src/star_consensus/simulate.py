@@ -42,8 +42,8 @@ Some shortcuts keep the step short, and the record small, without
 changing a bit.  Up to 21 bits, the loop rounds probabilistically in two
 operations, ceil(y - u): its draws lie on the 2^-32 grid, so y - u is
 exact or keeps its sign, and the result is floor(y) + [u < y - floor(y)]
-(``_quantize_into``); from 22 bits, and in the public ``quantize``, the
-floor and compare route does the rounding.  A finished trial's column is
+(``_quantize_into``, the one rounding entry); from 22 bits the floor and
+compare route does the rounding.  A finished trial's column is
 only marked dead; the live columns are gathered once a quarter of them
 are dead.  The draws hash a key base, each trial's seed plus its pair
 keys, built once, so a stage adds one offset to it.  After the first
@@ -70,7 +70,6 @@ __all__ = [
     "QuantizerSpec",
     "TrialOutcome",
     "TrialStats",
-    "quantize",
     "run_trial",
     "monte_carlo",
     "monte_carlo_row",
@@ -82,6 +81,9 @@ _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _U64 = 2**64
+# Master seeds are 64-bit; a larger one would alias the seed it equals
+# mod 2^64.
+MAX_SEED = _U64 - 1
 
 
 def _mix64(z, tmp):
@@ -107,10 +109,14 @@ def derive_trial_seed(master_seed: int, trial_index):
     """Deterministic per-trial key; independent of all other trials.
 
     An int index gives an int; an integer array of indices gives the
-    uint64 array of their keys.
+    uint64 array of their keys.  master_seed must be an integer (not a
+    bool) in 0..MAX_SEED (ValueError otherwise).
     """
+    if not _is_integer(master_seed) or not 0 <= master_seed <= MAX_SEED:
+        raise ValueError(f"master seed must be an integer in 0..{MAX_SEED}, "
+                         f"got {master_seed!r}")
     with np.errstate(over="ignore"):
-        key = _mixed(np.uint64(master_seed & (_U64 - 1)) * _PHI)
+        key = _mixed(np.uint64(master_seed) * _PHI)
         z = _mixed(key + np.asarray(trial_index, dtype=np.uint64) * _M1)
     return int(z) if z.ndim == 0 else z
 
@@ -172,17 +178,16 @@ MAX_BITS = 52
 class QuantizerSpec:
     """bits: level count is 2**bits on the fixed range [-1, 1], an integer
     (not a bool) with 1 <= bits <= 52 (float64 keeps every level index
-    exact up to 2^52); scheme: 'uniform' | 'probabilistic' | None (no
-    quantization)."""
+    exact up to 2^52); scheme: 'uniform' | 'probabilistic'."""
 
     bits: int
-    scheme: str | None
+    scheme: str
 
     def __post_init__(self):
         if not _is_integer(self.bits) or not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must be an integer in 1..{MAX_BITS}, "
                              f"got {self.bits!r}")
-        if self.scheme not in ("uniform", "probabilistic", None):
+        if self.scheme not in ("uniform", "probabilistic"):
             raise ValueError(f"unknown quantizer scheme {self.scheme!r}")
 
     @property
@@ -202,28 +207,25 @@ class QuantizerSpec:
 _CEIL_ROUTE_MAX_BITS = 21
 
 
-def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False,
-                   clip=...):
+def _quantize_into(y, spec, u=None, lo=None, up=None, clip=...):
     """Round level positions y = (x + 1)/delta in place to level indices.
 
     The part of y that the basic index ``clip`` selects (all of y by
     default; none if it is None) is clipped to [0, 2^b - 1] first; the
     caller vouches that the rest lies in that range.  Then y is rounded:
     uniform to floor(y + 1/2), probabilistic to floor(y) + [u < y -
-    floor(y)], with the draws read from u and lo (float) and up (bool) as
-    scratch of y's shape.  Returns y.
+    floor(y)], with draws u that are multiples of 2^-32, as the kernel's
+    stage draws are (``_stage_draws_into``).  Returns y.
 
-    ``grid_draws`` says that every draw is a multiple of 2^-32, as the
-    kernel's stage draws are (``_stage_draws_into``).  Then, for b <= 21,
-    the probabilistic rule is the two operations ceil(y - u) and lo and up
-    are not used.  That is the same rule: for y >= 1 both y and u are
-    multiples of ulp(y) <= 2^-32, so y - u is exact, and for y < 1 the
-    rounded difference keeps the sign of the exact one and lies in
-    (-1, 1).  At 22 bits ulp(y) reaches 2^-31 and the identity fails
-    (y = 2^21 + 1/2, u = 1/2 - 2^-32 must round up, but y - u rounds to
-    2^21), so larger b, and draws of any precision, take the floor and
-    compare route.  Index 0 may come out as -0.0, which compares equal
-    to 0.0 and forms the same value.
+    For b <= 21 the probabilistic rule is the two operations ceil(y - u).
+    That is the same rule: for y >= 1 both y and u are multiples of
+    ulp(y) <= 2^-32, so y - u is exact, and for y < 1 the rounded
+    difference keeps the sign of the exact one and lies in (-1, 1).  At
+    22 bits ulp(y) reaches 2^-31 and the identity fails (y = 2^21 + 1/2,
+    u = 1/2 - 2^-32 must round up, but y - u rounds to 2^21), so larger b
+    take the floor and compare route, with lo (float) and up (bool) as
+    scratch of y's shape.  Index 0 may come out as -0.0, which compares
+    equal to 0.0 and forms the same value.
     """
     top = float(spec.level_count - 1)
     if clip is not None:
@@ -232,41 +234,13 @@ def _quantize_into(y, spec, u=None, lo=None, up=None, grid_draws=False,
     if spec.scheme == "uniform":
         np.add(y, 0.5, out=y)
         return np.floor(y, out=y)
-    if grid_draws and spec.bits <= _CEIL_ROUTE_MAX_BITS:
+    if spec.bits <= _CEIL_ROUTE_MAX_BITS:
         np.subtract(y, u, out=y)
         return np.ceil(y, out=y)
     np.floor(y, out=lo)
     np.subtract(y, lo, out=y)  # fractional position inside the cell
     np.less(u, y, out=up)  # round up
     return np.add(lo, up, out=y)
-
-
-def quantize(x, spec: QuantizerSpec, u=None):
-    """Map x onto the level grid (values outside [-1, 1] are clipped).
-
-    Uniform: nearest level, the cell midpoint itself rounding up.
-    Probabilistic: upper level with probability equal to the fractional
-    position inside the cell (unbiased).  ``u`` supplies the uniform
-    draws for the probabilistic rule, one per element of x, and is
-    required for it.
-    """
-    scalar = np.isscalar(x)
-    x = np.array(x, dtype=float)
-    if spec.scheme is None:
-        np.clip(x, -1.0, 1.0, out=x)
-        return float(x) if scalar else x
-    lo = up = None
-    if spec.scheme == "probabilistic":
-        if u is None:
-            raise ValueError("probabilistic quantization needs uniform draws u")
-        lo, up = np.empty_like(x), np.empty(x.shape, dtype=bool)
-    # the clip commutes with the map to level units, as 2/delta = 2^b - 1
-    np.add(x, 1.0, out=x)
-    np.divide(x, spec.delta, out=x)
-    _quantize_into(x, spec, u, lo, up)
-    np.multiply(x, spec.delta, out=x)
-    np.add(x, -1.0, out=x)
-    return float(x) if scalar else x
 
 
 @dataclass(frozen=True)
@@ -292,8 +266,6 @@ def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarr
     ts = derive_trial_seed(master_seed, trial_index)
     return 2.0 * _uniforms(np.uint64(ts), np.arange(n_nodes, dtype=np.uint64)) - 1.0
 
-
-_UNQUANTIZED_TOL = 1e-9
 
 # The kernel gathers its active columns once at least this share of them
 # belong to finished trials.
@@ -356,15 +328,14 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     0..N-1, so a single trial and any batch consume identical random
     streams.  max_iters must be an integer >= 0 (not a bool).
 
-    The state is held node-major, one column per active trial.  A
-    quantized state is held as level indices i, x = -1 + i * delta: x(0)
-    is mapped by (x + 1)/delta, each update is W i, and values are formed
-    only for consensus values and recorded rows.  An unquantized state
-    stays in value units.  Each update is the CSR product of W, which sums
-    every row's nonzeros in stored column order; the draws, the quantizer
-    and the consensus check are elementwise or per column, and the
-    unquantized mean is a sequential node sum.  So no trial's arithmetic
-    depends on the other trials, the other cells or the BLAS thread count.
+    The state is held node-major, one column per active trial, as exact
+    level indices i, x = -1 + i * delta: x(0) is mapped by (x + 1)/delta,
+    each update is W i, consensus is exact equality of a column's indices,
+    and values are formed only for consensus values and recorded rows.
+    Each update is the CSR product of W, which sums every row's nonzeros
+    in stored column order; the draws, the quantizer and the consensus
+    check are elementwise or per column.  So no trial's arithmetic depends
+    on the other trials, the other cells or the BLAS thread count.
 
     Stage 1 does not depend on W, so the row quantizes x(0) once and every
     cell starts from that state.  After it, each stage hashes its draws
@@ -408,7 +379,6 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
 
     n_trials, N = x0_batch.shape
     x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
-    quantized = spec.scheme is not None
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
     pairs = (N + 1) // 2
@@ -420,13 +390,11 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         u = np.empty(2 * pairs * n_trials)
         # the hash's scratch; the draws are written only after the hash
         tmp = u.view(np.uint64)
-        # the floor and compare route's scratch (flags is the other half)
-        lo = (None if spec.bits <= _CEIL_ROUTE_MAX_BITS
-              else np.empty(N * n_trials))
+    # the floor and compare route's scratch (flags is the other half)
+    lo = (np.empty(N * n_trials)
+          if probabilistic and spec.bits > _CEIL_ROUTE_MAX_BITS else None)
 
     def clip_block(Wc):
-        if not quantized:
-            return None
         leaving = _clip_rows(Wc, float(spec.level_count - 1))
         # one contiguous block of node-major rows: a single clip call
         return slice(leaving[0], leaving[-1] + 1) if leaving.size else None
@@ -443,14 +411,11 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         return draws[:N]
 
     def quantize_stage(y, draws, pos, clip):
-        if not probabilistic:
-            _quantize_into(y, spec, clip=clip)
-            return
         k = y.shape[1]
-        if pos is not None:
+        if probabilistic and pos is not None:
             draws = np.take(draws, pos, axis=1)
         scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
-        _quantize_into(y, spec, draws, *scratch, grid_draws=True, clip=clip)
+        _quantize_into(y, spec, draws, *scratch, clip=clip)
 
     def record_row(c, t):
         if c.traj is None:
@@ -459,30 +424,24 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         elif t == len(c.traj):
             c.traj.resize((min(2 * t, max_iters + 1), N), refcheck=False)
         row = c.traj[t]
-        if quantized:  # i * delta - 1.0, as a consensus value is formed
-            np.multiply(c.x[:, 0], delta, out=row)
-            np.subtract(row, 1.0, out=row)
-        else:
-            row[:] = c.x[:, 0]
+        # i * delta - 1.0, as a consensus value is formed
+        np.multiply(c.x[:, 0], delta, out=row)
+        np.subtract(row, 1.0, out=row)
 
     def check(c, t):
         """Record the cell's trials that reached consensus at t; returns
         whether the cell compacted."""
         x = c.x
-        if quantized:
-            same = lead(flags, N, x.shape[1])
-            np.equal(x, x[:1], out=same)
-            done = same.all(axis=0)
-        else:
-            mean = np.add.accumulate(x, axis=0)[-1] / N
-            done = np.max(np.abs(x - mean), axis=0) <= _UNQUANTIZED_TOL
+        same = lead(flags, N, x.shape[1])
+        np.equal(x, x[:1], out=same)
+        done = same.all(axis=0)
         done &= c.live
         if not done.any():
             return False
         finished = c.active[done]
         c.reached[finished] = True
         c.iters[finished] = t
-        c.values[finished] = x[0, done] * delta - 1.0 if quantized else mean[done]
+        c.values[finished] = x[0, done] * delta - 1.0
         c.live &= ~done
         n_live = np.count_nonzero(c.live)
         if c.live.size - n_live < _COMPACT_DEAD_SHARE * c.live.size:
@@ -508,10 +467,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         for c in running:
             c.pos = None if c.pos.size == keys.shape[1] else rank[c.pos]
 
-    if quantized:
-        np.add(x, 1.0, out=x)
-        np.divide(x, delta, out=x)  # level units
-        quantize_stage(x, stage_draws(1) if probabilistic else None, None, ...)
+    np.add(x, 1.0, out=x)
+    np.divide(x, delta, out=x)  # level units
+    quantize_stage(x, stage_draws(1) if probabilistic else None, None, ...)
     cells = [_Cell(Wc, clip_block(Wc), x, n_trials, max_iters)
              for Wc in (csr_matrix(np.asarray(W, dtype=float)) for W in Ws)]
     del x  # the cells hold it until their first update
@@ -533,8 +491,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         compacted = False
         for c in running:
             c.x = c.Wc @ c.x
-            if quantized:
-                quantize_stage(c.x, draws, c.pos, c.clip_block)
+            quantize_stage(c.x, draws, c.pos, c.clip_block)
             if record and not c.reached[0]:
                 record_row(c, t)
             compacted |= check(c, t)
@@ -550,10 +507,9 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     """Single quantized-consensus trial from raw initial states x0.
 
     x(0) is quantized before the first update; the iteration stops when
-    all components are exactly equal on the level grid (or, without a
-    quantizer, within 1e-9 of the mean), or at max_iters (counted as
-    non-consensus).  ``iterations`` is the number of update steps taken.
-    max_iters must be an integer >= 0 (not a bool) and x0 must hold one
+    all components are exactly equal on the level grid, or at max_iters
+    (counted as non-consensus).  ``iterations`` is the number of update
+    steps taken.  max_iters must be an integer >= 0 (not a bool) and x0 must hold one
     state per node of W; anything else raises ValueError.
 
     With ``return_trajectory``, the states after every stage come back as
@@ -570,19 +526,11 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     run = _batch_run([W], x0[None, :], spec, max_iters,
                      np.array([trial_seed], dtype=np.uint64),
                      return_trajectory)[0]
-    reached, iters, values = run[:3]
-    outcome = _make_outcome(bool(reached[0]), int(iters[0]), float(values[0]),
-                            x0, spec)
+    reached, iters, value = bool(run[0][0]), int(run[1][0]), float(run[2][0])
+    outcome = (TrialOutcome(True, iters, value,
+                            (value - float(np.mean(x0))) / spec.delta)
+               if reached else TrialOutcome(False, iters, None, None))
     return (outcome, run[3]) if return_trajectory else outcome
-
-
-def _make_outcome(reached, iters, value, x0_raw, spec):
-    if not reached:
-        return TrialOutcome(False, iters, None, None)
-    if spec.scheme is None:
-        return TrialOutcome(True, iters, value, 0.0)
-    err = (value - float(np.mean(x0_raw))) / spec.delta
-    return TrialOutcome(True, iters, value, err)
 
 
 def monte_carlo_row(topology: Topology, weightings: Sequence[str],
@@ -624,10 +572,7 @@ def _trial_stats(reached, iters, values, means, spec, trials, seed):
         return TrialStats(psi, float("nan"), float("nan"), float("nan"),
                           trials, seed)
     ok_iters = iters[reached]
-    if spec.scheme is None:
-        errs = np.zeros(n_ok)
-    else:
-        errs = (values[reached] - means[reached]) / spec.delta
+    errs = (values[reached] - means[reached]) / spec.delta
     return TrialStats(psi=psi, eta=float(ok_iters.mean()),
                       mu=float(errs.mean()), rho=float(np.var(errs)),
                       trials=trials, seed=seed)

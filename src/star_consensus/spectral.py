@@ -25,7 +25,10 @@ Hence f(0) = -4k < 0, f(pi/(2m)) = 2n sin(pi/(4m)) > 0, and the smallest
 positive root is the only root in that bracket, found to machine
 precision for every m by ``_brentq``, the package's own port of scipy's
 Brent solver, on f (``char_kcs``).  The k_max threshold depends on (n, k)
-only through r = k/n and is computed once per m the same way.  No analysis
+only through r = k/n.  Its ratio r*(m), where the central eigenvalue
+(2r-1)/(2r+1) meets cos(theta), is computed once per m the same way: the
+root of the same f at (n, k) = (2 sin^2(t/2), cos^2(t/2)), the crossing
+ratio r = cot^2(t/2)/2 scaled so that f(0) = -4.  No analysis
 path loads scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
 
 Dense eigenproblems go to LAPACK through numpy.linalg.eigvalsh (eigh for
@@ -208,7 +211,7 @@ def _band_gradients(n: int, k: int, vecs: np.ndarray) -> np.ndarray:
     return -(d * d).T
 
 
-def char_kcs(theta: float, m: int, n: int, k: int) -> float:
+def char_kcs(theta: float, m: int, n: float, k: float) -> float:
     """Characteristic function of the k-cored SLEM angle:
     (n-2k)cos((m-1/2)t) - (n+2k)cos((m+1/2)t), at one float angle.
 
@@ -333,14 +336,14 @@ def slem_closed_form(topology: Topology) -> float:
     raise SpectralError("closed-form SLEM is defined only for the star families")
 
 
-def _threshold_char(theta, m: int):
-    """sin(mt) sin^3(t/2) - cos(mt) cos^3(t/2).
+def _crossing_char(theta, m: int):
+    """``char_kcs`` at (n, k) = (2 sin^2(t/2), cos^2(t/2)).
 
-    This is the characteristic function divided by n at r = cot^2(t/2)/2,
-    the ratio at which the central eigenvalue (2r-1)/(2r+1) equals cos(t),
-    scaled by sin^2(t/2)/2 so that it stays finite at t = 0."""
-    return (math.sin(m * theta) * math.sin(theta / 2) ** 3
-            - math.cos(m * theta) * math.cos(theta / 2) ** 3)
+    That is the ratio r = k/n = cot^2(t/2)/2 at which the central
+    eigenvalue (2r-1)/(2r+1) equals cos(t), with n = 2 sin^2(t/2) scaling
+    the function so that it stays finite at t = 0, where it is -4."""
+    half = theta / 2
+    return char_kcs(theta, m, 2 * math.sin(half) ** 2, math.cos(half) ** 2)
 
 
 # r*(m) by m; a pure function of m, filled on first use.
@@ -357,11 +360,12 @@ def _r_star(m: int) -> float:
     optimal exactly for r <= r*.  At the crossing 2r = cot^2(t/2), so the
     root equation becomes tan(mt) = cot^3(t/2).  On (0, pi/(2m)) the
     left side rises and the right side falls, so the crossing angle is the
-    single root of _threshold_char there.  r*(1) = 1.
+    single root of ``_crossing_char``, the one characteristic function at
+    the crossing ratio, there.  r*(1) = 1.
     """
     r = _R_STAR.get(m)
     if r is None:
-        theta = _bracketed_root(_threshold_char, m, (m,))
+        theta = _bracketed_root(_crossing_char, m, (m,))
         r = _R_STAR[m] = 0.5 / math.tan(theta / 2) ** 2
     return r
 

@@ -219,7 +219,7 @@ def test_parser_keeps_no_state_between_calls(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
-                                        ("--seed", "-1")])
+                                        ("--seed", "-1"), ("--seed", str(2**64))])
 def test_table_sim_flag_range_is_usage_error(capsys, flag, value):
     code, out, err = run(capsys, "table", "--id", "3", "--bits", "4",
                          "--weighting", "optimal", flag, value)
@@ -274,6 +274,7 @@ def test_config_rejects_unknown_fields():
     pytest.param(json.dumps({"max_iters": 2.5}), id="max_iters-float"),
     pytest.param(json.dumps({"seed": -1}), id="seed-negative"),
     pytest.param(json.dumps({"seed": None}), id="seed-null"),
+    pytest.param(json.dumps({"seed": 2**64}), id="seed-2^64"),
     pytest.param(json.dumps([1, 2]), id="not-an-object"),
     pytest.param('{"trials": 10,', id="malformed"),
 ])
@@ -302,10 +303,20 @@ def test_fig_rejects_ignored_flags(capsys, tmp_path, monkeypatch, argv, flag):
 
 
 def test_seed_range_rule_is_shared(capsys, tmp_path, monkeypatch):
+    # a seed of 2^64 or more would alias the seed it equals mod 2^64
     monkeypatch.chdir(tmp_path)
-    table = run(capsys, "table", "--id", "3", "--seed", "-1")
-    fig = run(capsys, "fig", "--id", "4", "--seed", "-1")
-    assert table == fig == (1, "", "error: --seed must be >= 0, got -1\n")
+    for seed in (-1, 2**64, 2**64 + 7):
+        table = run(capsys, "table", "--id", "3", "--seed", str(seed))
+        fig = run(capsys, "fig", "--id", "4", "--seed", str(seed))
+        assert table == fig == (
+            1, "", f"error: --seed must be in 0..{2**64 - 1}, got {seed}\n")
+        assert list(tmp_path.iterdir()) == []
+    cfg = tmp_path / "cfg.json"
+    for seed in (2**64 - 1, 2**64):
+        cfg.write_text(json.dumps({"seed": seed, "trials": 5, "bits": 4,
+                                   "weighting": "optimal"}))
+        code, _, err = run(capsys, "table", "--id", "3", "--config", str(cfg))
+        assert code == (0 if seed < 2**64 else 1), err
 
 
 def test_fig2(capsys, tmp_path):

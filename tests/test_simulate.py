@@ -26,7 +26,6 @@ from star_consensus.simulate import (
     initial_states,
     monte_carlo,
     monte_carlo_row,
-    quantize,
     run_trial,
     trajectory_to_csv,
 )
@@ -39,7 +38,19 @@ KERNEL_TOPOLOGIES = (
     CcsStar(2, 3),
     Custom(Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))),
 )
-KERNEL_SCHEMES = ("uniform", "probabilistic", None)
+KERNEL_SCHEMES = ("uniform", "probabilistic")
+
+
+def _grid_draws(rng, size):
+    """Draws on the 2^-32 grid, as the kernel's stage draws are."""
+    return rng.integers(0, 2**32, size) * 2.0**-32
+
+
+def _round(y, spec, u=None):
+    """The kernel's rounding of level positions y (a copy), with draws u."""
+    y = np.array(y, dtype=float)
+    return _quantize_into(y, spec, u, np.empty_like(y),
+                          np.empty(y.shape, dtype=bool))
 
 
 def test_quantizer_levels():
@@ -62,80 +73,102 @@ def test_quantizer_bits_limit():
             QuantizerSpec(bits, "probabilistic")
 
 
+def test_quantizer_needs_a_scheme():
+    with pytest.raises(ValueError, match="unknown quantizer scheme None"):
+        QuantizerSpec(4, None)
+
+
 def test_level_index_needs_no_clip_up_to_52_bits():
-    # 2/delta is exactly 2^b - 1, so x = 1 lands on the top index and no
-    # input leaves [0, 2^b - 1]: quantize equals the rule with an index clip
+    # 2/delta is exactly 2^b - 1, so x = 1 lands on the top index and the
+    # kernel's index clip of (x + 1)/delta is the rule applied to clipped x;
+    # 1..52 bits cover both rounding routes (_CEIL_ROUTE_MAX_BITS)
     x = np.concatenate([
         [-1.7, -1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0, 1.7],
         np.random.default_rng(5).uniform(-1.0, 1.0, 50)])
     for bits in range(1, 53):
         top = 2**bits - 1
-        delta = QuantizerSpec(bits, None).delta
+        delta = QuantizerSpec(bits, "uniform").delta
         assert 2.0 / delta == top
         p = (np.clip(x, -1.0, 1.0) + 1.0) / delta
-        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        for u in (0.0, 0.5, 1.0 - 2.0**-32):
             ups = np.full(x.size, u)
             for scheme, idx in (("uniform", np.floor(p + 0.5)),
                                 ("probabilistic",
                                  np.floor(p) + (ups < p - np.floor(p)))):
-                ref = -1.0 + delta * np.clip(idx, 0, top)
-                got = quantize(x, QuantizerSpec(bits, scheme), u=ups)
-                assert np.array_equal(got, ref), (bits, scheme, u)
+                got = _round((x + 1.0) / delta, QuantizerSpec(bits, scheme), ups)
+                assert np.array_equal(got, np.clip(idx, 0, top)), (bits, scheme, u)
 
 
 def test_uniform_midpoint_rounds_up():
     spec = QuantizerSpec(2, "uniform")
-    assert quantize(0.0, spec) == pytest.approx(1 / 3)
+    assert _round([1.5], spec)[0] * spec.delta - 1.0 == pytest.approx(1 / 3)
+    for bits in (2, 21, 22, 52):
+        top = 2**bits - 1
+        i = np.array([0.0, 1.0, top // 2, top - 1])
+        assert np.array_equal(_round(i + 0.5, QuantizerSpec(bits, "uniform")),
+                              i + 1.0)
 
 
 def test_levels_are_fixed_points():
     rng = np.random.default_rng(0)
+    for bits in (3, 21, 22, 52):
+        top = 2**bits - 1
+        i = (np.arange(8.0) if bits == 3
+             else np.array([0.0, 1.0, 2.0, top // 2, top - 1, top]))
+        for scheme in ("uniform", "probabilistic"):
+            spec = QuantizerSpec(bits, scheme)
+            for u in (np.zeros(i.size), np.full(i.size, 1.0 - 2.0**-32),
+                      _grid_draws(rng, i.size)):
+                assert np.array_equal(_round(i, spec, u), i), (bits, scheme)
+    # the levels, mapped to positions as x(0) is, come back as themselves
     for scheme in ("uniform", "probabilistic"):
         spec = QuantizerSpec(3, scheme)
         lv = spec.levels()
-        assert np.allclose(quantize(lv, spec, u=rng.random(lv.size)), lv)
+        got = _round((lv + 1.0) / spec.delta, spec, _grid_draws(rng, lv.size))
+        assert np.allclose(got * spec.delta - 1.0, lv)
 
 
 def test_uniform_idempotent_and_clipping():
-    spec = QuantizerSpec(4, "uniform")
     x = np.linspace(-1.7, 1.7, 101)
-    q = quantize(x, spec)
-    assert np.allclose(quantize(q, spec), q)
-    assert q.min() == -1.0 and q.max() == 1.0
+    for bits in (4, 22):
+        spec = QuantizerSpec(bits, "uniform")
+        i = _round((x + 1.0) / spec.delta, spec)
+        assert np.array_equal(_round(i, spec), i)
+        assert i.min() == 0.0 and i.max() == spec.level_count - 1
 
 
 def test_probabilistic_outputs_cell_endpoints():
-    spec = QuantizerSpec(3, "probabilistic")
-    x = 0.1
-    lo = np.floor((x + 1) / spec.delta) * spec.delta - 1
-    hi = lo + spec.delta
-    draws = quantize(np.full(1000, x), spec,
-                     u=np.random.default_rng(0).random(1000))
-    assert set(np.round(draws, 12)) <= {round(lo, 12), round(hi, 12)}
+    rng = np.random.default_rng(0)
+    for bits in (3, 22):
+        spec = QuantizerSpec(bits, "probabilistic")
+        y = (0.1 + 1.0) / spec.delta
+        lo = np.floor(y)
+        got = _round(np.full(1000, y), spec, _grid_draws(rng, 1000))
+        assert set(got.tolist()) == {lo, lo + 1.0}, bits
 
 
 def test_probabilistic_unbiased():
-    spec = QuantizerSpec(4, "probabilistic")
     rng = np.random.default_rng(3)
     n = 200_000
-    for x in (-0.9, -0.31, 0.05, 0.77):
-        d = quantize(np.full(n, x), spec, u=rng.random(n))
-        se = spec.delta / 2 / np.sqrt(n)
-        assert abs(d.mean() - x) < 4 * se
-
-
-def test_probabilistic_requires_draws():
-    with pytest.raises(ValueError):
-        quantize(np.zeros(3), QuantizerSpec(3, "probabilistic"))
+    for bits in (4, 22):
+        spec = QuantizerSpec(bits, "probabilistic")
+        for x in (-0.9, -0.31, 0.05, 0.77):
+            y = (x + 1.0) / spec.delta
+            d = _round(np.full(n, y), spec, _grid_draws(rng, n))
+            se = 0.5 / np.sqrt(n)  # in level steps
+            assert abs(d.mean() - y) < 4 * se, (bits, x)
 
 
 def test_iterate_conserves_average_and_contracts():
+    # unquantized averaging x <- W x keeps the average, and its asymptotic
+    # per-step contraction is the SLEM
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     rng = np.random.default_rng(0)
-    x0 = rng.uniform(-1, 1, g.node_count)
-    _, traj = run_trial(W, x0, QuantizerSpec(4, None), return_trajectory=True)
-    assert abs(traj[-1].mean() - x0.mean()) <= 1e-10
-    # asymptotic per-step contraction approaches the SLEM
+    traj = [rng.uniform(-1, 1, g.node_count)]
+    for _ in range(60):
+        traj.append(W @ traj[-1])
+    traj = np.array(traj)
+    assert abs(traj[-1].mean() - traj[0].mean()) <= 1e-10
     d = np.linalg.norm(traj - traj.mean(axis=1, keepdims=True), axis=1)
     ratio = (d[60] / d[50]) ** (1 / 10)
     assert ratio == pytest.approx(slem(W), abs=1e-3)
@@ -148,15 +181,6 @@ def test_run_trial_immediate_consensus():
     out = run_trial(W, x0, spec, trial_seed=1)
     assert out.consensus_reached and out.iterations == 0
     assert out.normalized_error == pytest.approx(0.0)
-
-
-def test_run_trial_unquantized():
-    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
-    spec = QuantizerSpec(4, None)
-    x0 = initial_states(5, 0, g.node_count)
-    out = run_trial(W, x0, spec, trial_seed=derive_trial_seed(5, 0))
-    assert out.consensus_reached
-    assert out.consensus_value == pytest.approx(x0.mean(), abs=1e-8)
 
 
 def test_run_trial_cap_counts_as_failure():
@@ -281,18 +305,15 @@ def test_monte_carlo_batch_equals_per_trial_loop():
 def test_trajectory_replay_matches_outcome():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     x0 = initial_states(3, 0, g.node_count)
-    for scheme in ("probabilistic", "uniform", None):
+    for scheme in ("probabilistic", "uniform"):
         spec = QuantizerSpec(6, scheme)
         out1 = run_trial(W, x0, spec, trial_seed=99)
         out2, traj = run_trial(W, x0, spec, trial_seed=99,
                                return_trajectory=True)
         assert out1 == out2
         assert traj.shape == (out1.iterations + 1, g.node_count)
-        if scheme is None:
-            assert np.array_equal(traj[0], x0)
-        else:
-            lv = spec.levels()
-            assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
+        lv = spec.levels()
+        assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
 
 
 def test_trial_seeds_vectorized_match_scalar():
@@ -303,6 +324,22 @@ def test_trial_seeds_vectorized_match_scalar():
         assert got.tolist() == [derive_trial_seed(s, int(i)) for i in idx]
         assert isinstance(derive_trial_seed(s, 2**32 + 5), int)
         assert derive_trial_seed(s, np.arange(100)).tolist() == got[:100].tolist()
+
+
+def test_master_seed_outside_64_bits_refused():
+    # 2^64 + s would alias s if the seed were reduced mod 2^64
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    spec = QuantizerSpec(4, "probabilistic")
+    for seed in (-1, 2**64, 2**64 + 7, 1.5, 7.0, True):
+        with pytest.raises(ValueError, match="master seed must be an integer in"):
+            derive_trial_seed(seed, 0)
+        with pytest.raises(ValueError, match="master seed must be an integer in"):
+            initial_states(seed, 0, g.node_count)
+        with pytest.raises(ValueError, match="master seed must be an integer in"):
+            monte_carlo(SymmetricStar(2, 3), "optimal", spec, 3, seed)
+    assert simulate.MAX_SEED == 2**64 - 1
+    assert isinstance(derive_trial_seed(simulate.MAX_SEED, 0), int)
+    assert derive_trial_seed(np.uint64(7), 3) == derive_trial_seed(7, 3)
 
 
 def test_csv_helpers():
@@ -328,13 +365,13 @@ def _batched(W, x0, spec, max_iters, seeds, batch):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _kernel_digest(schemes=KERNEL_SCHEMES):
+def _kernel_digest():
     """Per-trial (reached, iterations, values) of one batch of 15 trials
     per topology and scheme, as exact text."""
     lines = []
     for topo in KERNEL_TOPOLOGIES:
         W, x0, seeds = _kernel_inputs(topo, 15, 3)
-        for scheme in schemes:
+        for scheme in KERNEL_SCHEMES:
             reached, iters, values = _batch_run(
                 [W], x0, QuantizerSpec(4, scheme), 300, seeds)[0]
             lines.append(repr((reached.tolist(), iters.tolist(),
@@ -342,12 +379,12 @@ def _kernel_digest(schemes=KERNEL_SCHEMES):
     return "\n".join(lines)
 
 
-def test_unquantized_outcomes_and_initial_states_pinned():
-    # The unquantized path stays in value units and the initial states keep
-    # their 53-bit draws; these digests were taken before the quantized path
-    # moved to level indices and 32-bit stage draws.
-    kernel = hashlib.sha256(_kernel_digest((None,)).encode()).hexdigest()
-    assert kernel == "46fc291e6058f0e15f59c773c637daf8ec200be3399f1ee7456b4e6f5af1127c"
+def test_kernel_outcomes_and_initial_states_pinned():
+    # The kernel's outcomes, pinned before its unquantized mode was removed,
+    # and the initial states' 53-bit draws, pinned before the kernel moved to
+    # level indices and 32-bit stage draws.
+    kernel = hashlib.sha256(_kernel_digest().encode()).hexdigest()
+    assert kernel == "1ae6ea12f11e791f187fe6ef20612021d4122529302c1316c17affde399d0bc5"
     x = [v for s in (0, 7, 914127553) for i in (0, 1, 2**32 + 5)
          for n in (1, 7, 151) for v in initial_states(s, i, n).tolist()]
     states = hashlib.sha256("".join(v.hex() for v in x).encode()).hexdigest()
@@ -437,7 +474,7 @@ def test_row_hashes_each_stage_once(monkeypatch):
         return hash_stage(keys, stage, *args)
 
     for bits, scheme in ((8, "probabilistic"), (22, "probabilistic"),
-                         (4, "uniform"), (4, None)):
+                         (4, "uniform")):
         spec = QuantizerSpec(bits, scheme)
         alone = [_batch_run([W], x0, spec, 200, seeds)[0] for W in W_row]
         stages.clear()
@@ -517,20 +554,17 @@ def test_stage_draws_pair_layout():
 
 
 def _oracle_run(W, x0, spec, max_iters, trial_seed):
-    """One trial in Python floats and ints.  A quantized state is held as
-    level indices (x = -1 + i * delta) from x(0) mapped by (x + 1)/delta;
+    """One trial in Python floats and ints.  The state is held as level
+    indices (x = -1 + i * delta) from x(0) mapped by (x + 1)/delta;
     each row's nonzeros are summed in column order; the clip to
     [0, 2^b - 1], the rounding rules and the splitmix64 draws are written
     out.  Returns (reached, iterations, value, trajectory)."""
     N = len(x0)
     rows = [[(j, float(W[i, j])) for j in range(N) if W[i, j] != 0.0]
             for i in range(N)]
-    quantized = spec.scheme is not None
     delta, top = spec.delta, float(spec.level_count - 1)
 
     def q(y, stage):
-        if not quantized:
-            return y
         out = []
         for node, v in enumerate(y):
             v = min(max(v, 0.0), top)
@@ -543,18 +577,12 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
         return out
 
     def value(v):
-        return v * delta - 1.0 if quantized else v
+        return v * delta - 1.0
 
     def done(x):
-        if quantized:
-            return all(v == x[0] for v in x), value(x[0])
-        total = 0.0
-        for v in x:
-            total += v
-        mean = total / N
-        return max(abs(v - mean) for v in x) <= 1e-9, mean
+        return all(v == x[0] for v in x), value(x[0])
 
-    x = [(float(v) + 1.0) / delta if quantized else float(v) for v in x0]
+    x = [(float(v) + 1.0) / delta for v in x0]
     x = q(x, 1)
     traj = [[value(v) for v in x]]
     t = 0
@@ -655,12 +683,8 @@ def test_grid_draw_rounding_is_the_probabilistic_rule():
         y, u = np.repeat(ys, us.size), np.tile(us, len(ys))
         p = np.clip(y, 0.0, top)
         ref = np.floor(p) + (u < p - np.floor(p))
-        got = _quantize_into(y.copy(), QuantizerSpec(bits, "probabilistic"), u,
-                             np.empty_like(y), np.empty(y.shape, dtype=bool),
-                             grid_draws=True)
+        got = _round(y, QuantizerSpec(bits, "probabilistic"), u)
         assert np.array_equal(got, ref), bits
-    y = np.array([2.0**21 + 0.5])
-    assert _quantize_into(y, QuantizerSpec(22, "probabilistic"),
-                          np.array([0.5 - grid]), np.empty(1),
-                          np.empty(1, dtype=bool), grid_draws=True)[0] == 2.0**21 + 1
+    assert _round([2.0**21 + 0.5], QuantizerSpec(22, "probabilistic"),
+                  np.array([0.5 - grid]))[0] == 2.0**21 + 1
 

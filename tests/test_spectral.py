@@ -426,9 +426,11 @@ def test_brentq_port_matches_scipy_on_char_kcs(n, k):
 def test_brentq_port_matches_scipy_on_threshold_char():
     for m in range(1, 51):
         right = math.pi / (2 * m)
-        got, want = _brentq_both(spectral._threshold_char, 0.0, right, (m,),
+        got, want = _brentq_both(spectral._crossing_char, 0.0, right, (m,),
                                  spectral.EPS * right)
         assert got == want, m
+        # _r_star solves the same function on the same bracket
+        assert spectral._r_star(m) == 0.5 / math.tan(want[0] / 2) ** 2, m
 
 
 def test_brentq_port_errors_and_bisection():
