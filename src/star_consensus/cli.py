@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import optimality, simulate, spectral, topology, weights
+from .topology import _is_integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,24 +91,20 @@ SIM_TOPOLOGIES = {
 }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_seed(v) -> bool:
     """The one range rule for a master seed, --seed and the config's seed
     alike: an integer in 0..2^64 - 1, the seeds that ``derive_trial_seed``
     keeps apart."""
-    return _is_int(v) and 0 <= v <= simulate.MAX_SEED
+    return _is_integer(v) and 0 <= v <= simulate.MAX_SEED
 
 
 # table --config fields and the values each accepts (the matching flags'
 # choices); the table id fixes the topology and the quantizer scheme.
 CONFIG_FIELDS = {
-    "bits": lambda v: _is_int(v) and v in (4, 8, 16),
+    "bits": lambda v: _is_integer(v) and v in (4, 8, 16),
     "weighting": lambda v: v in WEIGHTINGS,
-    "trials": lambda v: _is_int(v) and v >= 1,
-    "max_iters": lambda v: _is_int(v) and v >= 1,
+    "trials": lambda v: _is_integer(v) and v >= 1,
+    "max_iters": lambda v: _is_integer(v) and v >= 1,
     "seed": _is_seed,
 }
 

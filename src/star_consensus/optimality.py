@@ -6,7 +6,10 @@ Four routes:
 * complementary-slackness residuals: the dual certificate of the
   semidefinite program reduces to Chebyshev-type recursions in the
   coordinates a_i, b_i; at the closed-form weights and the characteristic
-  angle every residual must vanish,
+  angle every residual must vanish.  These are the certificate's equality
+  conditions only, not its sign conditions, so vanishing residuals do not
+  prove optimality: at n = 1 they vanish, yet the closed-form weights are
+  not optimal (ROADMAP direction 2),
 * the tied optimum of a k-cored star beyond k_max (``kcs_tied_optimum``,
   which ``kcs_slem_curve`` uses for every k > k_max): an exact solve of
   its known active set by elimination, w2 in closed form from the matrix
@@ -116,7 +119,14 @@ def _beta_vectors(m: int, n: int) -> list[np.ndarray]:
 
 
 def slackness_residuals(m: int, n: int) -> SlacknessReport:
-    """Evaluate every slackness condition at the closed-form optimum.
+    """Evaluate every slackness condition at the closed-form weights.
+
+    The conditions are the equality conditions of the dual certificate,
+    not its sign conditions, so residuals that vanish do not prove the
+    weights optimal.  At n = 1 they vanish (at most 2e-13 for m = 1, 2, 3
+    and 6), yet the closed-form weights are not the optimum there: at
+    m = 2 their SLEM is 0.7676 and the optimum 0.5, and the KKT
+    certificate of ``kcs_tied_optimum`` rejects them (ROADMAP direction 2).
 
     Coordinates are a_i = sin((m-i+1)t)/sin(t) and
     b_i = sin((m-i+1)(pi-t))/sin(pi-t), normalized so a_m = b_m = 1.

@@ -1,13 +1,14 @@
 """Quantized distributed averaging: x(t+1) = Q(W x(t)).
 
 States are quantized onto 2^b levels evenly spaced on [-1, 1] (endpoints
-included, resolution delta = 2/(2^b - 1)) by either a deterministic
-round-to-nearest rule (ties upward) or an unbiased probabilistic rule
-that rounds up with probability equal to the fractional position within
-the cell.  Monte Carlo sweeps aggregate per-trial outcomes into the
-consensus statistics psi (percentage of trials reaching consensus), eta
-(mean iterations over consensus trials), and mu / rho (mean and variance
-of the consensus error normalized by delta).
+included, resolution delta = 2/(2^b - 1), 1 <= b <= 21) by either a
+deterministic round-to-nearest rule (ties upward) or an unbiased
+probabilistic rule that rounds up with probability equal to the
+fractional position within the cell.  Monte Carlo sweeps aggregate
+per-trial outcomes into the consensus statistics psi (percentage of
+trials reaching consensus), eta (mean iterations over consensus trials),
+and mu / rho (mean and variance of the consensus error normalized by
+delta).
 
 All randomness comes from a counter-based generator (splitmix64) keyed by
 (master seed, trial index, draw index), so every trial consumes the same
@@ -34,24 +35,26 @@ quantizer, seed and cap (``monte_carlo_row``; ``monte_carlo`` and
 stage, node) alone, so every cell consumes the same ones: each stage
 hashes them once, for the trials that any cell still holds, and a cell
 reads them as they are while it holds all of those trials, or gathers
-its columns once it has dropped some.  x(0) is built, and quantized,
-once per row.  Each cell keeps its own state, compaction and outcomes,
-so its statistics are bit-identical to those of a row of its own.
+its columns once it has dropped some.  A sweep's x(0) is built from the
+trial seeds inside the loop, and quantized, once per row, so only its
+per-trial means outlive the first stage.  Each cell keeps its own state,
+compaction and outcomes, so its statistics are bit-identical to those of
+a row of its own.
 
 Some shortcuts keep the step short, and the record small, without
-changing a bit.  Up to 21 bits, the loop rounds probabilistically in two
-operations, ceil(y - u): its draws lie on the 2^-32 grid, so y - u is
-exact or keeps its sign, and the result is floor(y) + [u < y - floor(y)]
-(``_quantize_into``, the one rounding entry); from 22 bits the floor and
-compare route does the rounding.  A finished trial's column is
-only marked dead; the live columns are gathered once a quarter of them
-are dead.  The draws hash a key base, each trial's seed plus its pair
-keys, built once, so a stage adds one offset to it.  After the first
-stage only the rows whose rounded product can leave [0, 2^b - 1] are
-clipped: IEEE rounding is monotone, so a row with nonnegative weights
-stays between 0 and its rounded all-top sum (``_clip_rows``).  And a
-recorded trajectory is written row by row into one buffer, cut to its
-rows in place, so it costs its own size.
+changing a bit.  The probabilistic rule takes one route, the two
+operations ceil(y - u): its draws lie on the 2^-32 grid and every level
+position y lies below 2^21, so y - u is exact or keeps its sign, and the
+result is floor(y) + [u < y - floor(y)] (``_quantize_into``, the one
+rounding entry).  A finished trial's column is only marked dead; the
+live columns are gathered once a quarter of them are dead.  The draws
+hash a key base, each trial's seed plus its pair keys, built once, so a
+stage adds one offset to it.  After the first stage only the rows whose
+rounded product can leave [0, 2^b - 1] are clipped: IEEE rounding is
+monotone, so a row with nonnegative weights stays between 0 and its
+rounded all-top sum (``_clip_rows``).  And a recorded trajectory is
+written row by row into one buffer, cut to its rows in place, so it
+costs its own size.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology
+from .topology import Topology, _is_integer
 from .weights import scheme_matrix
 
 __all__ = [
@@ -109,15 +112,22 @@ def derive_trial_seed(master_seed: int, trial_index):
     """Deterministic per-trial key; independent of all other trials.
 
     An int index gives an int; an integer array of indices gives the
-    uint64 array of their keys.  master_seed must be an integer (not a
-    bool) in 0..MAX_SEED (ValueError otherwise).
+    uint64 array of their keys.  master_seed and every trial index must
+    be integers (not bools) in 0..MAX_SEED, and an array of indices must
+    have an integer dtype; anything else raises ValueError, since it
+    would be truncated or wrapped onto another seed or trial.
     """
     if not _is_integer(master_seed) or not 0 <= master_seed <= MAX_SEED:
         raise ValueError(f"master seed must be an integer in 0..{MAX_SEED}, "
                          f"got {master_seed!r}")
+    idx = np.asarray(trial_index)
+    if not (0 <= trial_index <= MAX_SEED if _is_integer(trial_index)
+            else idx.dtype.kind in "iu" and (idx >= 0).all()):
+        raise ValueError(f"trial index must be an integer in 0..{MAX_SEED}, "
+                         f"or an integer array of them, got {trial_index!r}")
     with np.errstate(over="ignore"):
         key = _mixed(np.uint64(master_seed) * _PHI)
-        z = _mixed(key + np.asarray(trial_index, dtype=np.uint64) * _M1)
+        z = _mixed(key + idx.astype(np.uint64) * _M1)
     return int(z) if z.ndim == 0 else z
 
 
@@ -166,19 +176,21 @@ def _stage_draws_into(keys, stage, n_nodes, z, tmp, out):
     return out
 
 
-def _is_integer(v) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-MAX_BITS = 52
+# The most bits at which ceil(y - u), the kernel's one probabilistic
+# rounding, is the rule floor(y) + [u < y - floor(y)] (see ``QuantizerSpec``).
+MAX_BITS = 21
 
 
 @dataclass(frozen=True)
 class QuantizerSpec:
     """bits: level count is 2**bits on the fixed range [-1, 1], an integer
-    (not a bool) with 1 <= bits <= 52 (float64 keeps every level index
-    exact up to 2^52); scheme: 'uniform' | 'probabilistic'."""
+    (not a bool) with 1 <= bits <= MAX_BITS = 21; scheme: 'uniform' |
+    'probabilistic'.
+
+    The bound is that of the kernel's one probabilistic rounding,
+    ceil(y - u) on draws u on the 2^-32 grid (``_quantize_into``).  At 22
+    bits it would fail: y = 2^21 + 1/2 and u = 1/2 - 2^-32 must round up,
+    but y - u rounds to 2^21.  The bound holds for both schemes."""
 
     bits: int
     scheme: str
@@ -198,16 +210,8 @@ class QuantizerSpec:
     def delta(self) -> float:
         return 2.0 / (2**self.bits - 1)
 
-    def levels(self) -> np.ndarray:
-        return -1.0 + self.delta * np.arange(self.level_count)
 
-
-# Largest bit count at which the kernel rounds its 2^-32-grid draws as
-# ceil(y - u): below 2^21, y - u is exact (see ``_quantize_into``).
-_CEIL_ROUTE_MAX_BITS = 21
-
-
-def _quantize_into(y, spec, u=None, lo=None, up=None, clip=...):
+def _quantize_into(y, spec, u=None, clip=...):
     """Round level positions y = (x + 1)/delta in place to level indices.
 
     The part of y that the basic index ``clip`` selects (all of y by
@@ -217,15 +221,12 @@ def _quantize_into(y, spec, u=None, lo=None, up=None, clip=...):
     floor(y)], with draws u that are multiples of 2^-32, as the kernel's
     stage draws are (``_stage_draws_into``).  Returns y.
 
-    For b <= 21 the probabilistic rule is the two operations ceil(y - u).
-    That is the same rule: for y >= 1 both y and u are multiples of
-    ulp(y) <= 2^-32, so y - u is exact, and for y < 1 the rounded
-    difference keeps the sign of the exact one and lies in (-1, 1).  At
-    22 bits ulp(y) reaches 2^-31 and the identity fails (y = 2^21 + 1/2,
-    u = 1/2 - 2^-32 must round up, but y - u rounds to 2^21), so larger b
-    take the floor and compare route, with lo (float) and up (bool) as
-    scratch of y's shape.  Index 0 may come out as -0.0, which compares
-    equal to 0.0 and forms the same value.
+    The probabilistic rule is the two operations ceil(y - u), its one
+    route.  With b <= MAX_BITS = 21, y <= 2^21 - 1, so for y >= 1 both y
+    and u are multiples of ulp(y) <= 2^-32 and y - u is exact, and for
+    y < 1 the rounded difference keeps the sign of the exact one and lies
+    in (-1, 1).  Index 0 may come out as -0.0, which compares equal to
+    0.0 and forms the same value.
     """
     top = float(spec.level_count - 1)
     if clip is not None:
@@ -234,13 +235,8 @@ def _quantize_into(y, spec, u=None, lo=None, up=None, clip=...):
     if spec.scheme == "uniform":
         np.add(y, 0.5, out=y)
         return np.floor(y, out=y)
-    if spec.bits <= _CEIL_ROUTE_MAX_BITS:
-        np.subtract(y, u, out=y)
-        return np.ceil(y, out=y)
-    np.floor(y, out=lo)
-    np.subtract(y, lo, out=y)  # fractional position inside the cell
-    np.less(u, y, out=up)  # round up
-    return np.add(lo, up, out=y)
+    np.subtract(y, u, out=y)
+    return np.ceil(y, out=y)
 
 
 @dataclass(frozen=True)
@@ -261,10 +257,16 @@ class TrialStats:
     seed: int
 
 
+def _initial_states(trial_seeds, n_nodes):
+    """Initial node values of the trials with these keys, uniform on
+    [-1, 1] (draw indices 0..N-1): one row of n_nodes per key."""
+    seeds = np.asarray(trial_seeds, dtype=np.uint64)[..., None]
+    return 2.0 * _uniforms(seeds, np.arange(n_nodes, dtype=np.uint64)) - 1.0
+
+
 def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarray:
     """Initial node values, uniform on [-1, 1] (draw indices 0..N-1)."""
-    ts = derive_trial_seed(master_seed, trial_index)
-    return 2.0 * _uniforms(np.uint64(ts), np.arange(n_nodes, dtype=np.uint64)) - 1.0
+    return _initial_states(derive_trial_seed(master_seed, trial_index), n_nodes)
 
 
 # The kernel gathers its active columns once at least this share of them
@@ -277,8 +279,10 @@ _RECORD_RESERVE_BYTES = 1 << 26
 
 
 def _clip_rows(Wc, top):
-    """The rows of the CSR matrix Wc whose product with level indices in
-    [0, top] can leave that range, in increasing order.
+    """The rows that a stage after the first clips: the slice of rows of
+    the CSR matrix Wc from the first to the last whose product with level
+    indices in [0, top] can leave that range (one contiguous block of
+    node-major rows, so a single clip call), or None if no row can.
 
     IEEE rounding is monotone, so a row with nonnegative weights, summed
     in its stored order, is nondecreasing in every index: its rounded sum
@@ -291,7 +295,8 @@ def _clip_rows(Wc, top):
     leave = Wc @ np.full(N, top) > top
     row_of = np.repeat(np.arange(N), np.diff(Wc.indptr))
     leave[row_of[Wc.data < 0]] = True
-    return np.flatnonzero(leave)
+    rows = np.flatnonzero(leave)
+    return slice(rows[0], rows[-1] + 1) if rows.size else None
 
 
 class _Cell:
@@ -301,9 +306,9 @@ class _Cell:
     row's (``pos``, None while it holds all of them), its outcomes and its
     recorded trajectory."""
 
-    def __init__(self, Wc, clip_block, x, n_trials, max_iters):
+    def __init__(self, Wc, clip, x, n_trials, max_iters):
         self.Wc = Wc
-        self.clip_block = clip_block
+        self.clip = clip
         self.x = x
         self.active = np.arange(n_trials)
         self.live = np.ones(n_trials, dtype=bool)
@@ -317,9 +322,14 @@ class _Cell:
 def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     """Run many trials in lockstep under each weight matrix of Ws, a row of
     cells that share the trials, the quantizer and the cap.  x0_batch:
-    (trials, N) raw states.
+    (trials, N) raw states, or None for each trial's ``initial_states``,
+    which are then built here from trial_seeds, so that no caller holds
+    them past stage 1.
 
-    Returns, per cell, (reached, iterations, values) arrays, and with
+    Returns, per cell, (reached, iterations, values, errors) arrays, where
+    errors are the consensus errors in level steps, (value - mean x(0)) /
+    delta, NaN where not reached (each mean is taken over its trial's row
+    of the trial-major x(0), the order of a one-trial mean), and with
     ``record`` also the trajectory of its trial 0: its state after every
     stage it takes part in, x(0) after quantization, then each update, as
     iterations[0] + 1 rows.  Stage s = 1 quantizes x(0), stage s = t+1
@@ -342,9 +352,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     once, for the row's columns: the trials that any cell still holds.  A
     cell that holds all of them reads the draws as they are; one that has
     compacted gathers its columns (``np.take`` at ``pos``).  The hash
-    scratch, the draw buffer and the quantizer and check scratch are
-    allocated once, for all trials, and shared by the cells, which use
-    their leading elements; each cell keeps its own state and outcomes.
+    scratch, the draw buffer and the check scratch are allocated once,
+    for all trials, and shared by the cells, which use their leading
+    elements; each cell keeps its own state and outcomes.
 
     The recorded rows are formed straight into one float64 buffer, with
     the same two operations as a consensus value.  It reserves
@@ -357,15 +367,14 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     The probabilistic draws hash a (P, columns) key base, seed plus pair
     key, built once and gathered when the row's columns shrink; each
     stage adds one offset.  The probabilistic rule rounds the stage draws,
-    which lie on the 2^-32 grid, by ceil(y - u) up to 21 bits (see
-    ``_quantize_into``).  Stage 1 clips every row, as x(0) may lie
+    which lie on the 2^-32 grid, by ceil(y - u) alone, exact at 1..21 bits
+    (see ``_quantize_into``).  Stage 1 clips every row, as x(0) may lie
     anywhere.  After it every index lies in [0, 2^b - 1], so later stages
-    clip only the contiguous block of node-major rows from the first to
-    the last row of ``_clip_rows``, whose rounded product can leave that
-    range (on the optimal stars, the hub row alone, for its negative
-    self-weight).  A row left unclipped holds the value the clip would
-    give, except that an index 0 may stay -0.0, which compares and forms
-    values as 0.0 does.
+    clip only the block of rows that ``_clip_rows`` gives, whose rounded
+    product can leave that range (on the optimal stars, the hub row
+    alone, for its negative self-weight).  A row left unclipped holds the
+    value the clip would give, except that an index 0 may stay -0.0,
+    which compares and forms values as 0.0 does.
 
     Compaction is deferred: a finished trial's column is only marked dead
     in ``live``, and a cell gathers its columns once at least a quarter of
@@ -377,8 +386,12 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     from scipy.sparse import csr_matrix  # only the simulator needs it
 
-    n_trials, N = x0_batch.shape
-    x = np.asarray(x0_batch, dtype=float).T.copy()  # (N, trials)
+    x0 = (_initial_states(trial_seeds, len(Ws[0])) if x0_batch is None
+          else np.asarray(x0_batch, dtype=float))
+    n_trials, N = x0.shape
+    means = x0.mean(axis=1)  # a node-major mean would sum in another order
+    x = x0.T.copy()  # (N, trials)
+    del x0  # only its means outlive stage 1
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
     pairs = (N + 1) // 2
@@ -390,14 +403,6 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         u = np.empty(2 * pairs * n_trials)
         # the hash's scratch; the draws are written only after the hash
         tmp = u.view(np.uint64)
-    # the floor and compare route's scratch (flags is the other half)
-    lo = (np.empty(N * n_trials)
-          if probabilistic and spec.bits > _CEIL_ROUTE_MAX_BITS else None)
-
-    def clip_block(Wc):
-        leaving = _clip_rows(Wc, float(spec.level_count - 1))
-        # one contiguous block of node-major rows: a single clip call
-        return slice(leaving[0], leaving[-1] + 1) if leaving.size else None
 
     def lead(buf, rows, k):
         return buf[:rows * k].reshape(rows, k)
@@ -411,11 +416,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         return draws[:N]
 
     def quantize_stage(y, draws, pos, clip):
-        k = y.shape[1]
         if probabilistic and pos is not None:
             draws = np.take(draws, pos, axis=1)
-        scratch = () if lo is None else (lead(lo, N, k), lead(flags, N, k))
-        _quantize_into(y, spec, draws, *scratch, clip=clip)
+        _quantize_into(y, spec, draws, clip)
 
     def record_row(c, t):
         if c.traj is None:
@@ -470,7 +473,8 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     np.add(x, 1.0, out=x)
     np.divide(x, delta, out=x)  # level units
     quantize_stage(x, stage_draws(1) if probabilistic else None, None, ...)
-    cells = [_Cell(Wc, clip_block(Wc), x, n_trials, max_iters)
+    top = float(spec.level_count - 1)
+    cells = [_Cell(Wc, _clip_rows(Wc, top), x, n_trials, max_iters)
              for Wc in (csr_matrix(np.asarray(W, dtype=float)) for W in Ws)]
     del x  # the cells hold it until their first update
     compacted = False
@@ -491,15 +495,15 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         compacted = False
         for c in running:
             c.x = c.Wc @ c.x
-            quantize_stage(c.x, draws, c.pos, c.clip_block)
+            quantize_stage(c.x, draws, c.pos, c.clip)
             if record and not c.reached[0]:
                 record_row(c, t)
             compacted |= check(c, t)
-    if not record:
-        return [(c.reached, c.iters, c.values) for c in cells]
-    for c in cells:
-        c.traj.resize((int(c.iters[0]) + 1, N), refcheck=False)
-    return [(c.reached, c.iters, c.values, c.traj) for c in cells]
+    if record:
+        for c in cells:
+            c.traj.resize((int(c.iters[0]) + 1, N), refcheck=False)
+    return [(c.reached, c.iters, c.values, (c.values - means) / delta)
+            + ((c.traj,) if record else ()) for c in cells]
 
 
 def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
@@ -526,11 +530,10 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     run = _batch_run([W], x0[None, :], spec, max_iters,
                      np.array([trial_seed], dtype=np.uint64),
                      return_trajectory)[0]
-    reached, iters, value = bool(run[0][0]), int(run[1][0]), float(run[2][0])
-    outcome = (TrialOutcome(True, iters, value,
-                            (value - float(np.mean(x0))) / spec.delta)
+    reached, iters = bool(run[0][0]), int(run[1][0])
+    outcome = (TrialOutcome(True, iters, float(run[2][0]), float(run[3][0]))
                if reached else TrialOutcome(False, iters, None, None))
-    return (outcome, run[3]) if return_trajectory else outcome
+    return (outcome, run[4]) if return_trajectory else outcome
 
 
 def monte_carlo_row(topology: Topology, weightings: Sequence[str],
@@ -554,25 +557,20 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     if not weightings:
         raise ValueError("monte_carlo_row needs at least one weighting")
     matrices = [scheme_matrix(topology, w)[1] for w in weightings]
-    N = matrices[0].shape[0]
-    seeds = derive_trial_seed(master_seed, np.arange(trials))
-    x0 = 2.0 * _uniforms(seeds[:, None],
-                         np.arange(N, dtype=np.uint64)[None, :]) - 1.0
-    means = x0.mean(axis=1)
-    runs = _batch_run(matrices, x0, spec, max_iters, seeds)
-    return [_trial_stats(reached, iters, values, means, spec, trials,
-                         master_seed)
-            for reached, iters, values in runs]
+    runs = _batch_run(matrices, None, spec, max_iters,
+                      derive_trial_seed(master_seed, np.arange(trials)))
+    return [_trial_stats(reached, iters, errors, trials, master_seed)
+            for reached, iters, _, errors in runs]
 
 
-def _trial_stats(reached, iters, values, means, spec, trials, seed):
+def _trial_stats(reached, iters, errors, trials, seed):
     n_ok = int(reached.sum())
     psi = 100.0 * n_ok / trials
     if n_ok == 0:
         return TrialStats(psi, float("nan"), float("nan"), float("nan"),
                           trials, seed)
     ok_iters = iters[reached]
-    errs = (values[reached] - means[reached]) / spec.delta
+    errs = errors[reached]
     return TrialStats(psi=psi, eta=float(ok_iters.mean()),
                       mu=float(errs.mean()), rho=float(np.var(errs)),
                       trials=trials, seed=seed)

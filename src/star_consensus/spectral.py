@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import CcsStar, KcsStar, Topology
+from .topology import CcsStar, KcsStar, Topology, _is_integer
 from .weights import WeightAssignment
 
 __all__ = [
@@ -312,10 +312,11 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
     """Smallest positive root of the k-cored characteristic equation.
 
     It is the only root in (0, pi/(2m)) (see the module docstring); the
-    symmetric star is the case k = 1.
+    symmetric star is the case k = 1.  m, n and k must be integers (not
+    bools) >= 1; ``char_kcs`` itself also takes real n and k.
     """
-    if m < 1 or n < 1 or k < 1:
-        raise SpectralError("m, n, k must be >= 1")
+    if not all(_is_integer(v) and v >= 1 for v in (m, n, k)):
+        raise SpectralError(f"m, n, k must be integers >= 1, got {(m, n, k)!r}")
     return _bracketed_root(char_kcs, m, (m, n, k))
 
 
@@ -382,10 +383,10 @@ def k_max(m: int, n: int) -> int:
     exactly for k/n <= r*(m), so k_max = max(1, floor(n * r*(m))).  The
     integer condition is then checked at k and k + 1, stepping k until it
     holds at k (or k = 1) and fails at k + 1, so rounding in r* cannot
-    move the answer.
+    move the answer.  m and n must be integers (not bools) >= 1.
     """
-    if m < 1 or n < 1:
-        raise SpectralError("m, n must be >= 1")
+    if not all(_is_integer(v) and v >= 1 for v in (m, n)):
+        raise SpectralError(f"m, n must be integers >= 1, got {(m, n)!r}")
     k = max(1, math.floor(n * _r_star(m)))
     while k > 1 and not _closed_form_optimal(n, k, theta_root_kcs(m, n, k)):
         k -= 1

@@ -16,11 +16,17 @@ center outward.  Custom graphs carry no stratum labels.
 
 Node layout is fixed for reproducibility: central/core nodes occupy the
 lowest indices, then tail nodes in branch-major order, inner to outer.
+
+Family parameters are integers: ``_is_integer`` is the package's one rule
+for an integer argument (an int or numpy integer, not a bool), which the
+spectral functions, the quantizer, the seeds and the CLI share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -36,6 +42,11 @@ __all__ = [
 
 class TopologyError(ValueError):
     """Raised for topology parameters or graphs violating invariants."""
+
+
+def _is_integer(v) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,9 @@ class CcsStar:
     n: int
 
     def __post_init__(self):
+        if not (_is_integer(self.m) and _is_integer(self.n)):
+            raise TopologyError(f"CCS star requires integers m and n, got "
+                                f"m={self.m!r}, n={self.n!r}")
         if self.m < 1:
             raise TopologyError("CCS star requires m >= 1")
         if self.n < 2:
@@ -126,8 +140,9 @@ class KcsStar:
     k: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.k < 1:
-            raise TopologyError(f"{type(self).__name__} requires m, n, k >= 1")
+        if not all(_is_integer(v) and v >= 1 for v in (self.m, self.n, self.k)):
+            raise TopologyError(f"{type(self).__name__} requires integers "
+                                f"m, n, k >= 1, got {self!r}")
 
 
 @dataclass(frozen=True)

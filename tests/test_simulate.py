@@ -48,16 +48,19 @@ def _grid_draws(rng, size):
 
 def _round(y, spec, u=None):
     """The kernel's rounding of level positions y (a copy), with draws u."""
-    y = np.array(y, dtype=float)
-    return _quantize_into(y, spec, u, np.empty_like(y),
-                          np.empty(y.shape, dtype=bool))
+    return _quantize_into(np.array(y, dtype=float), spec, u)
+
+
+def _levels(spec):
+    """The 2^b level values -1 + i * delta, i = 0..2^b - 1."""
+    return -1.0 + spec.delta * np.arange(spec.level_count)
 
 
 def test_quantizer_levels():
     spec = QuantizerSpec(2, "uniform")
     assert spec.level_count == 4
     assert spec.delta == pytest.approx(2 / 3)
-    assert np.allclose(spec.levels(), [-1, -1 / 3, 1 / 3, 1])
+    assert np.allclose(_levels(spec), [-1, -1 / 3, 1 / 3, 1])
     for bits in (0, True, np.True_, 2.0, 2.5):
         with pytest.raises(ValueError, match="bits must be an integer"):
             QuantizerSpec(bits, "uniform")
@@ -67,10 +70,24 @@ def test_quantizer_levels():
 
 
 def test_quantizer_bits_limit():
-    assert QuantizerSpec(52, "uniform").level_count == 2**52
-    for bits in (53, 60):
-        with pytest.raises(ValueError):
+    assert simulate.MAX_BITS == 21
+    assert QuantizerSpec(21, "uniform").level_count == 2**21
+    assert QuantizerSpec(21, "probabilistic").level_count == 2**21
+    for bits in (22, 52, 53, 60):
+        with pytest.raises(ValueError, match=r"bits must be an integer in 1\.\.21"):
             QuantizerSpec(bits, "probabilistic")
+
+
+def test_quantizer_refuses_22_bits_for_both_schemes():
+    # At 22 bits ceil(y - u), the kernel's one probabilistic rounding, would
+    # round y = 2^21 + 1/2 down at u = 1/2 - 2^-32, where the rule rounds up:
+    # y - u rounds to 2^21.  So 21 bits is the top of the range, for both
+    # schemes.
+    y, u = 2.0**21 + 0.5, 0.5 - 2.0**-32
+    assert u < y - math.floor(y) and math.ceil(y - u) == 2**21
+    for scheme in ("probabilistic", "uniform"):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            QuantizerSpec(22, scheme)
 
 
 def test_quantizer_needs_a_scheme():
@@ -78,14 +95,14 @@ def test_quantizer_needs_a_scheme():
         QuantizerSpec(4, None)
 
 
-def test_level_index_needs_no_clip_up_to_52_bits():
+def test_level_index_needs_no_clip_up_to_max_bits():
     # 2/delta is exactly 2^b - 1, so x = 1 lands on the top index and the
-    # kernel's index clip of (x + 1)/delta is the rule applied to clipped x;
-    # 1..52 bits cover both rounding routes (_CEIL_ROUTE_MAX_BITS)
+    # kernel's index clip of (x + 1)/delta is the rule applied to clipped x,
+    # at every bit count 1..MAX_BITS
     x = np.concatenate([
         [-1.7, -1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0, 1.7],
         np.random.default_rng(5).uniform(-1.0, 1.0, 50)])
-    for bits in range(1, 53):
+    for bits in range(1, simulate.MAX_BITS + 1):
         top = 2**bits - 1
         delta = QuantizerSpec(bits, "uniform").delta
         assert 2.0 / delta == top
@@ -102,7 +119,7 @@ def test_level_index_needs_no_clip_up_to_52_bits():
 def test_uniform_midpoint_rounds_up():
     spec = QuantizerSpec(2, "uniform")
     assert _round([1.5], spec)[0] * spec.delta - 1.0 == pytest.approx(1 / 3)
-    for bits in (2, 21, 22, 52):
+    for bits in (2, 21):
         top = 2**bits - 1
         i = np.array([0.0, 1.0, top // 2, top - 1])
         assert np.array_equal(_round(i + 0.5, QuantizerSpec(bits, "uniform")),
@@ -111,7 +128,7 @@ def test_uniform_midpoint_rounds_up():
 
 def test_levels_are_fixed_points():
     rng = np.random.default_rng(0)
-    for bits in (3, 21, 22, 52):
+    for bits in (3, 21):
         top = 2**bits - 1
         i = (np.arange(8.0) if bits == 3
              else np.array([0.0, 1.0, 2.0, top // 2, top - 1, top]))
@@ -123,14 +140,14 @@ def test_levels_are_fixed_points():
     # the levels, mapped to positions as x(0) is, come back as themselves
     for scheme in ("uniform", "probabilistic"):
         spec = QuantizerSpec(3, scheme)
-        lv = spec.levels()
+        lv = _levels(spec)
         got = _round((lv + 1.0) / spec.delta, spec, _grid_draws(rng, lv.size))
         assert np.allclose(got * spec.delta - 1.0, lv)
 
 
 def test_uniform_idempotent_and_clipping():
     x = np.linspace(-1.7, 1.7, 101)
-    for bits in (4, 22):
+    for bits in (4, 21):
         spec = QuantizerSpec(bits, "uniform")
         i = _round((x + 1.0) / spec.delta, spec)
         assert np.array_equal(_round(i, spec), i)
@@ -139,7 +156,7 @@ def test_uniform_idempotent_and_clipping():
 
 def test_probabilistic_outputs_cell_endpoints():
     rng = np.random.default_rng(0)
-    for bits in (3, 22):
+    for bits in (3, 21):
         spec = QuantizerSpec(bits, "probabilistic")
         y = (0.1 + 1.0) / spec.delta
         lo = np.floor(y)
@@ -150,7 +167,7 @@ def test_probabilistic_outputs_cell_endpoints():
 def test_probabilistic_unbiased():
     rng = np.random.default_rng(3)
     n = 200_000
-    for bits in (4, 22):
+    for bits in (4, 21):
         spec = QuantizerSpec(bits, "probabilistic")
         for x in (-0.9, -0.31, 0.05, 0.77):
             y = (x + 1.0) / spec.delta
@@ -177,7 +194,7 @@ def test_iterate_conserves_average_and_contracts():
 def test_run_trial_immediate_consensus():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     spec = QuantizerSpec(4, "probabilistic")
-    x0 = np.full(g.node_count, spec.levels()[3])
+    x0 = np.full(g.node_count, _levels(spec)[3])
     out = run_trial(W, x0, spec, trial_seed=1)
     assert out.consensus_reached and out.iterations == 0
     assert out.normalized_error == pytest.approx(0.0)
@@ -312,7 +329,7 @@ def test_trajectory_replay_matches_outcome():
                                return_trajectory=True)
         assert out1 == out2
         assert traj.shape == (out1.iterations + 1, g.node_count)
-        lv = spec.levels()
+        lv = _levels(spec)
         assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
 
 
@@ -340,6 +357,23 @@ def test_master_seed_outside_64_bits_refused():
     assert simulate.MAX_SEED == 2**64 - 1
     assert isinstance(derive_trial_seed(simulate.MAX_SEED, 0), int)
     assert derive_trial_seed(np.uint64(7), 3) == derive_trial_seed(7, 3)
+
+
+def test_trial_index_must_be_a_64_bit_integer():
+    # a truncated, bool or wrapped index would alias another trial's key
+    bad = (1.5, 1.0, True, np.True_, -1, 2**64, np.int64(-1), "1",
+           np.array([1.5, 2.0]), np.array([True, False]), np.array([-1, 2]),
+           [1, 2.5], [2**64])
+    for index in bad:
+        with pytest.raises(ValueError, match="trial index must be an integer"):
+            derive_trial_seed(0, index)
+    with pytest.raises(ValueError, match="trial index must be an integer"):
+        initial_states(7, 1.5, 9)
+    assert derive_trial_seed(0, 2**64 - 1) == derive_trial_seed(
+        0, np.array([2**64 - 1], dtype=np.uint64))[0]
+    assert derive_trial_seed(0, np.int64(3)) == derive_trial_seed(0, 3)
+    assert derive_trial_seed(0, [1, 2]).tolist() == [derive_trial_seed(0, 1),
+                                                     derive_trial_seed(0, 2)]
 
 
 def test_csv_helpers():
@@ -372,7 +406,7 @@ def _kernel_digest():
     for topo in KERNEL_TOPOLOGIES:
         W, x0, seeds = _kernel_inputs(topo, 15, 3)
         for scheme in KERNEL_SCHEMES:
-            reached, iters, values = _batch_run(
+            reached, iters, values, _ = _batch_run(
                 [W], x0, QuantizerSpec(4, scheme), 300, seeds)[0]
             lines.append(repr((reached.tolist(), iters.tolist(),
                                [v.hex() for v in values.tolist()])))
@@ -428,8 +462,8 @@ def test_fig4_trajectory_is_trial0_of_batch():
         spec = QuantizerSpec(6, scheme)
         out, traj = run_trial(W, x0[0], spec, max_iters=500,
                               trial_seed=int(seeds[0]), return_trajectory=True)
-        reached, iters, values, record = _batch_run([W], x0, spec, 500, seeds,
-                                                    record=True)[0]
+        reached, iters, _, _, record = _batch_run([W], x0, spec, 500, seeds,
+                                                  record=True)[0]
         assert np.array_equal(record, traj)
         assert (bool(reached[0]), int(iters[0])) == (out.consensus_reached,
                                                      out.iterations)
@@ -473,7 +507,7 @@ def test_row_hashes_each_stage_once(monkeypatch):
         stages.append(stage)
         return hash_stage(keys, stage, *args)
 
-    for bits, scheme in ((8, "probabilistic"), (22, "probabilistic"),
+    for bits, scheme in ((8, "probabilistic"), (21, "probabilistic"),
                          (4, "uniform")):
         spec = QuantizerSpec(bits, scheme)
         alone = [_batch_run([W], x0, spec, 200, seeds)[0] for W in W_row]
@@ -481,20 +515,23 @@ def test_row_hashes_each_stage_once(monkeypatch):
         monkeypatch.setattr(simulate, "_stage_draws_into", counted)
         row = _batch_run(W_row, x0, spec, 200, seeds)
         monkeypatch.undo()
-        last = max(int(iters.max()) for _, iters, _ in row)
+        last = max(int(iters.max()) for _, iters, *_ in row)
         assert stages == (list(range(1, last + 2))
                           if scheme == "probabilistic" else [])
         if bits == 8:
-            assert len({int(iters.max()) for _, iters, _ in row}) > 1
+            assert len({int(iters.max()) for _, iters, *_ in row}) > 1
         for got, want in zip(row, alone):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert np.array_equal(got[2], want[2], equal_nan=True)
+            assert np.array_equal(got[3], want[3], equal_nan=True)
 
 
 def test_row_memory_stays_near_three_cell_states():
-    # one cell peaked at 4.2 MB here; a row of four shares its draw, hash
-    # and check scratch and x(0), so it adds about three cell states
+    # one cell peaks at 3.6 MB here; a row of four shares its draw, hash
+    # and check scratch and x(0), so it adds about three cell states.  The
+    # row builds x(0) inside the loop, so only its means outlive stage 1:
+    # a caller that held the raw x(0) for the whole row peaked at 7.4 MB.
     spec = QuantizerSpec(8, "probabilistic")
     monte_carlo_row(CcsStar(2, 3), WEIGHTINGS, spec, 20, 1)  # lazy imports
     tracemalloc.start()
@@ -503,7 +540,7 @@ def test_row_memory_stays_near_three_cell_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 7e6
 
 
 _MASK64 = 2**64 - 1
@@ -601,10 +638,10 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
     return reached, t, val if reached else float("nan"), traj
 
 
-# 21 and 22 bits sit on both sides of the kernel's two rounding routes.
+# 21 bits is the top of the quantizer's range (MAX_BITS).
 @pytest.mark.parametrize("topo, bits", [
     pytest.param(topo, bits, id=type(topo).__name__ + ("" if bits == 8 else f"-{bits}"))
-    for bits in (8, 21, 22) for topo in KERNEL_TOPOLOGIES])
+    for bits in (8, 21) for topo in KERNEL_TOPOLOGIES])
 def test_kernel_matches_python_oracle(topo, bits):
     W, x0, seeds = _kernel_inputs(topo, 4, 11)
     steps = sum(_assert_kernel_matches_oracle(W, x0, seeds,
@@ -614,25 +651,27 @@ def test_kernel_matches_python_oracle(topo, bits):
 
 
 def _assert_kernel_matches_oracle(W, x0, seeds, spec, max_iters=200):
-    """Every trial's outcome and trial 0's trajectory, bit for bit; returns
-    the oracle's total step count."""
-    reached, iters, values, record = _batch_run([W], x0, spec, max_iters, seeds,
-                                                record=True)[0]
+    """Every trial's outcome and consensus error and trial 0's trajectory,
+    bit for bit; returns the oracle's total step count."""
+    reached, iters, values, errors, record = _batch_run(
+        [W], x0, spec, max_iters, seeds, record=True)[0]
     steps = 0
     for i in range(len(seeds)):
         ok, t, value, traj = _oracle_run(W, x0[i], spec, max_iters, int(seeds[i]))
         steps += t
         assert (bool(reached[i]), int(iters[i])) == (ok, t)
         assert np.array_equal(values[i], value, equal_nan=True)
+        assert np.array_equal(errors[i], (value - np.mean(x0[i])) / spec.delta,
+                              equal_nan=True)
         if i == 0:
             assert np.array_equal(record, np.array(traj))
     return steps
 
 
 # Row 1 has a negative weight.  Row 3 is nonnegative, but its all-top sum
-# rounds above 2^b - 1 at 4 and 52 bits; it was found by a search over rows
-# (a, b, c)/d with d < 30.  The other rows stay in range, rows 0 and 4
-# outside the block 1..3 that the kernel clips.
+# rounds above 2^b - 1 at 4 bits (and at 52, though not at 8..21); it was
+# found by a search over rows (a, b, c)/d with d < 30.  The other rows stay
+# in range, rows 0 and 4 outside the block 1..3 that the kernel clips.
 _CLIP_W = np.array([
     [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0],
     [-0.25, 1.25, 0.0, 0.0, 0.0],
@@ -642,19 +681,21 @@ _CLIP_W = np.array([
 ])
 
 
-@pytest.mark.parametrize("bits", (4, 52))
+@pytest.mark.parametrize("bits", (4,))
 def test_clip_rule_rows(bits):
     top = float(2**bits - 1)
     Wc = csr_matrix(_CLIP_W)
-    assert _clip_rows(Wc, top).tolist() == [1, 3]
+    assert _clip_rows(Wc, top) == slice(1, 4)
     assert Wc[3] @ np.full(5, top) > top
+    # no row of a nonnegative matrix whose all-top sums stay at top leaves
+    assert _clip_rows(csr_matrix(np.eye(3)), top) is None
     # the product at every corner of [0, top]^5: only rows 1 and 3 leave
     corners = np.array(list(itertools.product((0.0, top), repeat=5))).T
     y = Wc @ corners
     assert np.flatnonzero(((y < 0) | (y > top)).any(axis=1)).tolist() == [1, 3]
 
 
-@pytest.mark.parametrize("bits", (4, 8, 21, 22))
+@pytest.mark.parametrize("bits", (4, 8, 21))
 def test_kernel_clip_rule_matches_python_oracle(bits):
     # states at -1 and 1 start on indices 0 and 2^b - 1
     x0 = np.array([[-1.0, 1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0, -1.0],
@@ -666,25 +707,21 @@ def test_kernel_clip_rule_matches_python_oracle(bits):
 
 
 def test_grid_draw_rounding_is_the_probabilistic_rule():
-    # The kernel rounds its 2^-32-grid draws by ceil(y - u) up to 21 bits;
-    # at every bit count it must give floor(y) + [u < y - floor(y)].
+    # The kernel rounds its 2^-32-grid draws by ceil(y - u) alone; at every
+    # bit count 1..MAX_BITS it must give floor(y) + [u < y - floor(y)].
     grid = 2.0**-32
     us = np.array([0.0, grid, 0.25, 0.5 - grid, 0.5, 0.5 + grid, 0.75,
                    1.0 - grid])
-    for bits in range(1, 23):
+    for bits in range(1, simulate.MAX_BITS + 1):
         top = float(2**bits - 1)
         ys = [0.0, -0.0, 1e-300, -1e-300, grid, grid / 2, 1.0 - grid,
               top, np.nextafter(top, 0.0), top - 0.5, top + 0.5]  # y > top clips
         for i in (1.0, 2.0, 3.0, float(2**(bits - 1)), top - 1.0):
             ys += [i, np.nextafter(i, 0.0), np.nextafter(i, np.inf)]
         ys += [i + f for i in (0.0, 1.0, top - 1.0) for f in us[1:]]  # frac(y) == u
-        if bits == 22:
-            ys.append(2.0**21 + 0.5)
         y, u = np.repeat(ys, us.size), np.tile(us, len(ys))
         p = np.clip(y, 0.0, top)
         ref = np.floor(p) + (u < p - np.floor(p))
         got = _round(y, QuantizerSpec(bits, "probabilistic"), u)
         assert np.array_equal(got, ref), bits
-    assert _round([2.0**21 + 0.5], QuantizerSpec(22, "probabilistic"),
-                  np.array([0.5 - grid]))[0] == 2.0**21 + 1
 

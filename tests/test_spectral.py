@@ -378,6 +378,24 @@ def test_slem_closed_form_refuses_past_k_max():
         slem_closed_form(KcsStar(2, 3, 10))
 
 
+def test_roots_and_k_max_need_integer_parameters():
+    # a float or bool parameter would otherwise give an answer: k_max(2, 3.5)
+    # was 11, and theta_root_kcs(2, 3, 2.5) an angle
+    for args in ((2, 3, 2.5), (2.0, 3, 1), (2, 3.5, 1), (True, 3, 1),
+                 (2, 3, np.True_), (0, 3, 1)):
+        with pytest.raises(SpectralError, match="must be integers >= 1"):
+            theta_root_kcs(*args)
+    for args in ((2, 3.5), (2.0, 3), (True, 3), (2, False), (2, 0)):
+        with pytest.raises(SpectralError, match="must be integers >= 1"):
+            k_max(*args)
+    assert theta_root_kcs(np.int64(2), 3, np.int32(1)) == theta_root_kcs(2, 3, 1)
+    assert k_max(np.int64(2), np.int64(3)) == k_max(2, 3) == 9
+    assert slem_closed_form(KcsStar(np.int64(2), 3, 1)) == \
+        slem_closed_form(SymmetricStar(2, 3))
+    # the characteristic function itself keeps real n and k
+    assert math.isfinite(char_kcs(0.3, 2, 3.5, 0.5))
+
+
 def _k_max_by_increment(m, n):
     """The k-increment loop: raise k from 1 until the central eigenvalue
     (2(k+1)-n)/(2(k+1)+n) first exceeds cos(theta(m, n, k+1))."""

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from star_consensus.topology import (
@@ -100,3 +101,16 @@ def test_graph_normalizes_edge_order():
 def test_custom_passthrough():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     assert build(Custom(g)) is g
+
+
+def test_family_parameters_must_be_integers():
+    # a float or bool parameter would otherwise pass (True acts as m = 1)
+    for make in (lambda: KcsStar(2.5, 3, 1), lambda: KcsStar(2, 3.0, 1),
+                 lambda: KcsStar(2, 3, 1.5), lambda: KcsStar(True, 3, 2),
+                 lambda: SymmetricStar(2, 3.5), lambda: SymmetricStar(2, True),
+                 lambda: CcsStar(2, 3.5), lambda: CcsStar(2.0, 3),
+                 lambda: CcsStar(True, 3)):
+        with pytest.raises(TopologyError, match="integers"):
+            make()
+    assert build(KcsStar(np.int64(2), 3, 1)) == build(KcsStar(2, 3, 1))
+    assert build(CcsStar(np.int32(2), np.int64(3))) == build(CcsStar(2, 3))
