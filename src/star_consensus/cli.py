@@ -9,9 +9,12 @@ Subcommands:
 
 All output data is CSV/JSON on stdout (or ``--output``); a human summary
 goes to stderr.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure, 3 verification failure.  Every command is deterministic given
-its flags.  STAR_CONSENSUS_THREADS may cap the BLAS thread count; the
-random draws and the results do not depend on it.
+failure, 3 verification failure.  A usage error is a ``UsageError``,
+which ``main`` alone maps to exit 1; a table setting, given as a flag or
+in a ``--config`` file, is checked against the one rule table
+``CONFIG_FIELDS``.  Every command is deterministic given its flags.
+STAR_CONSENSUS_THREADS may cap the BLAS thread count; the random draws
+and the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -91,22 +94,27 @@ SIM_TOPOLOGIES = {
 }
 
 
-def _is_seed(v) -> bool:
-    """The one range rule for a master seed, --seed and the config's seed
-    alike: an integer in 0..2^64 - 1, the seeds that ``derive_trial_seed``
-    keeps apart."""
-    return _is_integer(v) and 0 <= v <= simulate.MAX_SEED
+# The bit depths of the Monte Carlo tables 3-5.
+TABLE_BITS = (4, 8, 16)
 
-
-# table --config fields and the values each accepts (the matching flags'
-# choices); the table id fixes the topology and the quantizer scheme.
+# The one rule table for table settings: the table --config fields and the
+# values each accepts, which are also the values the matching flags accept
+# (--bits and --weighting by their choices, --trials and --seed by these
+# rules).  The table id fixes the topology and the quantizer scheme.
 CONFIG_FIELDS = {
-    "bits": lambda v: _is_integer(v) and v in (4, 8, 16),
+    "bits": lambda v: _is_integer(v) and v in TABLE_BITS,
     "weighting": lambda v: v in WEIGHTINGS,
     "trials": lambda v: _is_integer(v) and v >= 1,
     "max_iters": lambda v: _is_integer(v) and v >= 1,
-    "seed": _is_seed,
+    # the seeds that derive_trial_seed keeps apart; 2^64 or more would
+    # alias the seed it equals mod 2^64
+    "seed": lambda v: _is_integer(v) and 0 <= v <= simulate.MAX_SEED,
 }
+
+
+class UsageError(Exception):
+    """A flag or config value that the command would ignore or that is out
+    of range; ``main`` reports it and exits with EXIT_USAGE."""
 
 
 def config_from_json(text: str) -> dict:
@@ -129,23 +137,14 @@ def config_from_json(text: str) -> dict:
 
 def _topology_from_flags(args) -> topology.Topology:
     kind = args.topology
-    if kind != "kcs-star" and args.k is not None:
-        raise SystemExit2(f"{kind} takes no --k (kcs-star only)", EXIT_USAGE)
+    if (kind == "kcs-star") != (args.k is not None):
+        raise UsageError("kcs-star requires --k" if args.k is None
+                         else f"{kind} takes no --k (kcs-star only)")
+    if kind == "kcs-star":
+        return topology.KcsStar(args.m, args.n, args.k)
     if kind == "symmetric-star":
         return topology.SymmetricStar(args.m, args.n)
-    if kind == "ccs-star":
-        return topology.CcsStar(args.m, args.n)
-    if kind == "kcs-star":
-        if args.k is None:
-            raise SystemExit2("kcs-star requires --k", EXIT_USAGE)
-        return topology.KcsStar(args.m, args.n, args.k)
-    raise SystemExit2(f"unknown topology {kind!r}", EXIT_USAGE)
-
-
-class SystemExit2(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+    return topology.CcsStar(args.m, args.n)
 
 
 def _emit(text: str, output: str | None):
@@ -159,7 +158,7 @@ def _emit(text: str, output: str | None):
 
 def cmd_slem(args) -> int:
     if args.check and args.method is not None:
-        raise SystemExit2("--check runs both methods and takes no --method", EXIT_USAGE)
+        raise UsageError("--check runs both methods and takes no --method")
     method = args.method or "closed-form"
     topo = _topology_from_flags(args)
     closed = spectral.slem_closed_form(topo)
@@ -204,7 +203,7 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
                    max_iters) -> str:
     topo = SIM_TOPOLOGIES[table_id]
     ref = REFERENCE_STATS[table_id]
-    bit_rows = [b for b in (4, 8, 16) if not bits_filter or b in bits_filter]
+    bit_rows = [b for b in TABLE_BITS if not bits_filter or b in bits_filter]
     schemes = [w for w in WEIGHTINGS
                if not weighting_filter or w in weighting_filter]
     buf = io.StringIO()
@@ -230,10 +229,9 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
 
 
 def _check_seed(seed: int | None):
-    """--seed, for table and fig, under ``_is_seed``."""
-    if seed is not None and not _is_seed(seed):
-        raise SystemExit2(f"--seed must be in 0..{simulate.MAX_SEED}, "
-                          f"got {seed}", EXIT_USAGE)
+    """--seed, for table and fig, under the config's seed rule."""
+    if seed is not None and not CONFIG_FIELDS["seed"](seed):
+        raise UsageError(f"--seed must be in 0..{simulate.MAX_SEED}, got {seed}")
 
 
 # table flags that only the Monte Carlo tables 3-5 read
@@ -245,10 +243,10 @@ def cmd_table(args) -> int:
         given = [f"--{flag}" for flag in SIM_TABLE_FLAGS
                  if getattr(args, flag) is not None]
         if given:
-            raise SystemExit2(f"table --id {args.id} does not take "
-                              f"{', '.join(given)} (tables 3-5 only)", EXIT_USAGE)
-    if args.trials is not None and args.trials < 1:
-        raise SystemExit2(f"--trials must be >= 1, got {args.trials}", EXIT_USAGE)
+            raise UsageError(f"table --id {args.id} does not take "
+                             f"{', '.join(given)} (tables 3-5 only)")
+    if args.trials is not None and not CONFIG_FIELDS["trials"](args.trials):
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_seed(args.seed)
     cfg = {}
     if args.config:
@@ -256,7 +254,7 @@ def cmd_table(args) -> int:
             with open(args.config, encoding="utf-8") as f:
                 cfg = config_from_json(f.read())
         except ValueError as e:
-            raise SystemExit2(f"config {args.config}: {e}", EXIT_USAGE) from None
+            raise UsageError(f"config {args.config}: {e}") from None
     trials = args.trials if args.trials is not None else cfg.get("trials", 10000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     max_iters = cfg.get("max_iters", 10000)
@@ -276,9 +274,9 @@ def cmd_table(args) -> int:
 def cmd_fig(args) -> int:
     if args.id == 2:
         if args.seed is not None:
-            raise SystemExit2("fig --id 2 does not take --seed", EXIT_USAGE)
+            raise UsageError("fig --id 2 does not take --seed")
         if args.k_max_only and args.output:
-            raise SystemExit2("fig --id 2 --k-max-only takes no --output", EXIT_USAGE)
+            raise UsageError("fig --id 2 --k-max-only takes no --output")
         km = spectral.k_max(2, 3)
         if args.k_max_only:
             print(km)
@@ -295,7 +293,7 @@ def cmd_fig(args) -> int:
               f"(closed-form validity ends at k_max = {km})", file=sys.stderr)
         return EXIT_OK
     if args.k_max_only:
-        raise SystemExit2("fig --id 4 does not take --k-max-only", EXIT_USAGE)
+        raise UsageError("fig --id 4 does not take --k-max-only")
     _check_seed(args.seed)
     # figure 4: one 6-bit run per quantizer on the 5-branch, length-3 star
     topo = topology.SymmetricStar(3, 5)
@@ -318,41 +316,40 @@ def cmd_fig(args) -> int:
     return EXIT_OK
 
 
-def _verify_stratification() -> list[str]:
-    """Block spectra and block SLEM against the dense eigensolve, for
-    symmetric stars and k-cored stars with k >= 2, under every scheme."""
-    fails = []
-    topos = [topology.SymmetricStar(m, n) for m in range(1, 7) for n in range(1, 9)]
-    topos += [topology.KcsStar(m, n, k) for m in range(1, 5)
-              for n in range(1, 6) for k in range(2, 8)]
-    for topo in topos:
+def _block_cases(extra=()):
+    """(topology, scheme, W, blocks) under every scheme, for the symmetric
+    stars m 1..6 x n 1..8 and then the extra topologies: W is the scheme's
+    matrix and blocks its stratification, from the per-stratum weights
+    read back off W."""
+    symmetric = [topology.SymmetricStar(m, n)
+                 for m in range(1, 7) for n in range(1, 9)]
+    for topo in [*symmetric, *extra]:
         for sch in WEIGHTINGS:
             g, W = weights.scheme_matrix(topo, sch)
             assign = weights.WeightAssignment(
                 per_stratum=weights.per_stratum_from_matrix(g, W))
-            blocks = spectral.stratify(topo, assign)
-            full = np.sort(spectral.eig_symmetric(W))
-            stacked = np.sort(blocks.combined_spectrum())
-            if (np.max(np.abs(full - stacked)) > 1e-10
-                    or abs(blocks.slem() - spectral.slem(W)) > 1e-10):
-                fails.append(f"stratification {topo} {sch}")
+            yield topo, sch, W, spectral.stratify(topo, assign)
+
+
+def _verify_stratification() -> list[str]:
+    """Block spectra and block SLEM against the dense eigensolve, for
+    symmetric stars and k-cored stars with k >= 2, under every scheme."""
+    kcs = [topology.KcsStar(m, n, k) for m in range(1, 5)
+           for n in range(1, 6) for k in range(2, 8)]
+    fails = []
+    for topo, sch, W, blocks in _block_cases(kcs):
+        full = np.sort(spectral.eig_symmetric(W))
+        stacked = np.sort(blocks.combined_spectrum())
+        if (np.max(np.abs(full - stacked)) > 1e-10
+                or abs(blocks.slem() - spectral.slem(W)) > 1e-10):
+            fails.append(f"stratification {topo} {sch}")
     return fails
 
 
 def _verify_interlacing() -> list[str]:
-    fails = []
-    for m in range(1, 7):
-        for n in range(1, 9):
-            topo = topology.SymmetricStar(m, n)
-            for sch in WEIGHTINGS:
-                g, W = weights.scheme_matrix(topo, sch)
-                assign = weights.WeightAssignment(
-                    per_stratum=weights.per_stratum_from_matrix(g, W))
-                blocks = spectral.stratify(topo, assign)
-                rep = spectral.interlacing_check(blocks, W)
-                if not rep.holds:
-                    fails.append(f"interlacing m={m} n={n} {sch}")
-    return fails
+    return [f"interlacing m={topo.m} n={topo.n} {sch}"
+            for topo, sch, W, blocks in _block_cases()
+            if not spectral.interlacing_check(blocks, W).holds]
 
 
 def _verify_slackness() -> list[str]:
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--seed", type=int, default=None,
                     help="master seed (default 0; tables 3-5)")
     pt.add_argument("--bits", type=int, action="append",
-                    choices=[4, 8, 16], help="restrict to a bit depth")
+                    choices=TABLE_BITS, help="restrict to a bit depth")
     pt.add_argument("--weighting", action="append", choices=list(WEIGHTINGS),
                     help="restrict to a weighting scheme")
     pt.add_argument("--config", help="JSON experiment config file")
@@ -482,11 +479,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SystemExit2 as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (topology.TopologyError, weights.WeightError,
-            spectral.SpectralError, ValueError, np.linalg.LinAlgError) as e:
+        return EXIT_USAGE
+    # TopologyError, WeightError and SpectralError are ValueErrors
+    except (ValueError, np.linalg.LinAlgError) as e:
         print(f"numerical/parameter failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:

@@ -108,6 +108,14 @@ def _mixed(z):
     return _mix64(z, np.empty_like(z))
 
 
+def _check_seed(seed, what: str):
+    """Refuse a seed that is not an integer (not a bool) in 0..MAX_SEED:
+    it would be truncated or wrapped onto another seed's stream."""
+    if not _is_integer(seed) or not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{what} must be an integer in 0..{MAX_SEED}, "
+                         f"got {seed!r}")
+
+
 def derive_trial_seed(master_seed: int, trial_index):
     """Deterministic per-trial key; independent of all other trials.
 
@@ -117,9 +125,7 @@ def derive_trial_seed(master_seed: int, trial_index):
     have an integer dtype; anything else raises ValueError, since it
     would be truncated or wrapped onto another seed or trial.
     """
-    if not _is_integer(master_seed) or not 0 <= master_seed <= MAX_SEED:
-        raise ValueError(f"master seed must be an integer in 0..{MAX_SEED}, "
-                         f"got {master_seed!r}")
+    _check_seed(master_seed, "master seed")
     idx = np.asarray(trial_index)
     if not (0 <= trial_index <= MAX_SEED if _is_integer(trial_index)
             else idx.dtype.kind in "iu" and (idx >= 0).all()):
@@ -265,7 +271,11 @@ def _initial_states(trial_seeds, n_nodes):
 
 
 def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarray:
-    """Initial node values, uniform on [-1, 1] (draw indices 0..N-1)."""
+    """Initial node values, uniform on [-1, 1] (draw indices 0..N-1).
+    n_nodes must be an integer >= 1 (not a bool); anything else raises
+    ValueError."""
+    if not _is_integer(n_nodes) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
     return _initial_states(derive_trial_seed(master_seed, trial_index), n_nodes)
 
 
@@ -513,8 +523,9 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     x(0) is quantized before the first update; the iteration stops when
     all components are exactly equal on the level grid, or at max_iters
     (counted as non-consensus).  ``iterations`` is the number of update
-    steps taken.  max_iters must be an integer >= 0 (not a bool) and x0 must hold one
-    state per node of W; anything else raises ValueError.
+    steps taken.  max_iters must be an integer >= 0 (not a bool), trial_seed
+    a seed under the master-seed rule of ``derive_trial_seed`` and x0 must
+    hold one state per node of W; anything else raises ValueError.
 
     With ``return_trajectory``, the states after every stage come back as
     an (iterations + 1, N) array, written row by row into one buffer that
@@ -522,6 +533,7 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     large max_iters on a trial that stops early reserves at most 64 MiB
     of address space, of which only the written rows are touched.
     """
+    _check_seed(trial_seed, "trial seed")
     x0 = np.asarray(x0, dtype=float)
     n = np.shape(W)[0]
     if x0.shape != (n,):

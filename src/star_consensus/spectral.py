@@ -39,6 +39,7 @@ paths are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -347,10 +348,7 @@ def _crossing_char(theta, m: int):
     return char_kcs(theta, m, 2 * math.sin(half) ** 2, math.cos(half) ** 2)
 
 
-# r*(m) by m; a pure function of m, filled on first use.
-_R_STAR: dict[int, float] = {}
-
-
+@functools.cache  # a pure function of m
 def _r_star(m: int) -> float:
     """The ratio k/n at which the central eigenvalue (2k-n)/(2k+n) meets
     the closed-form SLEM cos(theta(m, n, k)).
@@ -364,11 +362,8 @@ def _r_star(m: int) -> float:
     single root of ``_crossing_char``, the one characteristic function at
     the crossing ratio, there.  r*(1) = 1.
     """
-    r = _R_STAR.get(m)
-    if r is None:
-        theta = _bracketed_root(_crossing_char, m, (m,))
-        r = _R_STAR[m] = 0.5 / math.tan(theta / 2) ** 2
-    return r
+    theta = _bracketed_root(_crossing_char, m, (m,))
+    return 0.5 / math.tan(theta / 2) ** 2
 
 
 def _closed_form_optimal(n: int, k: int, theta: float) -> bool:

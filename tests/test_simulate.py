@@ -376,6 +376,28 @@ def test_trial_index_must_be_a_64_bit_integer():
                                                      derive_trial_seed(0, 2)]
 
 
+def test_run_trial_seed_must_be_a_64_bit_integer():
+    # a truncated or bool seed would replay another trial's draws, and a
+    # negative or 2^64 one would not fit the uint64 key
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    x0, spec = initial_states(5, 0, g.node_count), QuantizerSpec(8, "probabilistic")
+    for seed in (1.5, 1.0, True, np.True_, -1, np.int64(-1), 2**64, "1"):
+        with pytest.raises(ValueError, match="trial seed must be an integer in"):
+            run_trial(W, x0, spec, trial_seed=seed)
+    assert (run_trial(W, x0, spec, trial_seed=np.uint64(1))
+            == run_trial(W, x0, spec, trial_seed=np.int64(1))
+            == run_trial(W, x0, spec, trial_seed=1))
+    assert run_trial(W, x0, spec, trial_seed=2**64 - 1).iterations >= 1
+
+
+def test_initial_states_node_count_must_be_a_positive_integer():
+    for n_nodes in (2.5, 3.0, True, np.True_, 0, -1, np.int64(0), "3"):
+        with pytest.raises(ValueError, match="n_nodes must be an integer >= 1"):
+            initial_states(7, 1, n_nodes)
+    assert np.array_equal(initial_states(7, 1, np.int64(9)), initial_states(7, 1, 9))
+    assert initial_states(7, 1, 1).shape == (1,)
+
+
 def test_csv_helpers():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     _, traj = run_trial(W, initial_states(0, 0, 7),
