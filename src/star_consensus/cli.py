@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 
@@ -140,11 +139,20 @@ def _topology_from_flags(args) -> topology.Topology:
     if (kind == "kcs-star") != (args.k is not None):
         raise UsageError("kcs-star requires --k" if args.k is None
                          else f"{kind} takes no --k (kcs-star only)")
-    if kind == "kcs-star":
-        return topology.KcsStar(args.m, args.n, args.k)
-    if kind == "symmetric-star":
-        return topology.SymmetricStar(args.m, args.n)
-    return topology.CcsStar(args.m, args.n)
+    try:
+        if kind == "kcs-star":
+            return topology.KcsStar(args.m, args.n, args.k)
+        if kind == "symmetric-star":
+            return topology.SymmetricStar(args.m, args.n)
+        return topology.CcsStar(args.m, args.n)
+    except topology.TopologyError as e:
+        raise UsageError(str(e)) from None
+
+
+def _csv(header, rows) -> str:
+    """The one CSV writer: a header line, then one line per row; cells are
+    written with str, so callers format their floats."""
+    return "".join(",".join(map(str, line)) + "\n" for line in [header, *rows])
 
 
 def _emit(text: str, output: str | None):
@@ -179,24 +187,16 @@ def cmd_slem(args) -> int:
 
 
 def _table1_csv() -> str:
-    buf = io.StringIO()
     ns = range(1, 9)
-    buf.write("m\\n," + ",".join(map(str, ns)) + "\n")
-    for m in range(2, 12):
-        buf.write(str(m) + "," +
-                  ",".join(str(spectral.k_max(m, n)) for n in ns) + "\n")
-    return buf.getvalue()
+    return _csv(["m\\n", *ns],
+                ([m, *(spectral.k_max(m, n) for n in ns)] for m in range(2, 12)))
 
 
 def _table2_csv() -> str:
-    buf = io.StringIO()
-    buf.write("n,symmetric_star_m3,ccs_star_m2,kcs_star_m3_k2\n")
-    for n in (3, 40):
-        row = [spectral.slem_closed_form(topology.SymmetricStar(3, n)),
-               spectral.slem_closed_form(topology.CcsStar(2, n)),
-               spectral.slem_closed_form(topology.KcsStar(3, n, 2))]
-        buf.write(str(n) + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
-    return buf.getvalue()
+    rows = ([n, *(f"{spectral.slem_closed_form(t):.6f}" for t in (
+                topology.SymmetricStar(3, n), topology.CcsStar(2, n),
+                topology.KcsStar(3, n, 2)))] for n in (3, 40))
+    return _csv(["n", "symmetric_star_m3", "ccs_star_m2", "kcs_star_m3_k2"], rows)
 
 
 def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
@@ -206,10 +206,10 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
     bit_rows = [b for b in TABLE_BITS if not bits_filter or b in bits_filter]
     schemes = [w for w in WEIGHTINGS
                if not weighting_filter or w in weighting_filter]
-    buf = io.StringIO()
-    buf.write("bits,weighting,psi,eta,mu,rho,"
-              "ref_psi,ref_eta,ref_mu,ref_rho,"
-              "delta_psi,delta_eta,delta_mu,delta_rho\n")
+    stats = ("psi", "eta", "mu", "rho")
+    header = ["bits", "weighting", *stats, *(f"ref_{v}" for v in stats),
+              *(f"delta_{v}" for v in stats)]
+    rows = []
     for b in bit_rows:
         spec = simulate.QuantizerSpec(b, "probabilistic")
         row = simulate.monte_carlo_row(topo, schemes, spec, trials, seed,
@@ -217,15 +217,12 @@ def _table_sim_csv(table_id, trials, seed, bits_filter, weighting_filter,
         for sch, st in zip(schemes, row):
             r = ref[b][sch]
             got = (st.psi, st.eta, st.mu, st.rho)
-            buf.write(f"{b},{sch},"
-                      + ",".join(f"{v:.17g}" for v in got) + ","
-                      + ",".join(f"{v:.17g}" for v in r) + ","
-                      + ",".join(f"{g - v:.17g}" for g, v in zip(got, r))
-                      + "\n")
+            delta = [g - v for g, v in zip(got, r)]
+            rows.append([b, sch, *(f"{v:.17g}" for v in (*got, *r, *delta))])
             print(f"table {table_id} bits={b:<2} {sch:<13} "
                   f"psi={st.psi:6.2f} eta={st.eta:8.2f} "
                   f"mu={st.mu:+.4f} rho={st.rho:.4g}", file=sys.stderr)
-    return buf.getvalue()
+    return _csv(header, rows)
 
 
 def _check_seed(seed: int | None):
@@ -283,11 +280,8 @@ def cmd_fig(args) -> int:
             print(f"k_max(m=2, n=3) = {km}", file=sys.stderr)
             return EXIT_OK
         curve = optimality.kcs_slem_curve(3, 2, range(1, 31))
-        buf = io.StringIO()
-        buf.write("k,slem\n")
-        for k, s in curve:
-            buf.write(f"{k},{s:.17g}\n")
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv(["k", "slem"], ([k, f"{s:.17g}"] for k, s in curve)),
+              args.output)
         best = min(curve, key=lambda t: t[1])
         print(f"curve minimum: slem {best[1]:.6f} at k = {best[0]} "
               f"(closed-form validity ends at k_max = {km})", file=sys.stderr)
@@ -308,7 +302,9 @@ def cmd_fig(args) -> int:
             trial_seed=simulate.derive_trial_seed(seed, 0),
             return_trajectory=True)
         path = f"{prefix}_{scheme}.csv"
-        _emit(simulate.trajectory_to_csv(traj), path)
+        _emit(_csv(["t", *(f"node{i}" for i in range(graph.node_count))],
+                   ([t, *(f"{v:.17g}" for v in row)]
+                    for t, row in enumerate(traj))), path)
         status = ("consensus at iteration "
                   f"{outcome.iterations}" if outcome.consensus_reached
                   else f"no consensus within {outcome.iterations} iterations")

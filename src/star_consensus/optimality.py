@@ -91,33 +91,6 @@ class SlacknessReport:
         return max(self.residuals.values())
 
 
-def _alpha_vectors(m: int) -> list[np.ndarray]:
-    vecs = []
-    a1 = np.zeros(m)
-    a1[0] = -1.0
-    vecs.append(a1)
-    for i in range(2, m + 1):
-        v = np.zeros(m)
-        v[i - 2] = 1.0
-        v[i - 1] = -1.0
-        vecs.append(v)
-    return vecs
-
-
-def _beta_vectors(m: int, n: int) -> list[np.ndarray]:
-    vecs = []
-    b1 = np.zeros(m + 1)
-    b1[0] = math.sqrt(n)
-    b1[1] = -1.0
-    vecs.append(b1)
-    for i in range(2, m + 1):
-        v = np.zeros(m + 1)
-        v[i - 1] = 1.0
-        v[i] = -1.0
-        vecs.append(v)
-    return vecs
-
-
 def slackness_residuals(m: int, n: int) -> SlacknessReport:
     """Evaluate every slackness condition at the closed-form weights.
 
@@ -137,6 +110,17 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     residuals use that scale).  The printed recursions and the direct
     matrix equations (s I - W1) z1 = 0, (s I + W0) z2 = 0 are reported
     separately; at these weights they agree.
+
+    Everything is in matrix form.  The recursions (25) and (26) are
+    (1 - s) a - w * (T_1 a) and (1 + s) b - w * (T_{n+1} b), where
+    T_c = tridiag(-1, 2, -1) with corner entry c and w holds the stratum
+    weights; the _a, _b and _c residuals are their first, interior and
+    last rows (0 where m is too small to have them).  The dual
+    vectors are z1 = A^T a and z2 = sigma B^T b, whose rows of A and B
+    are the vectors alpha_i and beta_i of the certificate: A = S - I and
+    B = [I 0] - [0 I] with B[0, 0] = sqrt(n), S the lower shift.  (19)
+    compares (A z1)^2 with (B z2)^2 and (23) is max |M - M^T| with
+    M = (a b^T)^2.
     """
     topo = SymmetricStar(m, n)
     assignment = optimal_weights(topo)
@@ -150,46 +134,30 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     b = np.sin((m - idx + 1) * (math.pi - theta)) / math.sin(math.pi - theta)
     w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)])
 
+    def tridiag(corner):
+        T = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+        T[0, 0] = corner
+        return T
+
     res: dict[str, float] = {}
+    for key, r in (("eq25", (1 - s) * a - w * (tridiag(1) @ a)),
+                   ("eq26", (1 + s) * b - w * (tridiag(n + 1) @ b))):
+        res[f"{key}_a"] = abs(r[0])
+        res[f"{key}_b"] = float(np.max(np.abs(r[1:-1]), initial=0.0))
+        res[f"{key}_c"] = abs(r[-1]) if m > 1 else 0.0
 
-    # printed recursions; the a-set uses i = 1..m, the b-set likewise
-    r25 = []
-    r26 = []
-    r25.append((1 - s) * a[0] - w[0] * (a[0] - a[1]) if m > 1
-               else (1 - s) * a[0] - w[0] * a[0])
-    r26.append((1 + s) * b[0] - w[0] * ((n + 1) * b[0] - b[1]) if m > 1
-               else (1 + s) * b[0] - w[0] * (n + 1) * b[0])
-    for i in range(1, m - 1):
-        r25.append((1 - s) * a[i] - w[i] * (-a[i - 1] + 2 * a[i] - a[i + 1]))
-        r26.append((1 + s) * b[i] - w[i] * (-b[i - 1] + 2 * b[i] - b[i + 1]))
-    if m > 1:
-        r25.append((1 - s) * a[m - 1] - w[m - 1] * (-a[m - 2] + 2 * a[m - 1]))
-        r26.append((1 + s) * b[m - 1] - w[m - 1] * (-b[m - 2] + 2 * b[m - 1]))
-    res["eq25_a"] = abs(r25[0])
-    res["eq25_b"] = max((abs(x) for x in r25[1:m - 1]), default=0.0)
-    res["eq25_c"] = abs(r25[-1]) if m > 1 else 0.0
-    res["eq26_a"] = abs(r26[0])
-    res["eq26_b"] = max((abs(x) for x in r26[1:m - 1]), default=0.0)
-    res["eq26_c"] = abs(r26[-1]) if m > 1 else 0.0
-
-    # dual-certificate vectors and the direct matrix equations
-    alphas = _alpha_vectors(m)
-    betas = _beta_vectors(m, n)
-    z1 = sum(a[i] * alphas[i] for i in range(m))
+    A = np.eye(m, k=-1) - np.eye(m)
+    B = np.eye(m, m + 1) - np.eye(m, m + 1, 1)
+    B[0, 0] = math.sqrt(n)
+    z1 = A.T @ a
     sigma = (1 - s) / (1 + s)  # relative dual scale forced by stationarity
-    z2 = sigma * sum(b[i] * betas[i] for i in range(m))
-
-    proj_a = np.array([alphas[i] @ z1 for i in range(m)])
-    proj_b = np.array([betas[i] @ z2 for i in range(m)])
-    res["eq19"] = float(np.max(np.abs(proj_a**2 - proj_b**2)))
+    z2 = sigma * (B.T @ b)
+    res["eq19"] = float(np.max(np.abs((A @ z1) ** 2 - (B @ z2) ** 2)))
 
     # scale-free ratio condition (a_i/a_j)^2 = (b_i/b_j)^2, cleared of
     # denominators: (a_i b_j)^2 - (a_j b_i)^2 = 0
-    r23 = 0.0
-    for i in range(m):
-        for j in range(m):
-            r23 = max(r23, abs((a[i] * b[j]) ** 2 - (a[j] * b[i]) ** 2))
-    res["eq23"] = r23
+    M = np.outer(a, b) ** 2
+    res["eq23"] = float(np.max(np.abs(M - M.T)))
 
     blocks = stratify(topo, assignment)
     res["matrix_w1"] = float(np.max(np.abs(s * z1 - blocks.w1_block @ z1)))

@@ -59,7 +59,6 @@ costs its own size.
 
 from __future__ import annotations
 
-import io
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -594,12 +593,3 @@ def monte_carlo(topology: Topology, weighting: str, spec: QuantizerSpec,
     """``monte_carlo_row`` for one weighting."""
     return monte_carlo_row(topology, [weighting], spec, trials, master_seed,
                            max_iters)[0]
-
-
-def trajectory_to_csv(traj: np.ndarray) -> str:
-    buf = io.StringIO()
-    n = traj.shape[1]
-    buf.write("t," + ",".join(f"node{i}" for i in range(n)) + "\n")
-    for t, row in enumerate(traj):
-        buf.write(str(t) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()

@@ -10,6 +10,10 @@ Three families are supported:
 * CCS star (complete-cored): the n tails meet in a complete graph on n
   core nodes.
 
+The k-cored and complete-cored stars are built by one loop (``build``): a
+core, with or without edges of its own, plus n tail paths of m edges, each
+attached to its branch's nodes of the core.
+
 Edges are labeled by stratum (orbit under branch permutation): stratum 0
 for core edges, stratum j for the j-th edge of a tail counted from the
 center outward.  Custom graphs carry no stratum labels.
@@ -24,7 +28,7 @@ spectral functions, the quantizer, the seeds and the CLI share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,10 +89,6 @@ class Graph:
                 raise TopologyError("stratum labels must cover exactly the edge set")
             object.__setattr__(self, "stratum_of_edge", labeled)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degrees(self) -> list[int]:
         d = [0] * self.node_count
         for u, v in self.edges:
@@ -141,8 +141,9 @@ class KcsStar:
 
     def __post_init__(self):
         if not all(_is_integer(v) and v >= 1 for v in (self.m, self.n, self.k)):
+            names = ", ".join(f.name for f in fields(self) if f.init)
             raise TopologyError(f"{type(self).__name__} requires integers "
-                                f"m, n, k >= 1, got {self!r}")
+                                f"{names} >= 1, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -166,51 +167,32 @@ Topology = SymmetricStar | CcsStar | KcsStar | Custom
 def build(topology: Topology) -> Graph:
     """Construct the graph of a star family (or pass a custom graph through).
 
-    Node layout: centrals/core first (indices 0..k-1 resp. 0..n-1), then
-    tail nodes branch-major, inner to outer.  Edge order: core edges first
+    Both families are a core of c nodes plus n tail paths of m edges, built
+    by one loop from three family parts: the core size c (k centrals, or n
+    core nodes), the core edges (none, or the complete graph on the core,
+    stratum 0) and each branch's attachment nodes (all k centrals, or core
+    node i).  Branch i's tail nodes are c + i*m .. c + i*m + m - 1, inner
+    to outer; edge 1 joins each attachment node to the first of them and
+    edges 2..m run along the tail.  Edge order: core edges first
     (lexicographic), then tail edges branch-major, inner to outer.
     """
     if isinstance(topology, Custom):
         return topology.graph
-
-    edges: list[tuple[int, int]] = []
-    strata: dict[tuple[int, int], int] = {}
-
+    m, n = topology.m, topology.n
     if isinstance(topology, CcsStar):
-        m, n = topology.m, topology.n
-        for u in range(n):
-            for v in range(u + 1, n):
-                e = (u, v)
-                edges.append(e)
-                strata[e] = 0
+        c = n
+        core = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        attach = [(i,) for i in range(n)]
+    elif isinstance(topology, KcsStar):
+        c = topology.k
+        core = []
+        attach = [range(c)] * n
+    else:
+        raise TopologyError(f"unknown topology {topology!r}")
 
-        def tail(i, j):  # j = 1..m; core node i is position 0 of branch i
-            return n + i * m + (j - 1)
-
-        for i in range(n):
-            prev = i
-            for j in range(1, m + 1):
-                e = (prev, tail(i, j))
-                edges.append(e)
-                strata[e] = j
-                prev = tail(i, j)
-        return Graph(n * (m + 1), tuple(edges), strata)
-
-    if isinstance(topology, KcsStar):
-        m, n, k = topology.m, topology.n, topology.k
-
-        def tail(i, j):  # j = 1..m
-            return k + i * m + (j - 1)
-
-        for i in range(n):
-            for c in range(k):
-                e = (c, tail(i, 1))
-                edges.append(e)
-                strata[e] = 1
-            for j in range(2, m + 1):
-                e = (tail(i, j - 1), tail(i, j))
-                edges.append(e)
-                strata[e] = j
-        return Graph(k + n * m, tuple(edges), strata)
-
-    raise TopologyError(f"unknown topology {topology!r}")
+    strata = dict.fromkeys(core, 0)
+    for i in range(n):
+        first = c + i * m
+        strata.update(((a, first), 1) for a in attach[i])
+        strata.update(((first + j - 2, first + j - 1), j) for j in range(2, m + 1))
+    return Graph(c + n * m, tuple(strata), strata)

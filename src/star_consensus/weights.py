@@ -102,17 +102,14 @@ def max_degree_weights(graph: Graph) -> np.ndarray:
 def best_constant_weights(graph: Graph) -> np.ndarray:
     """Best-constant: uniform edge weight 2/(lam_1(L) + lam_{N-1}(L)).
 
-    L is the standard graph Laplacian D - A; lam_1 is its largest and
-    lam_{N-1} its second-smallest eigenvalue.
+    L is the standard graph Laplacian D - A, which is I - W at unit edge
+    weights; lam_1 is its largest and lam_{N-1} its second-smallest
+    eigenvalue.
     """
     _require_connected(graph)
     n = graph.node_count
-    lap = np.zeros((n, n))
-    for u, v in graph.edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
+    unit = {e: 1.0 for e in graph.edges}
+    lap = np.eye(n) - assemble_matrix(graph, WeightAssignment(per_edge=unit))
     lam = np.sort(np.linalg.eigvalsh(lap))[::-1]  # decreasing
     alpha = 2.0 / (lam[0] + lam[n - 2])
     per_edge = {e: alpha for e in graph.edges}

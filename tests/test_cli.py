@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from star_consensus import cli
 from star_consensus.cli import config_from_json, main
 
 
@@ -155,9 +156,27 @@ def test_slem_explicit_closed_form_method(capsys):
 
 
 def test_numerical_failure_exit(capsys):
-    code, _, err = run(capsys, "slem", "--topology", "ccs-star",
-                       "--m", "2", "--n", "1")
+    code, _, err = run(capsys, "slem", "--topology", "kcs-star",
+                       "--m", "2", "--n", "3", "--k", "11")
     assert code == 2
+    assert err.startswith("numerical/parameter failure")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("--topology", "symmetric-star", "--m", "0", "--n", "3"),
+                 "SymmetricStar requires integers m, n >= 1", id="symmetric-m0"),
+    pytest.param(("--topology", "kcs-star", "--m", "2", "--n", "3", "--k", "0"),
+                 "KcsStar requires integers m, n, k >= 1", id="kcs-k0"),
+    pytest.param(("--topology", "ccs-star", "--m", "2", "--n", "1"),
+                 "requires n >= 2", id="ccs-n1"),
+])
+def test_slem_family_range_is_usage_error(capsys, argv, message):
+    # the family's own range rule, stated once in topology, is a usage error
+    code, out, err = run(capsys, "slem", *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [(), ("--check",), ("--method", "eigen")])
@@ -351,6 +370,25 @@ def test_verify_suites_pass(capsys):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0, suite
         assert json.loads(out)["passed"]
+
+
+def test_verify_failure_exit(capsys, monkeypatch):
+    monkeypatch.setitem(cli.VERIFY_SUITES, "optimizer",
+                        lambda: ["case one off", "case two off"])
+    code, out, err = run(capsys, "verify", "--suite", "optimizer")
+    assert code == 3
+    assert json.loads(out) == {"suite": "optimizer", "passed": False,
+                               "failures": ["case one off", "case two off"]}
+    assert err.splitlines() == ["suite optimizer: 2 failure(s)",
+                                "  case one off", "  case two off"]
+
+
+def test_unwritable_output_exit(capsys, tmp_path):
+    code, out, err = run(capsys, "table", "--id", "1",
+                         "--output", str(tmp_path / "missing" / "t.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_deterministic_outputs(capsys, tmp_path):

@@ -27,7 +27,6 @@ from star_consensus.simulate import (
     monte_carlo,
     monte_carlo_row,
     run_trial,
-    trajectory_to_csv,
 )
 from star_consensus.cli import SIM_TOPOLOGIES, WEIGHTINGS
 
@@ -396,15 +395,6 @@ def test_initial_states_node_count_must_be_a_positive_integer():
             initial_states(7, 1, n_nodes)
     assert np.array_equal(initial_states(7, 1, np.int64(9)), initial_states(7, 1, 9))
     assert initial_states(7, 1, 1).shape == (1,)
-
-
-def test_csv_helpers():
-    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
-    _, traj = run_trial(W, initial_states(0, 0, 7),
-                        QuantizerSpec(4, "probabilistic"), trial_seed=1,
-                        return_trajectory=True)
-    tcsv = trajectory_to_csv(traj)
-    assert tcsv.splitlines()[0].startswith("t,node0")
 
 
 def _kernel_inputs(topo, trials, seed):

@@ -17,7 +17,7 @@ from star_consensus.topology import (
 def test_symmetric_star_counts():
     g = build(SymmetricStar(3, 5))
     assert g.node_count == 1 + 5 * 3
-    assert g.edge_count == 5 * 3
+    assert len(g.edges) == 5 * 3
     assert Counter(g.stratum_of_edge.values()) == {1: 5, 2: 5, 3: 5}
     assert g.is_connected()
     # center has degree n, tail tips degree 1
@@ -27,7 +27,7 @@ def test_symmetric_star_counts():
 
 def test_symmetric_star_m1_is_plain_star():
     g = build(SymmetricStar(1, 4))
-    assert g.node_count == 5 and g.edge_count == 4
+    assert g.node_count == 5 and len(g.edges) == 4
     assert Counter(g.stratum_of_edge.values()) == {1: 4}
 
 
@@ -35,7 +35,7 @@ def test_ccs_star_counts():
     # a branch is a path of m edges whose inner endpoint is a core node
     g = build(CcsStar(2, 5))
     assert g.node_count == 5 * 3
-    assert g.edge_count == 5 * 2 + 5 * 4 // 2
+    assert len(g.edges) == 5 * 2 + 5 * 4 // 2
     assert Counter(g.stratum_of_edge.values()) == {0: 10, 1: 5, 2: 5}
     assert g.is_connected()
     # core node degree: n-1 core edges + 1 tail edge
@@ -50,7 +50,7 @@ def test_ccs_requires_two_branches():
 def test_kcs_star_counts():
     g = build(KcsStar(3, 5, 2))
     assert g.node_count == 2 + 5 * 3
-    assert g.edge_count == 5 * 2 + 5 * 2  # n tails * k central edges + n(m-1)
+    assert len(g.edges) == 5 * 2 + 5 * 2  # n tails * k central edges + n(m-1)
     assert Counter(g.stratum_of_edge.values()) == {1: 10, 2: 5, 3: 5}
     # centrals are not directly connected
     assert (0, 1) not in g.edges
