@@ -104,7 +104,7 @@ CONFIG_FIELDS = {
     "bits": lambda v: _is_integer(v) and v in TABLE_BITS,
     "weighting": lambda v: v in WEIGHTINGS,
     "trials": lambda v: _is_integer(v) and v >= 1,
-    "max_iters": lambda v: _is_integer(v) and v >= 1,
+    "max_iters": lambda v: _is_integer(v) and 1 <= v <= simulate.MAX_ITERS,
     # the seeds that derive_trial_seed keeps apart; 2^64 or more would
     # alias the seed it equals mod 2^64
     "seed": lambda v: _is_integer(v) and 0 <= v <= simulate.MAX_SEED,

@@ -50,7 +50,7 @@ from .spectral import (
     EPS,
     SpectralError,
     _brentq,
-    _closed_form_optimal,
+    _k_max,
     complement_basis,
     k_max,
     kcs_blocks,
@@ -119,8 +119,12 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     vectors are z1 = A^T a and z2 = sigma B^T b, whose rows of A and B
     are the vectors alpha_i and beta_i of the certificate: A = S - I and
     B = [I 0] - [0 I] with B[0, 0] = sqrt(n), S the lower shift.  (19)
-    compares (A z1)^2 with (B z2)^2 and (23) is max |M - M^T| with
-    M = (a b^T)^2.
+    compares (A z1)^2 with (B z2)^2.
+
+    The ratio condition (23), (a_i/a_j)^2 = (b_i/b_j)^2, has no residual:
+    it holds in these coordinates for every angle and every weights, since
+    sin(j(pi - t)) = (-1)^(j+1) sin(jt) gives b_i = (-1)^(m-i) a_i, so a
+    residual of it would check nothing.
     """
     topo = SymmetricStar(m, n)
     assignment = optimal_weights(topo)
@@ -153,11 +157,6 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     sigma = (1 - s) / (1 + s)  # relative dual scale forced by stationarity
     z2 = sigma * (B.T @ b)
     res["eq19"] = float(np.max(np.abs((A @ z1) ** 2 - (B @ z2) ** 2)))
-
-    # scale-free ratio condition (a_i/a_j)^2 = (b_i/b_j)^2, cleared of
-    # denominators: (a_i b_j)^2 - (a_j b_i)^2 = 0
-    M = np.outer(a, b) ** 2
-    res["eq23"] = float(np.max(np.abs(M - M.T)))
 
     blocks = stratify(topo, assignment)
     res["matrix_w1"] = float(np.max(np.abs(s * z1 - blocks.w1_block @ z1)))
@@ -489,7 +488,8 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     certify the result.
 
     Up to k_max the candidate is the closed-form weights; past it, the
-    exact solve of the known active set (``_active_set_weights``).  Every
+    exact solve of the known active set (``_active_set_weights``), the
+    route decided by k_max's one rule (``spectral._k_max``).  Every
     candidate is checked by the KKT certificate (``_kcs_certificate``),
     whose residual the result reports.  Only a candidate whose residual
     exceeds CERTIFICATE_TOL, or whose solve finds no bracket, goes to the
@@ -500,11 +500,11 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     """
     closed = optimal_weights(KcsStar(m, n, k)).per_stratum
     start = np.array([closed[j] for j in range(1, m + 1)])
-    theta = theta_root_kcs(m, n, k)
     w, iterations, message = start, 0, "closed form"
-    if not _closed_form_optimal(n, k, theta):
+    if k > _k_max(m, n):
         try:
-            w, iterations = _active_set_weights(m, n, k, math.cos(theta))
+            w, iterations = _active_set_weights(
+                m, n, k, math.cos(theta_root_kcs(m, n, k)))
             message = "active-set solve"
         except (ValueError, ZeroDivisionError):  # no bracket, or a pole:
             pass  # the closed form in w fails the certificate below

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _check_weight_matrix
 from .topology import Topology, _is_integer
 from .weights import scheme_matrix
 
@@ -86,6 +87,9 @@ _U64 = 2**64
 # Master seeds are 64-bit; a larger one would alias the seed it equals
 # mod 2^64.
 MAX_SEED = _U64 - 1
+# The largest iteration cap: the kernel holds each trial's iteration count
+# as an int64.
+MAX_ITERS = 2**63 - 1
 
 
 def _mix64(z, tmp):
@@ -345,7 +349,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     quantizes update t; the draws of stage s use counters s*N .. s*N + N-1
     of the trial (see ``_stage_draws_into``), clear of the initial states'
     0..N-1, so a single trial and any batch consume identical random
-    streams.  max_iters must be an integer >= 0 (not a bool).
+    streams.  max_iters must be an integer (not a bool) in 0..MAX_ITERS.
 
     The state is held node-major, one column per active trial, as exact
     level indices i, x = -1 + i * delta: x(0) is mapped by (x + 1)/delta,
@@ -391,8 +395,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     but nothing reads them: ``done &= live`` keeps a trial from finishing
     twice, and trial 0's record stops when it finishes.
     """
-    if not _is_integer(max_iters) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if not _is_integer(max_iters) or not 0 <= max_iters <= MAX_ITERS:
+        raise ValueError(f"max_iters must be an integer in 0..{MAX_ITERS}, "
+                         f"got {max_iters!r}")
     from scipy.sparse import csr_matrix  # only the simulator needs it
 
     x0 = (_initial_states(trial_seeds, len(Ws[0])) if x0_batch is None
@@ -522,9 +527,14 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     x(0) is quantized before the first update; the iteration stops when
     all components are exactly equal on the level grid, or at max_iters
     (counted as non-consensus).  ``iterations`` is the number of update
-    steps taken.  max_iters must be an integer >= 0 (not a bool), trial_seed
-    a seed under the master-seed rule of ``derive_trial_seed`` and x0 must
-    hold one state per node of W; anything else raises ValueError.
+    steps taken.  max_iters must be an integer (not a bool) in
+    0..MAX_ITERS, trial_seed a seed under the master-seed rule of
+    ``derive_trial_seed``, W a consensus weight matrix (symmetric, rows
+    summing to one, within the tolerances of ``spectral.slem``) and x0 one
+    finite state in [-1, 1] per node of W; anything else raises
+    ValueError.  Outside the model the run would still give an answer: a W
+    whose rows do not sum to one moves the average, and so does the clip
+    of x0 to [-1, 1] at the first quantization.
 
     With ``return_trajectory``, the states after every stage come back as
     an (iterations + 1, N) array, written row by row into one buffer that
@@ -533,11 +543,14 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     of address space, of which only the written rows are touched.
     """
     _check_seed(trial_seed, "trial seed")
+    W = _check_weight_matrix(W)
     x0 = np.asarray(x0, dtype=float)
-    n = np.shape(W)[0]
+    n = W.shape[0]
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, but W has order {n}: "
                          f"x0 needs one state per node")
+    if not (np.abs(x0) <= 1.0).all():  # NaN fails too
+        raise ValueError("x0 entries must be finite and in [-1, 1]")
     run = _batch_run([W], x0[None, :], spec, max_iters,
                      np.array([trial_seed], dtype=np.uint64),
                      return_trajectory)[0]

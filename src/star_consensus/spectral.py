@@ -28,8 +28,18 @@ Brent solver, on f (``char_kcs``).  The k_max threshold depends on (n, k)
 only through r = k/n.  Its ratio r*(m), where the central eigenvalue
 (2r-1)/(2r+1) meets cos(theta), is computed once per m the same way: the
 root of the same f at (n, k) = (2 sin^2(t/2), cos^2(t/2)), the crossing
-ratio r = cot^2(t/2)/2 scaled so that f(0) = -4.  No analysis
-path loads scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
+ratio r = cot^2(t/2)/2 scaled so that f(0) = -4.
+
+k_max(m, n) = floor(n * r*(m)) for m >= 2 and n at m = 1, and that one
+rule, with no tolerance, decides where the closed form holds: the closed
+form is refused and the tied optimum takes the active-set route exactly
+when k > k_max.  At m = 1, f(t) = cos(t/2) (2n(1 - cos t) - 4k cos t), so
+cos(theta) = n/(n + 2k), which the central eigenvalue (2k-n)/(2k+n)
+meets exactly at k = n: r*(1) = 1, where the float root lands an ulp
+below it.  The condition is not re-checked in floats at k and k + 1; at
+large m its two sides are too close to decide it (see ``k_max``).  No
+analysis path loads scipy.optimize; only the SLSQP minimizer in
+``optimality`` does.
 
 Dense eigenproblems go to LAPACK through numpy.linalg.eigvalsh (eigh for
 gradients), deterministic for identical input bits;
@@ -65,32 +75,41 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 INTERLACING_TOL = 1e-10
-# The k_max comparison (2k-n)/(2k+n) <= cos(theta) is exact at some integer
-# points (m = 1, k = n gives 1/3 on both sides); sides closer than this
-# count as equal, so a rounding error in the root cannot break the tie.
-TIE_TOL = 1e-12
 
 
 class SpectralError(ValueError):
     """Raised on contract violations or numerical failure."""
 
 
-def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric real matrix, sorted decreasingly."""
+def _symmetric(matrix) -> np.ndarray:
+    """matrix as a float array, refused unless square and symmetric within
+    SYMMETRY_TOL."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SpectralError("input must be a square matrix")
     if not np.allclose(A, A.T, atol=SYMMETRY_TOL, rtol=0):
         raise SpectralError("input must be symmetric within 1e-12")
-    return np.sort(np.linalg.eigvalsh(A))[::-1]
+    return A
+
+
+def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric real matrix, sorted decreasingly."""
+    return np.sort(np.linalg.eigvalsh(_symmetric(matrix)))[::-1]
+
+
+def _check_weight_matrix(W) -> np.ndarray:
+    """W as a float array, refused with SpectralError (a ValueError) unless
+    it is a consensus weight matrix: square, symmetric within
+    SYMMETRY_TOL and with rows summing to one within STOCHASTIC_TOL."""
+    W = _symmetric(W)
+    if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
+        raise SpectralError("matrix rows must sum to one (within 1e-9)")
+    return W
 
 
 def slem(W: np.ndarray) -> float:
     """Second largest eigenvalue modulus, max(lam_2, -lam_N)."""
-    W = np.asarray(W, dtype=float)
-    if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-        raise SpectralError("matrix rows must sum to one (within 1e-9)")
-    lam = eig_symmetric(W)
+    lam = eig_symmetric(_check_weight_matrix(W))
     if lam.size < 2:
         raise SpectralError("SLEM needs at least two nodes")
     return float(max(lam[1], -lam[-1]))
@@ -325,16 +344,16 @@ def slem_closed_form(topology: Topology) -> float:
     """Optimal SLEM of a star family via its characteristic equation.
 
     KCS (k = 1 is the symmetric star): cos of the smallest k-cored root,
-    refused past k_max(m, n); CCS: cos(pi/(2(m+1))), independent of n.
+    refused for k > k_max(m, n); CCS: cos(pi/(2(m+1))), independent of n.
     """
     if isinstance(topology, CcsStar):
         return math.cos(math.pi / (2 * (topology.m + 1)))
     if isinstance(topology, KcsStar):
         m, n, k = topology.m, topology.n, topology.k
-        theta = theta_root_kcs(m, n, k)
-        if k > 1 and not _closed_form_optimal(n, k, theta):
-            raise SpectralError(f"{topology} is past k_max = {k_max(m, n)}")
-        return math.cos(theta)
+        km = _k_max(m, n)
+        if k > km:
+            raise SpectralError(f"{topology} is past k_max = {km}")
+        return math.cos(theta_root_kcs(m, n, k))
     raise SpectralError("closed-form SLEM is defined only for the star families")
 
 
@@ -360,34 +379,39 @@ def _r_star(m: int) -> float:
     root equation becomes tan(mt) = cot^3(t/2).  On (0, pi/(2m)) the
     left side rises and the right side falls, so the crossing angle is the
     single root of ``_crossing_char``, the one characteristic function at
-    the crossing ratio, there.  r*(1) = 1.
+    the crossing ratio, there.  The root is found to machine precision, so
+    r* carries a relative error of a few ulps: at most 6.3e-16 against a
+    60-digit bisection of the same function, on m 2..300 and eight m up to
+    20000.  r*(1) = 1 exactly, which the float root misses by an ulp, so
+    ``_k_max`` does not read it at m = 1.
     """
     theta = _bracketed_root(_crossing_char, m, (m,))
     return 0.5 / math.tan(theta / 2) ** 2
 
 
-def _closed_form_optimal(n: int, k: int, theta: float) -> bool:
-    """(2k-n)/(2k+n) <= cos(theta(m, n, k)), ties within TIE_TOL included."""
-    return (2 * k - n) / (2 * k + n) <= math.cos(theta) + TIE_TOL
+def _k_max(m: int, n: int) -> int:
+    """``k_max`` without its argument check."""
+    return n if m == 1 else math.floor(n * _r_star(m))
 
 
 def k_max(m: int, n: int) -> int:
     """Largest k for which the closed-form k-cored weights stay optimal.
 
     The threshold is (2k-n)/(2k+n) <= cos(theta(m, n, k)), which holds
-    exactly for k/n <= r*(m), so k_max = max(1, floor(n * r*(m))).  The
-    integer condition is then checked at k and k + 1, stepping k until it
-    holds at k (or k = 1) and fails at k + 1, so rounding in r* cannot
-    move the answer.  m and n must be integers (not bools) >= 1.
+    exactly for k/n <= r*(m), so k_max = floor(n * r*(m)): n at m = 1,
+    where cos(theta) = n/(n + 2k) makes the tie at k = n exact (see the
+    module docstring), and at least 3n for m >= 2, as r* rises with m from
+    r*(2) = 3.19.  The rule is applied with no tolerance and no re-check
+    of the condition at k and k + 1: near the crossing both sides of that
+    float comparison agree to within a few ulps at large m, so a re-check
+    would move k_max off the exact value (to 810569793 in place of
+    810569136 at (1000, 1000) with a 1e-12 tolerance), while floor(n *
+    r*(m)) matched a 60-digit r*(m) on all 19,712 pairs probed (m up to
+    20000, n up to 1000).  m and n must be integers (not bools) >= 1.
     """
     if not all(_is_integer(v) and v >= 1 for v in (m, n)):
         raise SpectralError(f"m, n must be integers >= 1, got {(m, n)!r}")
-    k = max(1, math.floor(n * _r_star(m)))
-    while k > 1 and not _closed_form_optimal(n, k, theta_root_kcs(m, n, k)):
-        k -= 1
-    while _closed_form_optimal(n, k + 1, theta_root_kcs(m, n, k + 1)):
-        k += 1
-    return k
+    return _k_max(m, n)
 
 
 @dataclass(frozen=True)

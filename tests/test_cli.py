@@ -291,6 +291,7 @@ def test_config_rejects_unknown_fields():
     pytest.param(json.dumps({"trials": True}), id="trials-bool"),
     pytest.param(json.dumps({"max_iters": 0}), id="max_iters-0"),
     pytest.param(json.dumps({"max_iters": 2.5}), id="max_iters-float"),
+    pytest.param(json.dumps({"max_iters": 2**63}), id="max_iters-2^63"),
     pytest.param(json.dumps({"seed": -1}), id="seed-negative"),
     pytest.param(json.dumps({"seed": None}), id="seed-null"),
     pytest.param(json.dumps({"seed": 2**64}), id="seed-2^64"),

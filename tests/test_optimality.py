@@ -35,10 +35,15 @@ def test_slackness_report_fields():
     assert rep.s == pytest.approx(math.cos(rep.theta))
     assert rep.a_coords[-1] == pytest.approx(1.0)
     assert abs(rep.b_coords[-1]) == pytest.approx(1.0)
-    for key in ("eq19", "eq23", "eq25_a", "eq25_b", "eq25_c",
+    for key in ("eq19", "eq25_a", "eq25_b", "eq25_c",
                 "eq26_a", "eq26_b", "eq26_c", "matrix_w1", "matrix_w0"):
         assert key in rep.residuals
         assert rep.residuals[key] >= 0.0
+    # the ratio condition (23) holds identically, b_i = (-1)^(m-i) a_i, so
+    # it has no residual
+    assert "eq23" not in rep.residuals
+    signs = (-1.0) ** (3 - np.arange(1, 4))
+    assert np.allclose(rep.b_coords, signs * rep.a_coords, rtol=0, atol=1e-14)
 
 
 def test_slackness_m1_single_equation():
@@ -160,6 +165,16 @@ def test_tied_optimum_vs_dense_minimizer(m, n, k):
     assert slem(assemble_matrix(g, tied.weights)) == pytest.approx(tied.slem, abs=1e-12)
     # and never above the closed-form weights it starts from
     assert tied.slem <= slem(assemble_matrix(g, optimal_weights(KcsStar(m, n, k)))) + 1e-15
+
+
+# one past the exact k_max at large m: the closed form is not the optimum
+# there, though its core value lies within 1e-12 of cos(theta)
+@pytest.mark.parametrize("m,n,k", [(85, 1000, 5856037), (300, 13, 948362)])
+def test_one_past_large_m_k_max_takes_the_active_set(m, n, k):
+    tied = kcs_tied_optimum(m, n, k)
+    assert tied.message == "active-set solve"
+    assert tied.certificate_residual <= 1e-12
+    assert abs(tied.slem - slem_closed_form(KcsStar(m, n, k - 1))) <= 1e-15
 
 
 def test_fig2_points_beyond_k_max_pinned(monkeypatch):

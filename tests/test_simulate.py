@@ -213,7 +213,8 @@ def test_bad_cap_and_x0_refused():
     g, W = scheme_matrix(topo, "optimal")
     spec = QuantizerSpec(4, "probabilistic")
     x0 = initial_states(1, 0, g.node_count)
-    for cap in (-1, 2.5, True, False, np.True_):
+    # the kernel counts iterations in int64: 2^63 would overflow it
+    for cap in (-1, 2.5, True, False, np.True_, 2**63, np.uint64(2**63)):
         with pytest.raises(ValueError, match="max_iters"):
             run_trial(W, x0, spec, max_iters=cap)
         with pytest.raises(ValueError, match="max_iters"):
@@ -222,6 +223,30 @@ def test_bad_cap_and_x0_refused():
         run_trial(W, x0[:-1], spec)
     out, traj = run_trial(W, x0, spec, max_iters=0, return_trajectory=True)
     assert out.iterations == 0 and traj.shape == (1, g.node_count)
+
+
+def test_run_trial_refuses_inputs_outside_the_model():
+    # each would still give an answer: 2W "reaches consensus" with error
+    # 9.44, x0 = 5 at iteration 0 with error -30 (the first clip moves the
+    # average), and a NaN state runs to the cap
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    spec = QuantizerSpec(4, "probabilistic")
+    x0 = initial_states(1, 0, g.node_count)
+    skew = W.copy()
+    skew[0, 1] += 1e-3
+    skew[0, 0] -= 1e-3  # rows still sum to one
+    for bad, match in ((2 * W, "rows must sum to one"),
+                       (skew, "symmetric"), (W[:, :-1], "square")):
+        with pytest.raises(ValueError, match=match):
+            run_trial(bad, x0, spec)
+    for value in (5.0, -1.5, np.nan, np.inf):
+        bad = x0.copy()
+        bad[2] = value
+        with pytest.raises(ValueError, match=r"finite and in \[-1, 1\]"):
+            run_trial(W, bad, spec)
+    # the ends of the range are states of the model
+    edge = np.where(np.arange(g.node_count) % 2, 1.0, -1.0)
+    assert run_trial(W, edge, spec, trial_seed=1).iterations >= 1
 
 
 def test_bad_trial_count_refused():

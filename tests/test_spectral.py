@@ -424,6 +424,27 @@ def test_k_max_m1_is_n():
         assert slem_closed_form(topo) == pytest.approx(1 / 3, abs=1e-12)
 
 
+# k_max(m, n) = floor(n * r*(m)) with r*(m) from a 60-digit (mpmath)
+# bisection of the crossing function _crossing_char on (0, pi/(2m)),
+# 210 halvings.  At these pairs a 1e-12 tolerance on the float condition
+# (2k-n)/(2k+n) <= cos(theta) accepts larger k (up to 657 more)
+K_MAX_REFERENCES = [(85, 1000, 5856036), (97, 200, 1525263),
+                    (200, 1000, 32422447), (300, 13, 948361),
+                    (300, 1000, 72950920), (500, 1000, 202642034),
+                    (1000, 1000, 810569136)]
+
+
+@pytest.mark.parametrize("m,n,want", K_MAX_REFERENCES)
+def test_k_max_matches_60_digit_references(m, n, want):
+    assert k_max(m, n) == want
+
+
+def test_slem_closed_form_refuses_one_past_large_m_k_max():
+    slem_closed_form(KcsStar(300, 13, 948361))
+    with pytest.raises(SpectralError, match="k_max = 948361"):
+        slem_closed_form(KcsStar(300, 13, 948362))
+
+
 def _brentq_both(f, a, b, args, xtol):
     """(root, iterations) of the package's Brent port and of scipy's."""
     got = spectral._brentq(f, a, b, args, xtol)
