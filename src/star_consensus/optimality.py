@@ -19,8 +19,12 @@ Four routes:
   eigensolve, and certified by the KKT conditions of Boyd,
   Diaconis and Xiao on ``StratifiedBlocks.nontrivial_spectrum`` through a
   small nonnegative least-squares solve (``_nnls_residual``).  The
-  residual comes with every result: near zero, it proves the weights
-  optimal, whatever produced them,
+  certificate (``_kcs_certificate``) runs on stacked blocks: all of a
+  curve's points past k_max share one eigensolve of their sector blocks
+  and one of their tail blocks, a single point is a stack of one, and
+  only the NNLS runs point by point.  The residual comes with every
+  result: near zero, it proves the weights optimal, whatever produced
+  them,
 * one SLEM minimizer: an epigraph program over the eigenvalues of affine
   symmetric blocks and their gradients, solved by SLSQP.  It serves
   arbitrary connected graphs with optional weight tying by symmetry class
@@ -54,7 +58,6 @@ from .spectral import (
     complement_basis,
     k_max,
     kcs_blocks,
-    sector_block,
     slem_closed_form,
     stratify,
     theta_root_kcs,
@@ -301,11 +304,16 @@ class TiedOptimum:
 # certificate, and a residual at most CERTIFICATE_TOL certifies the point.
 ACTIVE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-10
+# The certificate eigensolves the blocks of its points as stacks of at most
+# this many bytes of sector blocks, so its memory stays bounded however
+# many points a curve certifies.
+CERTIFICATE_STACK_BYTES = 1 << 16
 
 
-def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
-    """SLEM of KcsStar(len(w), n, k) at per-stratum weights w, and the KKT
-    residual there.
+def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
+    """SLEM of KcsStar(m, n, k) at per-stratum weights w, and the KKT
+    residual there, for each k of ``ks`` and row w of ``ws`` (m is the row
+    length).
 
     Of the blocks' ``nontrivial_spectrum``, each eigenvalue within
     ACTIVE_TOL of +s gives the term +g_j (its gradient), and each within
@@ -316,19 +324,41 @@ def _kcs_certificate(n: int, k: int, w: np.ndarray) -> tuple[float, float]:
     SIAM Review 46(4), 2004): then no weights w' have a SLEM below
     s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
     tridiagonal, so their eigenvalues are simple and each has one gradient.
+
+    The points' blocks are stacked (``kcs_blocks``), up to
+    CERTIFICATE_STACK_BYTES of sector blocks at a time, so each stack
+    takes one eigensolve of its sector blocks and one of its tail blocks,
+    and only the NNLS runs point by point.  LAPACK solves each block of a
+    stack on its own, so a point gets the same bits in any stack.
     """
-    lam, grad = kcs_blocks(n, k, w).nontrivial_spectrum()
-    s = float(np.abs(lam).max())
-    signs = (np.column_stack((lam >= s - ACTIVE_TOL, lam <= ACTIVE_TOL - s))
-             * [1.0, -1.0])
-    j, side = np.nonzero(signs)
-    A = np.vstack(((signs[j, side][:, None] * grad[j]).T, np.ones(j.size)))
-    return s, _nnls_residual(A, np.eye(len(w) + 1)[-1])
+    ws = np.asarray(ws, dtype=float)
+    m = ws.shape[-1]
+    chunk = max(1, CERTIFICATE_STACK_BYTES // (8 * (m + 1) ** 2))
+    target = [0.0] * m + [1.0]
+    out = []
+    for at in range(0, len(ks), chunk):
+        lam, grad = kcs_blocks(n, np.asarray(ks[at:at + chunk]),
+                               ws[at:at + chunk]).nontrivial_spectrum()
+        s = np.abs(lam).max(axis=-1)
+        up = lam >= (s - ACTIVE_TOL)[:, None]
+        down = lam <= (ACTIVE_TOL - s)[:, None]
+        point, j = np.nonzero(up | down)
+        columns = [[] for _ in s]  # per point, in (eigenvalue, side) order
+        for p, g, is_up, is_down in zip(point.tolist(), grad[point, j].tolist(),
+                                        up[point, j].tolist(), down[point, j].tolist()):
+            if is_up:
+                columns[p].append(g + [1.0])
+            if is_down:
+                columns[p].append([-x for x in g] + [1.0])
+        out += [(value, _nnls_residual(cols, target))
+                for value, cols in zip(s.tolist(), columns)]
+    return out
 
 
-def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
-    """min ||A x - b|| over x >= 0, by the active-set method of Lawson and
-    Hanson (Solving Least Squares Problems, 1974, ch. 23).
+def _nnls_residual(columns: list[list[float]], target: list[float]) -> float:
+    """min ||A x - b|| over x >= 0, for A given by its ``columns`` and b by
+    ``target``, by the active-set method of Lawson and Hanson (Solving
+    Least Squares Problems, 1974, ch. 23).
 
     Each least-squares solve on the passive set P is a Householder QR of
     A's passive columns (``_passive_least_squares``), so its accuracy
@@ -345,7 +375,6 @@ def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
     eigenvalue, so the work is small enough for Python floats, which
     keeps it the same under any thread count.
     """
-    columns, target = A.T.tolist(), b.tolist()
     norms = [math.hypot(*col) for col in columns]
     floor = 10 * EPS * math.hypot(*target)  # rounding of Q^T b
     x = [0.0] * len(columns)
@@ -445,10 +474,10 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     """
     if m == 1:
         return np.array([2.0 / (2 * n + k)]), 0
-    half = np.append([0.0, 0.0], np.full(m - 2, 0.5))
-    path = sector_block(n, k, half)[2:, 2:]
-    path_diag = np.diag(path).tolist()
-    path_coupling = (np.diag(path, 1) ** 2).tolist()
+    # the path is W0's rows 2..m at w2 = 0 and w3..wm = 1/2: diagonal
+    # 1 - w_i - w_(i+1) and couplings w3..wm
+    path_diag = [1.0] if m == 2 else [0.5] + [0.0] * (m - 3) + [0.5]
+    path_coupling = [0.25] * (m - 2)  # squared
     root_nk = math.sqrt(n * k)
 
     def path_pivot(t):
@@ -480,7 +509,7 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     while lo > 0 and sector_bottom(lo) > 0:
         lo -= hi - lo
     s, iterations = _brentq(sector_bottom, lo, hi, (), EPS)
-    return np.append([(1.0 - s) / n, -1.0 / h(-s, s, True)], half[2:]), iterations
+    return np.array([(1.0 - s) / n, -1.0 / h(-s, s, True)] + [0.5] * (m - 2)), iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
@@ -490,34 +519,60 @@ def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     Up to k_max the candidate is the closed-form weights; past it, the
     exact solve of the known active set (``_active_set_weights``), the
     route decided by k_max's one rule (``spectral._k_max``).  Every
-    candidate is checked by the KKT certificate (``_kcs_certificate``),
-    whose residual the result reports.  Only a candidate whose residual
-    exceeds CERTIFICATE_TOL, or whose solve finds no bracket, goes to the
-    SLSQP epigraph solve that ``minimize_slem`` uses, on the same block
-    spectrum that the certificate checks, from the closed-form weights; its
-    residual is reported as it is.  The reported SLEM is the block spectrum
-    at the returned weights.
+    candidate is checked by the KKT certificate (``_kcs_certificate``, on
+    a stack of this one point), whose residual the result reports.  Only
+    a candidate whose residual exceeds CERTIFICATE_TOL, or an active-set
+    solve that finds no bracket, goes to the SLSQP epigraph solve that
+    ``minimize_slem`` uses, on the same block spectrum that the
+    certificate checks, from the closed-form weights; its residual is
+    reported as it is.  The reported SLEM is the block spectrum at the
+    returned weights.
     """
-    closed = optimal_weights(KcsStar(m, n, k)).per_stratum
-    start = np.array([closed[j] for j in range(1, m + 1)])
-    w, iterations, message = start, 0, "closed form"
-    if k > _k_max(m, n):
+    return _tied_optima(m, n, [k])[0]
+
+
+def _tied_optima(m: int, n: int, ks) -> list[TiedOptimum]:
+    """``kcs_tied_optimum(m, n, k)`` for each k of ``ks``: every point's
+    candidate first, then one stacked certificate of them all, then the
+    SLSQP fallback for each point that fails it, alone."""
+    topologies = [KcsStar(m, n, k) for k in ks]  # which check m, n and k
+    km = _k_max(m, n)
+    candidates = []  # (topology, weights or None if the solve failed, ...)
+    for topology in topologies:
+        k = topology.k
+        if k <= km:
+            candidates.append((topology, _closed_form(topology), 0, "closed form"))
+            continue
         try:
             w, iterations = _active_set_weights(
                 m, n, k, math.cos(theta_root_kcs(m, n, k)))
-            message = "active-set solve"
-        except (ValueError, ZeroDivisionError):  # no bracket, or a pole:
-            pass  # the closed form in w fails the certificate below
-    value, residual = _kcs_certificate(n, k, w)
-    if residual > CERTIFICATE_TOL:
-        w, _, iterations, message = _epigraph_slem(
-            lambda w: kcs_blocks(n, k, w).nontrivial_spectrum(), start,
-            f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
-        value, residual = _kcs_certificate(n, k, w)
-    per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
-    return TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
-                       slem=value, iterations=iterations, message=message,
-                       certificate_residual=residual)
+        except (ValueError, ZeroDivisionError):  # no bracket, or a pole
+            w, iterations = None, 0
+        candidates.append((topology, w, iterations, "active-set solve"))
+    solved = [(t.k, w) for t, w, _, _ in candidates if w is not None]
+    certified = iter(_kcs_certificate(n, [k for k, _ in solved], [w for _, w in solved]))
+    out = []
+    for topology, w, iterations, message in candidates:
+        k = topology.k
+        if w is not None:
+            value, residual = next(certified)
+        if w is None or residual > CERTIFICATE_TOL:
+            w, _, iterations, message = _epigraph_slem(
+                lambda w: kcs_blocks(n, k, w).nontrivial_spectrum(),
+                _closed_form(topology),
+                f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
+            [(value, residual)] = _kcs_certificate(n, [k], [w])
+        per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
+        out.append(TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
+                               slem=value, iterations=iterations, message=message,
+                               certificate_residual=residual))
+    return out
+
+
+def _closed_form(topology: KcsStar) -> np.ndarray:
+    """The closed-form per-stratum weights w1..wm of a k-cored star."""
+    closed = optimal_weights(topology).per_stratum
+    return np.array([closed[j] for j in range(1, topology.m + 1)])
 
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
@@ -525,16 +580,14 @@ def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
 
     Within the closed-form validity range the characteristic-equation
     value is used; beyond it the certified tied optimum
-    (``kcs_tied_optimum``).
+    (``kcs_tied_optimum``), with the certificates of all those points
+    computed on stacked blocks at once.
     """
     km = k_max(m, n)
-    out = []
-    for k in k_range:
-        if k <= km:
-            out.append((k, slem_closed_form(KcsStar(m, n, k))))
-        else:
-            out.append((k, kcs_tied_optimum(m, n, k).slem))
-    return out
+    ks = list(k_range)
+    tied = iter(_tied_optima(m, n, [k for k in ks if k > km]))
+    return [(k, slem_closed_form(KcsStar(m, n, k)) if k <= km else next(tied).slem)
+            for k in ks]
 
 
 @dataclass(frozen=True)

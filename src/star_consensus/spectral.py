@@ -11,7 +11,12 @@ k-cored stars, and Cauchy-interlacing consistency checks.
 eigenvalues make up W's spectrum without its eigenvalue 1, and their
 weight gradients, in band form (each weight moves W0 by a rank-one
 slope); everything else (block SLEM, interlacing check, the certificate
-and SLSQP fallback of ``kcs_tied_optimum``) reads it.
+and SLSQP fallback of ``kcs_tied_optimum``) reads it.  Its first step,
+the eigenpairs without the Perron eigenvalue, is all that the block SLEM
+and the interlacing check read, so they form no gradients.  The blocks of
+many points of one (m, n) can be held as one stack, whose eigensolves
+then run in one LAPACK call per block kind; the certificate of a k-cored
+curve reads them so.
 
 The characteristic function of the k-cored star (the symmetric star is
 the case k = 1) can be written
@@ -135,13 +140,18 @@ class StratifiedBlocks:
     and k-1 copies of the core eigenvalue c = 1 - n*w1.  W0 holds the
     Perron eigenvalue 1.  ``nontrivial_spectrum`` is the one place that
     says which of these eigenvalues make up the rest of W's spectrum.
+
+    The blocks of several points of one (m, n) can be held as a stack
+    (``kcs_blocks`` with a row of weights per point): then the blocks carry
+    a leading axis, ``core_value`` and ``core_multiplicity`` hold one entry
+    per point, and ``nontrivial_spectrum`` answers for every point at once.
     """
 
     w0_block: np.ndarray
     w1_block: np.ndarray
     w1_multiplicity: int
-    core_value: float
-    core_multiplicity: int
+    core_value: float | np.ndarray
+    core_multiplicity: int | np.ndarray
 
     def combined_spectrum(self) -> np.ndarray:
         vals = [eig_symmetric(self.w0_block)]
@@ -154,32 +164,50 @@ class StratifiedBlocks:
         their gradients in w1..wm, one row each.
 
         In order: W0 without its Perron eigenvalue (ascending), W1
-        (ascending, n >= 2) and the core value (k >= 2).  The Perron
-        eigenvalue is the one nearest 1: W0 (sqrt(k), sqrt(n), ...)^T =
-        (sqrt(k), sqrt(n), ...)^T at every w, and at nonnegative weights it
-        is W0's largest.  The gradients come from ``_band_gradients``,
-        O(m^2) for all of them.
+        (ascending, n >= 2) and the core value (k >= 2).  Two steps: the
+        eigenpairs without the Perron eigenvalue
+        (``_nontrivial_eigenpairs``, all that the block SLEM and the
+        interlacing check read), then their gradients from
+        ``_band_gradients``, O(m^2) for all of them.
         """
-        m = self.w1_block.shape[0]
-        n, k = self.w1_multiplicity + 1, self.core_multiplicity + 1
+        lam, vecs = self._nontrivial_eigenpairs()
+        n, k = self.w1_multiplicity + 1, np.asarray(self.core_multiplicity, dtype=float) + 1
+        grad = _band_gradients(n, k[..., None], vecs)
+        if lam.shape[-1] > vecs.shape[-2]:  # the core value, -n in w1 alone
+            core = np.zeros(grad.shape[:-2] + (1, grad.shape[-1]))
+            core[..., 0] = -n
+            grad = np.concatenate((grad, core), axis=-2)
+        return lam, grad
+
+    def _nontrivial_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues of ``nontrivial_spectrum``, and as rows the
+        eigenvectors of the W0 and W1 ones in W0's coordinates (the core
+        value, last, has none).
+
+        The Perron eigenvalue is the one nearest 1: W0 (sqrt(k), sqrt(n),
+        ...)^T = (sqrt(k), sqrt(n), ...)^T at every w, and at nonnegative
+        weights it is W0's largest.  W1 is W0 on rows 1..m, so in W0's
+        coordinates its vectors have entry 0 zero.
+        """
+        m = self.w1_block.shape[-1]
         vals, vecs = np.linalg.eigh(self.w0_block)
-        perron = np.argmin(np.abs(vals - 1.0))
-        grads = _band_gradients(n, k, np.delete(vecs, perron, 1))
-        parts = [(np.delete(vals, perron), grads)]
+        perron = np.argmin(np.abs(vals - 1.0), axis=-1)[..., None]
+        keep = np.arange(m + 1) != perron
+        batch = vals.shape[:-1]
+        lam = [vals[keep].reshape(batch + (m,))]
+        rows = [vecs.swapaxes(-1, -2)[keep].reshape(batch + (m, m + 1))]
         if self.w1_multiplicity:
             vals, vecs = np.linalg.eigh(self.w1_block)
-            # W1 is W0 on rows 1..m: in W0's coordinates its vectors have
-            # entry 0 zero
-            vecs = np.vstack((np.zeros(m), vecs))
-            parts.append((vals, _band_gradients(n, k, vecs)))
-        if self.core_multiplicity:
-            parts.append(([self.core_value], [[-n] + [0.0] * (m - 1)]))
-        lam, grad = zip(*parts)
-        return np.concatenate(lam), np.concatenate(grad)
+            lam.append(vals)
+            rows.append(np.concatenate((np.zeros(batch + (m, 1)),
+                                        vecs.swapaxes(-1, -2)), axis=-1))
+        if np.all(self.core_multiplicity):
+            lam.append(np.asarray(self.core_value)[..., None])
+        return np.concatenate(lam, axis=-1), np.concatenate(rows, axis=-2)
 
     def slem(self) -> float:
         """SLEM of W from the block spectra."""
-        return float(np.abs(self.nontrivial_spectrum()[0]).max())
+        return float(np.abs(self._nontrivial_eigenpairs()[0]).max())
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
@@ -203,32 +231,52 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     return kcs_blocks(topology.n, topology.k, np.array(w, dtype=float))
 
 
-def kcs_blocks(n: int, k: int, w: np.ndarray) -> StratifiedBlocks:
-    """The stratified blocks of KcsStar(len(w), n, k) at weights w1..wm."""
+def kcs_blocks(n: int, k, w: np.ndarray) -> StratifiedBlocks:
+    """The stratified blocks of KcsStar(len(w), n, k) at weights w1..wm.
+
+    With a row of weights per point in w and an array of one k per point,
+    the blocks of all the points as one stack; their k are all 1 or all 2
+    or more, as the core eigenvalue is in every spectrum of a stack or in
+    none.
+    """
+    if np.ndim(k) and (np.min(k) == 1) != (np.max(k) == 1):
+        raise SpectralError("a stack of blocks takes k = 1 at every point or at none")
     W0 = sector_block(n, k, w)
-    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, 1.0 - n * w[0], k - 1)
+    return StratifiedBlocks(W0, W0[..., 1:, 1:].copy(), n - 1,
+                            1.0 - n * w[..., 0], k - 1)
 
 
-def sector_block(n: int, k: int, w: np.ndarray) -> np.ndarray:
+def sector_block(n: int, k, w: np.ndarray) -> np.ndarray:
     """The (m+1)x(m+1) tridiagonal sector block W0 of a k-cored star with
-    per-stratum weights w = (w1..wm); the tail block W1 is W0[1:, 1:]."""
-    diag = np.append(1.0 - n * w[0], 1.0 - w - np.append(w[1:], 0.0))
-    diag[1] -= (k - 1) * w[0]
-    off = np.append(math.sqrt(n * k) * w[0], w[1:])
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    per-stratum weights w = (w1..wm); the tail block W1 is W0[1:, 1:].
+    Rows of weights and one k per row give a stack of blocks."""
+    w = np.asarray(w, dtype=float)
+    m = w.shape[-1]
+    k = np.asarray(k, dtype=float)[..., None]
+    w1, rest = w[..., :1], w[..., 1:]
+    shifted = np.concatenate((rest, np.zeros_like(w1)), axis=-1)  # w2..wm, 0
+    diag = np.concatenate((1.0 - n * w1, 1.0 - w - shifted), axis=-1)
+    diag[..., 1:2] -= (k - 1) * w1
+    off = np.concatenate((np.sqrt(n * k) * w1, rest), axis=-1)
+    i = np.arange(m + 1)
+    W0 = np.zeros(w.shape[:-1] + (m + 1, m + 1))
+    W0[..., i, i] = diag
+    W0[..., i[1:], i[:-1]] = W0[..., i[:-1], i[1:]] = off
+    return W0
 
 
-def _band_gradients(n: int, k: int, vecs: np.ndarray) -> np.ndarray:
-    """v^T (dW0/dw_i) v for each column v of ``vecs`` (vectors in W0's
-    coordinates) and i = 1..m, one row per column.
+def _band_gradients(n: int, k, vecs: np.ndarray) -> np.ndarray:
+    """v^T (dW0/dw_i) v for each row v of ``vecs`` (vectors in W0's
+    coordinates) and i = 1..m, one row per vector; over a stack, k holds
+    one entry per point, broadcast against the rows.
 
     Each weight enters W0 through a rank-one slope: dW0/dw1 =
     -(sqrt(n) e0 - sqrt(k) e1)(sqrt(n) e0 - sqrt(k) e1)^T and dW0/dw_i =
     -(e_{i-1} - e_i)(e_{i-1} - e_i)^T for i >= 2, so the gradient entries
     are -(sqrt(n) v[0] - sqrt(k) v[1])^2 and -(v[i-1] - v[i])^2."""
-    d = vecs[:-1] - vecs[1:]
-    d[0] = math.sqrt(n) * vecs[0] - math.sqrt(k) * vecs[1]
-    return -(d * d).T
+    d = vecs[..., :-1] - vecs[..., 1:]
+    d[..., 0] = math.sqrt(n) * vecs[..., 0] - np.sqrt(k) * vecs[..., 1]
+    return -(d * d)
 
 
 def char_kcs(theta: float, m: int, n: float, k: float) -> float:
@@ -443,7 +491,7 @@ def interlacing_check(blocks: StratifiedBlocks,
     top_ok = bottom_ok = True
     if W is not None:
         lam = eig_symmetric(W)
-        top = blocks.nontrivial_spectrum()[0].max()
+        top = blocks._nontrivial_eigenpairs()[0].max()
         top_ok = abs(lam[1] - top) <= INTERLACING_TOL
         bottom_ok = abs(lam[-1] - lam1[0]) <= INTERLACING_TOL
     return InterlacingReport(

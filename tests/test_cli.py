@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,11 @@ def test_thread_cap_precedes_numpy_import():
     assert out.split() == ["1", "1", "1"]
 
 
+# sha256 of the stdout of fig --id 2 (numpy 2.4 with its bundled OpenBLAS);
+# the points past k_max carry LAPACK's last bits
+FIG2_SHA256 = "7c105332a2dce3d7f88aafd865a2b2d2b1a752f59c08f7d0bd3450cdd455c255"
+
+
 def test_fig2_independent_of_thread_count():
     # every fig-2 point, the active-set solves past k_max included, is the
     # same to the last byte under one and two BLAS threads
@@ -99,6 +105,8 @@ def test_fig2_independent_of_thread_count():
             env=env, check=True, capture_output=True).stdout)
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 31
+    # and the same bytes as before the certificates were stacked
+    assert hashlib.sha256(outs[0]).hexdigest() == FIG2_SHA256
 
 
 def test_slem_symmetric(capsys):

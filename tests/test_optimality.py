@@ -229,7 +229,7 @@ def test_certificate_rejects_moved_weights(monkeypatch, dw1):
     tied = kcs_tied_optimum(m, n, k)
     w = np.array([tied.weights.per_stratum[j] for j in range(1, m + 1)])
     moved = w + [dw1, 0.0]
-    _, residual = optimality._kcs_certificate(n, k, moved)
+    [(_, residual)] = optimality._kcs_certificate(n, [k], [moved])
     assert residual > 1e-3
     # a candidate that fails the certificate goes to the SLSQP fallback
     monkeypatch.setattr(optimality, "_active_set_weights", lambda *a: (moved, 0))
@@ -242,8 +242,8 @@ def test_certificate_near_zero_slem_takes_both_signs():
     # KcsStar(1, 1, 1) is one edge: its one nontrivial eigenvalue 1 - 2 w1
     # is 0 at the optimum w1 = 1/2, where it touches +s and -s at once.
     # With the sign of the eigenvalue alone the residual read 0.894.
-    assert optimality._kcs_certificate(1, 1, np.array([0.5 - 1e-10])) == \
-        pytest.approx((2e-10, 0.0), abs=1e-15)
+    [(value, residual)] = optimality._kcs_certificate(1, [1], [[0.5 - 1e-10]])
+    assert (value, residual) == pytest.approx((2e-10, 0.0), abs=1e-15)
     tied = kcs_tied_optimum(1, 1, 1)
     assert tied.slem <= 1e-12 and tied.certificate_residual <= 1e-12
 
@@ -339,7 +339,8 @@ def test_nnls_matches_scipy_on_random_problems():
         if trial % 4 == 0:  # two equal columns: a rank-deficient A^T A
             A[:, -1] = A[:, 0]
         b = rng.standard_normal(rows)
-        assert optimality._nnls_residual(A, b) == pytest.approx(nnls(A, b)[1], abs=1e-13)
+        got = optimality._nnls_residual(A.T.tolist(), b.tolist())
+        assert got == pytest.approx(nnls(A, b)[1], abs=1e-13)
 
 
 @pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES + LARGE_NK_CASES)
@@ -349,15 +350,16 @@ def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
     port = optimality._nnls_residual
     problems = []
 
-    def recorded(A, b):
-        problems.append((A, b))
-        return port(A, b)
+    def recorded(columns, target):
+        problems.append((columns, target))
+        return port(columns, target)
 
     monkeypatch.setattr(optimality, "_nnls_residual", recorded)
     kcs_tied_optimum(m, n, k)
     assert problems
-    for A, b in problems:
-        assert port(A, b) == pytest.approx(nnls(A, b)[1], abs=1e-13)
+    for columns, target in problems:
+        want = nnls(np.array(columns).T, np.array(target))[1]
+        assert port(columns, target) == pytest.approx(want, abs=1e-13)
 
 
 def test_fig2_never_reaches_slsqp(monkeypatch):
@@ -376,6 +378,102 @@ def test_fig2_points_certified_and_not_above_slsqp(monkeypatch):
     monkeypatch.setattr(optimality, "CERTIFICATE_TOL", -1.0)
     for k, t in exact.items():
         assert t.slem <= kcs_tied_optimum(2, 3, k).slem + 1e-14, k
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_failed_active_set_solve_goes_straight_to_slsqp(monkeypatch, error):
+    # the closed form of KcsStar(200, 40, k_max + 2) passes the certificate
+    # (its core value lies within ACTIVE_TOL of the top), though its SLEM
+    # is 2.6e-11 above the tied optimum; a failed solve must not offer it
+    m, n = 200, 40
+    k = k_max(m, n) + 2
+    closed = optimality._closed_form(KcsStar(m, n, k))
+    [(_, residual)] = optimality._kcs_certificate(n, [k], [closed])
+    assert residual <= optimality.CERTIFICATE_TOL
+
+    def no_solve(*args):
+        raise error("no bracket")
+
+    calls = []
+
+    def recorded(spectrum, start, what):
+        calls.append(what)
+        return start, None, 7, "recorded fallback"
+
+    monkeypatch.setattr(optimality, "_active_set_weights", no_solve)
+    monkeypatch.setattr(optimality, "_epigraph_slem", recorded)
+    tied = kcs_tied_optimum(m, n, k)
+    assert calls == [f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})"]
+    assert tied.message == "recorded fallback" != "closed form"
+
+
+# (n, m, k range): fig 2, a single branch, a single stratum and two of the
+# large-n*k pairs; the stack of a curve splits into chunks at m = 50
+CURVE_CASES = [(3, 2, range(1, 31)), (1, 5, range(1, 60)), (4, 1, range(1, 30)),
+               (8, 50, range(k_max(50, 8) - 1, k_max(50, 8) + 9)),
+               (3, 200, range(k_max(200, 3), k_max(200, 3) + 4))]
+
+
+@pytest.mark.parametrize("n,m,ks", CURVE_CASES)
+def test_curve_points_are_the_tied_optima_bit_for_bit(n, m, ks):
+    # a point certified in a stack gets the bits it gets alone
+    km = k_max(m, n)
+    past = [k for k in ks if k > km]
+    stacked = optimality._tied_optima(m, n, past)
+    curve = dict(kcs_slem_curve(n, m, ks))
+    assert len(stacked) == len(past) >= 2
+    for k, tied in zip(past, stacked):
+        alone = kcs_tied_optimum(m, n, k)
+        assert curve[k] == alone.slem
+        assert tied.certificate_residual == alone.certificate_residual
+        assert tied == alone
+        assert tied.message == "active-set solve"
+
+
+def test_failing_point_of_a_stack_falls_back_alone(monkeypatch):
+    m, n, ks = 2, 3, list(range(10, 31))
+    want = optimality._tied_optima(m, n, ks)
+    solve, epigraph = optimality._active_set_weights, optimality._epigraph_slem
+
+    def moved_at_20(m, n, k, cos_theta):
+        w, iterations = solve(m, n, k, cos_theta)
+        return (w + [1e-6, 0.0] if k == 20 else w), iterations
+
+    calls = []
+
+    def recorded(spectrum, start, what):
+        calls.append(what)
+        return epigraph(spectrum, start, what)
+
+    monkeypatch.setattr(optimality, "_active_set_weights", moved_at_20)
+    monkeypatch.setattr(optimality, "_epigraph_slem", recorded)
+    got = optimality._tied_optima(m, n, ks)
+    assert calls == ["tied KCS optimum for (m, n, k) = (2, 3, 20)"]
+    for k, g, w in zip(ks, got, want):
+        if k == 20:
+            assert g.message != "active-set solve"
+            assert g.slem == pytest.approx(w.slem, abs=1e-9)
+        else:
+            assert g == w
+
+
+def test_certificate_stack_memory_is_bounded():
+    # 300 points at m = 60 would stack 8.9 MB of sector blocks at once;
+    # chunks of CERTIFICATE_STACK_BYTES keep the peak far below that
+    import tracemalloc
+
+    m, n = 60, 3
+    km = k_max(m, n)
+    ks = range(km + 1, km + 301)
+    kcs_slem_curve(n, m, ks[:2])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        curve = kcs_slem_curve(n, m, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == len(ks)
+    assert peak < len(ks) * (m + 1) ** 2 * 8 / 4
 
 
 def test_invariance_star_core():

@@ -226,6 +226,39 @@ def test_nontrivial_spectrum_band_gradients_match_einsum():
         assert np.all(np.abs(grad - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), topo
 
 
+def test_block_slem_and_interlacing_form_no_gradients(monkeypatch):
+    cases = [(stratify(topo, assign), assemble_matrix(build(topo), assign))
+             for topo, assign in _nontrivial_cases()]
+    want = [(blocks.slem(), interlacing_check(blocks, W)) for blocks, W in cases]
+
+    def gradients_not_used(*args):
+        raise AssertionError("gradients formed")
+
+    monkeypatch.setattr(spectral, "_band_gradients", gradients_not_used)
+    assert [(blocks.slem(), interlacing_check(blocks, W)) for blocks, W in cases] == want
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 1), (2, 3), (5, 4), (60, 3)])
+def test_stacked_blocks_give_each_point_its_own_bits(m, n):
+    # one eigensolve per block kind over the stack, and the same bits per
+    # point as its blocks alone
+    rng = np.random.default_rng(m * 10 + n)
+    ks = np.array([2, 3, 7, 40, 41])
+    w = rng.uniform(0.05, 0.6, (ks.size, m))
+    lam, grad = kcs_blocks(n, ks, w).nontrivial_spectrum()
+    assert lam.shape == (ks.size, m + m * (n > 1) + 1)
+    for p, k in enumerate(ks):
+        alone = kcs_blocks(n, int(k), w[p]).nontrivial_spectrum()
+        assert np.array_equal(lam[p], alone[0])
+        assert np.array_equal(grad[p], alone[1])
+
+
+def test_stack_refuses_mixed_core():
+    # the core eigenvalue is in every spectrum of a stack or in none
+    with pytest.raises(SpectralError):
+        kcs_blocks(3, np.array([1, 2]), np.full((2, 2), 0.4))
+
+
 def test_nontrivial_spectrum_slem_at_m200_matches_closed_form():
     # band gradients keep the block SLEM at O(m^3) for the two eigensolves
     topo = KcsStar(200, 3, 2)
