@@ -1,13 +1,14 @@
 """Acceptance gate: one test per criterion, tolerances as stated.
 
 Criteria 2 and 8 encode the published k-cored-star reference data
-(k_max grid and curve minimum). Those published values are internally
-inconsistent with the model itself — the optimal SLEM of the k-cored
-star depends on (n, k) only through k/n, so the validity bound must be
-linear in n, while the published grid grows quadratically — and the
-faithful implementation therefore does not match them. The tests assert
-the published values anyway and fail honestly; see the analysis in the
-project notes.
+(k_max grid and curve minimum). The model's bound is k_max(m, n) =
+floor(n * r*(m)), linear in n, as the optimal SLEM depends on (n, k) only
+through k/n. The published grid is ceil(m * r*(n)) instead: the same rule
+with m and n swapped and rounded up, and the published curve minimum is
+that grid's entry. So the faithful implementation does not match them.
+The two criteria assert the published values anyway and fail honestly;
+``test_published_k_max_data_is_the_rule_with_m_and_n_swapped`` checks the
+explanation.
 """
 
 import math
@@ -84,10 +85,13 @@ REFERENCE_K_MAX = [
 def test_criterion_02_reference_k_max_grid():
     """k_max exact integer match for m in 2..11, n in 1..8; < 30 s.
 
-    KNOWN HONEST FAILURE: the published grid grows quadratically in n,
-    which no rule consistent with the model can produce (the optimal
-    SLEM depends only on k/n); the faithful bound is linear in n and
-    verified optimal by an independent semidefinite-program oracle.
+    KNOWN HONEST FAILURE: the published grid is ceil(m * r*(n)), the
+    model's rule floor(n * r*(m)) with m and n swapped and rounded up
+    (k_max(n, m) + 1 for n >= 2, m at n = 1; see
+    test_published_k_max_data_is_the_rule_with_m_and_n_swapped).  The
+    faithful bound is linear in n, as the optimal SLEM depends on (n, k)
+    only through k/n, and is verified optimal by an independent
+    semidefinite-program oracle.
     """
     t0 = time.monotonic()
     computed = [[k_max(m, n) for n in range(1, 9)] for m in range(2, 12)]
@@ -182,15 +186,38 @@ def test_criterion_08_kcs_curve_minimum():
     """The (k, SLEM) curve for n=3, m=2 over k in 1..30 attains its
     minimum at k = 15 (published figure).
 
-    KNOWN HONEST FAILURE: the true curve (closed form on its validity
-    range, numerical optimization beyond) attains its minimum at
-    k = 9-10; an independent semidefinite-program oracle confirms the
-    optimal SLEM is already increasing well before k = 15.
+    KNOWN HONEST FAILURE: the true curve (closed form up to
+    k_max(2, 3) = 9, the certified tied optimum beyond) attains its
+    minimum at k = 10; an independent semidefinite-program oracle
+    confirms the optimal SLEM is already increasing well before k = 15.
+    The published 15 is the published grid's entry at (m, n) = (2, 3),
+    ceil(2 * r*(3)), the bound of the star with m and n swapped, rounded
+    up: on that star (n = 2, m = 3) the certified minimum lies at
+    k_max(3, 2) = 14 (see
+    test_published_k_max_data_is_the_rule_with_m_and_n_swapped).
     """
     curve = kcs_slem_curve(3, 2, range(1, 31))
     ks = [k for k, _ in curve]
     vals = [s for _, s in curve]
     assert ks[int(np.argmin(vals))] == 15
+
+
+def test_published_k_max_data_is_the_rule_with_m_and_n_swapped():
+    """Why criteria 02 and 08 fail: the published grid is ceil(m * r*(n)),
+    which is k_max(n, m) + 1 for n >= 2 (m * r*(n) is not an integer
+    there) and m at n = 1 (r*(1) = 1), in all 80 cells; and the published
+    curve minimum, k = 15 at (n, m) = (3, 2), is that grid's entry, while
+    the certified curve of the swapped star (n = 2, m = 3) bottoms out at
+    k = 14."""
+    for m in range(2, 12):
+        for n in range(1, 9):
+            swapped = k_max(n, m) + 1 if n >= 2 else m
+            assert REFERENCE_K_MAX[m - 2][n - 1] == swapped, (m, n)
+    published_minimum = REFERENCE_K_MAX[2 - 2][3 - 1]
+    assert published_minimum == 15
+    curve = kcs_slem_curve(2, 3, range(1, 31))
+    k_min = curve[int(np.argmin([s for _, s in curve]))][0]
+    assert k_min == 14 == published_minimum - 1 == k_max(3, 2)
 
 
 @pytest.fixture(scope="module")

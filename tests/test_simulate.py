@@ -199,6 +199,52 @@ def test_run_trial_immediate_consensus():
     assert out.normalized_error == pytest.approx(0.0)
 
 
+def test_consensus_check_takes_minus_zero_for_zero():
+    # At 1 bit, x0 = 2u - 1 puts a node exactly on its stage-1 draw u, so
+    # ceil(u - u) gives index +0.0, while a node at x0 = -1 gives
+    # ceil(0 - u) = -0.0: a column that holds both signs of index 0 in
+    # adjacent rows, which the check must take as consensus.
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    N = g.node_count
+    spec = QuantizerSpec(1, "probabilistic")
+    seed = derive_trial_seed(3, 0)
+    u = np.array(_kernel_stage_draws(seed, 1, N))
+    assert (u > 0.0).all()
+    x0 = np.full(N, -1.0)
+    x0[::3] = 2.0 * u[::3] - 1.0
+    index = _round((x0 + 1.0) / spec.delta, spec, u)
+    assert not index.any()
+    assert np.signbit(index).tolist() == [i % 3 != 0 for i in range(N)]
+    out = run_trial(W, x0, spec, trial_seed=seed)
+    assert out.consensus_reached and out.iterations == 0
+    assert out.consensus_value == -1.0
+
+
+def test_consensus_check_reads_every_row():
+    # columns equal but in their last, first or middle row do not finish
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    N = g.node_count
+    spec = QuantizerSpec(4, "uniform")
+    level = _levels(spec)
+    x0 = np.full((4, N), level[5])
+    for trial, node in ((1, N - 1), (2, 0), (3, N // 2)):
+        x0[trial, node] = level[6]
+    reached, iters, values, _ = _batch_run(
+        [W], x0, spec, 0, derive_trial_seed(1, np.arange(4)))[0]
+    assert reached.tolist() == [True, False, False, False]
+    assert iters.tolist() == [0, 0, 0, 0]
+    assert values[0] == 5 * spec.delta - 1.0 and np.isnan(values[1:]).all()
+
+
+def test_one_node_reaches_consensus_at_iteration_0():
+    # the check compares no adjacent rows, and the empty AND is True
+    for scheme in KERNEL_SCHEMES:
+        spec = QuantizerSpec(4, scheme)
+        out = run_trial(np.eye(1), [0.3], spec, trial_seed=5)
+        assert out.consensus_reached and out.iterations == 0, scheme
+        assert abs(out.consensus_value - 0.3) < spec.delta, scheme
+
+
 def test_run_trial_cap_counts_as_failure():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     out = run_trial(W, initial_states(9, 0, g.node_count),
@@ -460,6 +506,28 @@ def test_kernel_outcomes_and_initial_states_pinned():
          for n in (1, 7, 151) for v in initial_states(s, i, n).tolist()]
     states = hashlib.sha256("".join(v.hex() for v in x).encode()).hexdigest()
     assert states == "fc9f57872b54852d38ba035982d5304ce7d5c79ac87d6d739b7e31fb9110903b"
+
+
+def _large_star_digest():
+    """Per-trial (reached, iterations, values) of 4 trials on the 151-node
+    SymmetricStar(3, 50) with optimal weights, 8-bit probabilistic, cap
+    2,000, master seed 1: the configuration of the large-star Monte Carlo
+    run, as exact text.  All four run to the cap, so the sha256 of trial
+    0's recorded states follows: it pins every stage's arithmetic."""
+    _, W = scheme_matrix(SymmetricStar(3, 50), "optimal")
+    reached, iters, values, _, record = _batch_run(
+        [W], None, QuantizerSpec(8, "probabilistic"), 2000,
+        derive_trial_seed(1, np.arange(4)), record=True)[0]
+    return repr((reached.tolist(), iters.tolist(),
+                 [v.hex() for v in values.tolist()],
+                 hashlib.sha256(record.tobytes()).hexdigest()))
+
+
+def test_large_star_outcomes_pinned():
+    # Pinned before the consensus check moved to adjacent rows, the hub
+    # clip to two ufuncs and the draw views to one build per column count.
+    digest = hashlib.sha256(_large_star_digest().encode()).hexdigest()
+    assert digest == "74969d4270727e574c955d4c4f5f48cdf4e10fd2ca860f75a99518808c46b13f"
 
 
 @pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=lambda t: type(t).__name__)
