@@ -12,7 +12,6 @@ if "STAR_CONSENSUS_THREADS" in os.environ:  # must precede the numpy import
         os.environ.setdefault(_var, os.environ["STAR_CONSENSUS_THREADS"])
 
 from .topology import (
-    Custom,
     CcsStar,
     Graph,
     KcsStar,

@@ -139,7 +139,7 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     idx = np.arange(1, m + 1)
     a = np.sin((m - idx + 1) * theta) / math.sin(theta)
     b = np.sin((m - idx + 1) * (math.pi - theta)) / math.sin(math.pi - theta)
-    w = np.array([assignment.per_stratum[j] for j in range(1, m + 1)])
+    w = assignment.for_strata(range(1, m + 1))
 
     def tridiag(corner):
         T = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
@@ -571,8 +571,7 @@ def _tied_optima(m: int, n: int, ks) -> list[TiedOptimum]:
 
 def _closed_form(topology: KcsStar) -> np.ndarray:
     """The closed-form per-stratum weights w1..wm of a k-cored star."""
-    closed = optimal_weights(topology).per_stratum
-    return np.array([closed[j] for j in range(1, topology.m + 1)])
+    return optimal_weights(topology).for_strata(range(1, topology.m + 1))
 
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:

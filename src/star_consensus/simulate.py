@@ -63,17 +63,14 @@ is written row by row into one buffer, cut to its rows in place, so it
 costs its own size.
 
 Where a step's time goes, at 151 nodes by 200 columns on one thread of
-a 2-core x86-64 host (numpy 2.4, scipy 1.17; the parts timed alone,
-before and after the check moved to adjacent rows, the clip to two
-ufuncs and the views out of the step): the hash, key add plus
-splitmix64, about 38 us; casting its uint32 halves to the draws, 27 us;
-the CSR product, 27 us, of which scipy's csr_matvecs is 23 us; the
-rounding, 13 us; the consensus check, 17 -> 10 us; the clip of the hub
-row, 2.4 -> 1.3 us; the draw views, 1.3 -> 0 us.  A whole step went from
-about 142 to 129 us (a 10,000-step run of 200 trials, 1.418 -> 1.285 s).
-The product's dispatch and the zero-filled result it allocates (about
-4 us) stay: writing into a reused buffer would need scipy's private
-``_sparsetools`` module.
+a 2-core x86-64 host (numpy 2.4, scipy 1.17; the parts timed alone): the
+hash, key add plus splitmix64, about 38 us; casting its uint32 halves to
+the draws, 27 us; the CSR product, 27 us, of which scipy's csr_matvecs
+is 23 us; the rounding, 13 us; the consensus check, 10 us; the clip of
+the hub row, 1.3 us.  A whole step takes about 129 us.  The product's
+dispatch and the zero-filled result it allocates (about 4 us) stay:
+writing into a reused buffer would need scipy's private ``_sparsetools``
+module.
 """
 
 from __future__ import annotations

@@ -154,6 +154,10 @@ class StratifiedBlocks:
     core_multiplicity: int | np.ndarray
 
     def combined_spectrum(self) -> np.ndarray:
+        """W's whole spectrum, decreasing, from the blocks of one point."""
+        if self.w0_block.ndim > 2:
+            raise SpectralError("combined_spectrum takes the blocks of one "
+                                "point, not a stack")
         vals = [eig_symmetric(self.w0_block)]
         vals += [eig_symmetric(self.w1_block)] * self.w1_multiplicity
         vals += [np.array([self.core_value])] * self.core_multiplicity
@@ -205,9 +209,10 @@ class StratifiedBlocks:
             lam.append(np.asarray(self.core_value)[..., None])
         return np.concatenate(lam, axis=-1), np.concatenate(rows, axis=-2)
 
-    def slem(self) -> float:
-        """SLEM of W from the block spectra."""
-        return float(np.abs(self._nontrivial_eigenpairs()[0]).max())
+    def slem(self) -> float | np.ndarray:
+        """SLEM of W from the block spectra; over a stack, one per point."""
+        slems = np.abs(self._nontrivial_eigenpairs()[0]).max(axis=-1)
+        return float(slems) if slems.ndim == 0 else slems
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
@@ -225,10 +230,8 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     if not isinstance(topology, KcsStar):
         raise SpectralError("stratification is implemented for symmetric "
                             "and k-cored stars only")
-    if assignment.per_stratum is None:
-        raise SpectralError("stratification needs per-stratum weights")
-    w = [assignment.per_stratum[j] for j in range(1, topology.m + 1)]
-    return kcs_blocks(topology.n, topology.k, np.array(w, dtype=float))
+    w = assignment.for_strata(range(1, topology.m + 1))
+    return kcs_blocks(topology.n, topology.k, w)
 
 
 def kcs_blocks(n: int, k, w: np.ndarray) -> StratifiedBlocks:

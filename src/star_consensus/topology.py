@@ -16,7 +16,7 @@ attached to its branch's nodes of the core.
 
 Edges are labeled by stratum (orbit under branch permutation): stratum 0
 for core edges, stratum j for the j-th edge of a tail counted from the
-center outward.  Custom graphs carry no stratum labels.
+center outward.  A ``Graph`` built directly carries no stratum labels.
 
 Node layout is fixed for reproducibility: central/core nodes occupy the
 lowest indices, then tail nodes in branch-major order, inner to outer.
@@ -37,7 +37,6 @@ __all__ = [
     "SymmetricStar",
     "CcsStar",
     "KcsStar",
-    "Custom",
     "Topology",
     "TopologyError",
     "build",
@@ -59,7 +58,7 @@ class Graph:
 
     Edges are stored as (u, v) tuples with u < v.  ``stratum_of_edge``
     maps each edge to its stratum index (0 for core edges, 1..m for tail
-    edges) and is None for custom graphs.
+    edges) and is None for a graph built directly.
     """
 
     node_count: int
@@ -155,17 +154,11 @@ class SymmetricStar(KcsStar):
     k: int = field(default=1, init=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """User-supplied graph; no stratum structure is assumed."""
-    graph: Graph
-
-
-Topology = SymmetricStar | CcsStar | KcsStar | Custom
+Topology = SymmetricStar | CcsStar | KcsStar
 
 
 def build(topology: Topology) -> Graph:
-    """Construct the graph of a star family (or pass a custom graph through).
+    """Construct the graph of a star family.
 
     Both families are a core of c nodes plus n tail paths of m edges, built
     by one loop from three family parts: the core size c (k centrals, or n
@@ -176,8 +169,6 @@ def build(topology: Topology) -> Graph:
     edges 2..m run along the tail.  Edge order: core edges first
     (lexicographic), then tail edges branch-major, inner to outer.
     """
-    if isinstance(topology, Custom):
-        return topology.graph
     m, n = topology.m, topology.n
     if isinstance(topology, CcsStar):
         c = n

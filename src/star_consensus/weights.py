@@ -2,7 +2,10 @@
 
 Four schemes: the closed-form optimal weights for the three star families,
 plus Metropolis-Hastings, maximum-degree and best-constant weighting as
-baselines.  The assembled matrix W puts the edge weight on the
+baselines.  An edge weighting is one array aligned with ``graph.edges``;
+the optimal weights are per stratum (``WeightAssignment``) and become
+that array through ``WeightAssignment.for_strata`` over the strata of the
+edges.  The assembled matrix W puts the edge weight on the
 off-diagonal and 1 minus the incident weight sum on the diagonal, so rows
 always sum to 1 and W is symmetric.  Negative diagonals are legal (and do
 occur for the optimal weights on star centers).
@@ -40,23 +43,25 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Per-stratum or per-edge edge weights."""
+    """Edge weights tied per stratum: stratum index -> weight."""
 
-    per_stratum: dict[int, float] | None = None
-    per_edge: dict[tuple[int, int], float] | None = None
+    per_stratum: dict[int, float]
 
-    def edge_weight(self, edge: tuple[int, int], stratum: int | None) -> float:
-        if self.per_edge is not None:
-            e = (min(edge), max(edge))
-            if e not in self.per_edge:
-                raise WeightError(f"no weight for edge {e}")
-            return self.per_edge[e]
-        assert self.per_stratum is not None
-        if stratum is None:
-            raise WeightError("per-stratum assignment needs a labeled graph")
-        if stratum not in self.per_stratum:
-            raise WeightError(f"no weight for stratum {stratum}")
-        return self.per_stratum[stratum]
+    def for_strata(self, strata) -> np.ndarray:
+        """The weights of ``strata``, in order, one per entry.
+
+        Refuses a stratum without a weight, and a weight for a stratum not
+        among ``strata``, which the topology does not have and would
+        otherwise ignore.
+        """
+        strata = list(strata)
+        missing = set(strata) - self.per_stratum.keys()
+        if missing:
+            raise WeightError(f"no weight for strata {sorted(missing)}")
+        extra = self.per_stratum.keys() - set(strata)
+        if extra:
+            raise WeightError(f"weights for strata {sorted(extra)} the topology does not have")
+        return np.array([self.per_stratum[s] for s in strata], dtype=float)
 
 
 def optimal_weights(topology: Topology) -> WeightAssignment:
@@ -87,16 +92,13 @@ def metropolis_weights(graph: Graph) -> np.ndarray:
     """Metropolis-Hastings: edge (i,j) gets 1/(1 + max(d_i, d_j))."""
     _require_connected(graph)
     deg = graph.degrees()
-    per_edge = {e: 1.0 / (1 + max(deg[e[0]], deg[e[1]])) for e in graph.edges}
-    return assemble_matrix(graph, WeightAssignment(per_edge=per_edge))
+    return assemble_matrix(graph, [1.0 / (1 + max(deg[u], deg[v])) for u, v in graph.edges])
 
 
 def max_degree_weights(graph: Graph) -> np.ndarray:
     """Maximum-degree: every edge gets 1/max_k(d_k)."""
     _require_connected(graph)
-    dmax = max(graph.degrees())
-    per_edge = {e: 1.0 / dmax for e in graph.edges}
-    return assemble_matrix(graph, WeightAssignment(per_edge=per_edge))
+    return assemble_matrix(graph, np.full(len(graph.edges), 1.0 / max(graph.degrees())))
 
 
 def best_constant_weights(graph: Graph) -> np.ndarray:
@@ -107,29 +109,25 @@ def best_constant_weights(graph: Graph) -> np.ndarray:
     eigenvalue.
     """
     _require_connected(graph)
-    n = graph.node_count
-    unit = {e: 1.0 for e in graph.edges}
-    lap = np.eye(n) - assemble_matrix(graph, WeightAssignment(per_edge=unit))
-    lam = np.sort(np.linalg.eigvalsh(lap))[::-1]  # decreasing
-    alpha = 2.0 / (lam[0] + lam[n - 2])
-    per_edge = {e: alpha for e in graph.edges}
-    return assemble_matrix(graph, WeightAssignment(per_edge=per_edge))
+    n, ones = graph.node_count, np.ones(len(graph.edges))
+    lam = np.sort(np.linalg.eigvalsh(np.eye(n) - assemble_matrix(graph, ones)))[::-1]
+    return assemble_matrix(graph, 2.0 / (lam[0] + lam[n - 2]) * ones)
 
 
-def assemble_matrix(graph: Graph, assignment: WeightAssignment) -> np.ndarray:
-    """Dense symmetric stochastic matrix from an edge-weight assignment.
+def assemble_matrix(graph: Graph, edge_weights) -> np.ndarray:
+    """Dense symmetric stochastic matrix from one weight per entry of
+    ``graph.edges``, in order.
 
     Off-diagonal (i,j) carries the edge weight, diagonal i carries
     1 - sum of weights incident to i.
     """
-    n = graph.node_count
-    W = np.zeros((n, n))
-    for e in graph.edges:
-        s = graph.stratum_of_edge[e] if graph.stratum_of_edge else None
-        w = assignment.edge_weight(e, s)
-        u, v = e
-        W[u, v] = w
-        W[v, u] = w
+    w = np.asarray(edge_weights, dtype=float)
+    if w.shape != (len(graph.edges),):
+        raise WeightError(f"need one weight per edge ({len(graph.edges)}), "
+                          f"got an array of shape {w.shape}")
+    u, v = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+    W = np.zeros((graph.node_count, graph.node_count))
+    W[u, v] = W[v, u] = w
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 
@@ -156,7 +154,8 @@ def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     max-degree | best-constant."""
     graph = build(topology)
     if scheme == "optimal":
-        W = assemble_matrix(graph, optimal_weights(topology))
+        strata = map(graph.stratum_of_edge.get, graph.edges)
+        W = assemble_matrix(graph, optimal_weights(topology).for_strata(strata))
     elif scheme == "metropolis":
         W = metropolis_weights(graph)
     elif scheme == "max-degree":

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from star_consensus.topology import CcsStar, Custom, Graph, KcsStar, SymmetricStar
-from star_consensus.weights import scheme_matrix
+from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar
+from star_consensus.weights import metropolis_weights, scheme_matrix
 from star_consensus.spectral import slem
 from star_consensus import simulate
 from star_consensus.simulate import (
@@ -30,14 +30,19 @@ from star_consensus.simulate import (
 )
 from star_consensus.cli import SIM_TOPOLOGIES, WEIGHTINGS
 
-# Topologies of every family, with a custom graph that has a cycle and a chord.
+# Topologies of every family, with a custom graph that has a cycle and a
+# chord, which runs on its Metropolis weights.
 KERNEL_TOPOLOGIES = (
     SymmetricStar(2, 3),
     KcsStar(2, 3, 2),
     CcsStar(2, 3),
-    Custom(Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))),
+    Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4))),
 )
 KERNEL_SCHEMES = ("uniform", "probabilistic")
+
+
+def _kernel_id(topo):
+    return "Custom" if isinstance(topo, Graph) else type(topo).__name__
 
 
 def _grid_draws(rng, size):
@@ -469,8 +474,10 @@ def test_initial_states_node_count_must_be_a_positive_integer():
 
 
 def _kernel_inputs(topo, trials, seed):
-    weighting = "metropolis" if isinstance(topo, Custom) else "optimal"
-    g, W = scheme_matrix(topo, weighting)
+    if isinstance(topo, Graph):
+        g, W = topo, metropolis_weights(topo)
+    else:
+        g, W = scheme_matrix(topo, "optimal")
     x0 = np.array([initial_states(seed, i, g.node_count) for i in range(trials)])
     return W, x0, derive_trial_seed(seed, np.arange(trials))
 
@@ -530,7 +537,7 @@ def test_large_star_outcomes_pinned():
     assert digest == "74969d4270727e574c955d4c4f5f48cdf4e10fd2ca860f75a99518808c46b13f"
 
 
-@pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("topo", KERNEL_TOPOLOGIES, ids=_kernel_id)
 def test_kernel_batch_size_independent(topo):
     W, x0, seeds = _kernel_inputs(topo, 15, 3)
     for scheme in KERNEL_SCHEMES:
@@ -745,7 +752,7 @@ def _oracle_run(W, x0, spec, max_iters, trial_seed):
 
 # 21 bits is the top of the quantizer's range (MAX_BITS).
 @pytest.mark.parametrize("topo, bits", [
-    pytest.param(topo, bits, id=type(topo).__name__ + ("" if bits == 8 else f"-{bits}"))
+    pytest.param(topo, bits, id=_kernel_id(topo) + ("" if bits == 8 else f"-{bits}"))
     for bits in (8, 21) for topo in KERNEL_TOPOLOGIES])
 def test_kernel_matches_python_oracle(topo, bits):
     W, x0, seeds = _kernel_inputs(topo, 4, 11)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from star_consensus.topology import CcsStar, Custom, Graph, KcsStar, SymmetricStar, build
+from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus import spectral
 from star_consensus.spectral import (
     SpectralError,
@@ -22,10 +22,17 @@ from star_consensus.spectral import (
 from star_consensus.weights import (
     WeightAssignment,
     assemble_matrix,
+    metropolis_weights,
     optimal_weights,
     per_stratum_from_matrix,
     scheme_matrix,
 )
+
+
+def _stratum_matrix(topo, assignment):
+    """W of a star family at per-stratum weights."""
+    g = build(topo)
+    return assemble_matrix(g, assignment.for_strata(map(g.stratum_of_edge.get, g.edges)))
 
 
 def test_eig_symmetric_self_check():
@@ -57,7 +64,7 @@ def test_slem_requires_stochastic():
 
 
 def test_slem_needs_two_nodes():
-    g, W = scheme_matrix(Custom(Graph(1, ())), "metropolis")
+    W = metropolis_weights(Graph(1, ()))
     assert W.shape == (1, 1)
     with pytest.raises(SpectralError, match="at least two nodes"):
         slem(W)
@@ -95,7 +102,7 @@ def test_stratify_kcs_matches_dense_spectrum():
                 topo = KcsStar(m, n, k)
                 assign = WeightAssignment(per_stratum=dict(
                     enumerate(rng.uniform(0.05, 0.6, m), start=1)))
-                W = assemble_matrix(build(topo), assign)
+                W = _stratum_matrix(topo, assign)
                 blocks = stratify(topo, assign)
                 full = np.sort(np.linalg.eigvalsh(W))
                 stacked = np.sort(blocks.combined_spectrum())
@@ -166,7 +173,7 @@ def test_nontrivial_spectrum_matches_dense_eigensolve():
         # one copy per block: W0 without its eigenvalue 1, W1, the core value
         expanded = ([lam[:m], [1.0]] + [lam[m:2 * m]] * blocks.w1_multiplicity
                     + [lam[-1:]] * blocks.core_multiplicity)
-        dense = eig_symmetric(assemble_matrix(build(topo), assign))
+        dense = eig_symmetric(_stratum_matrix(topo, assign))
         got = np.sort(np.concatenate(expanded))[::-1]
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) <= 1e-12, topo
@@ -227,7 +234,7 @@ def test_nontrivial_spectrum_band_gradients_match_einsum():
 
 
 def test_block_slem_and_interlacing_form_no_gradients(monkeypatch):
-    cases = [(stratify(topo, assign), assemble_matrix(build(topo), assign))
+    cases = [(stratify(topo, assign), _stratum_matrix(topo, assign))
              for topo, assign in _nontrivial_cases()]
     want = [(blocks.slem(), interlacing_check(blocks, W)) for blocks, W in cases]
 
@@ -251,6 +258,22 @@ def test_stacked_blocks_give_each_point_its_own_bits(m, n):
         alone = kcs_blocks(n, int(k), w[p]).nontrivial_spectrum()
         assert np.array_equal(lam[p], alone[0])
         assert np.array_equal(grad[p], alone[1])
+
+
+def test_stack_slem_is_one_per_point():
+    # KcsStar(2, 3, 2) at (0.2, 0.5) and KcsStar(2, 3, 3) at (0.1, 0.5)
+    ks, w = np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]])
+    alone = [kcs_blocks(3, int(k), wp).slem() for k, wp in zip(ks, w)]
+    assert alone == [pytest.approx(0.8385, abs=1e-4), pytest.approx(0.8720, abs=1e-4)]
+    got = kcs_blocks(3, ks, w).slem()
+    assert got.shape == (2,)
+    assert got.tolist() == alone
+
+
+def test_stack_refuses_combined_spectrum():
+    stack = kcs_blocks(3, np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]]))
+    with pytest.raises(SpectralError, match="not a stack"):
+        stack.combined_spectrum()
 
 
 def test_stack_refuses_mixed_core():

@@ -5,7 +5,6 @@ import pytest
 
 from star_consensus.topology import (
     CcsStar,
-    Custom,
     Graph,
     KcsStar,
     SymmetricStar,
@@ -96,11 +95,6 @@ def test_graph_rejects_self_loops_duplicates_range():
 def test_graph_normalizes_edge_order():
     g = Graph(3, ((2, 1), (1, 0)))
     assert set(g.edges) == {(1, 2), (0, 1)}
-
-
-def test_custom_passthrough():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    assert build(Custom(g)) is g
 
 
 def test_family_parameters_must_be_integers():

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from star_consensus import weights
+from star_consensus.spectral import stratify
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.weights import (
     WeightAssignment,
@@ -115,17 +117,15 @@ def test_ccs_core_diagonal():
 
 def test_assemble_and_recover_round_trip():
     topo = KcsStar(2, 4, 2)
-    g = build(topo)
+    g, W = scheme_matrix(topo, "optimal")
     assign = optimal_weights(topo)
-    W = assemble_matrix(g, assign)
     got = per_stratum_from_matrix(g, W)
     for s, v in assign.per_stratum.items():
         assert got[s] == pytest.approx(v, abs=1e-15)
 
 
 def test_recover_rejects_nonuniform_stratum():
-    g = build(SymmetricStar(2, 2))
-    W = assemble_matrix(g, optimal_weights(SymmetricStar(2, 2)))
+    g, W = scheme_matrix(SymmetricStar(2, 2), "optimal")
     e = g.edges[0]
     W = W.copy()
     W[e[0], e[1]] += 0.01
@@ -137,8 +137,73 @@ def test_recover_rejects_nonuniform_stratum():
 
 
 def test_per_edge_assignment():
-    g = Graph(3, ((0, 1), (1, 2)))
-    a = WeightAssignment(per_edge={(0, 1): 0.3, (1, 2): 0.6})
-    W = assemble_matrix(g, a)
+    # one weight per entry of graph.edges, in order
+    g = Graph(3, ((2, 1), (0, 1)))
+    W = assemble_matrix(g, [0.3, 0.6])
+    assert (W[1, 2], W[0, 1]) == (0.3, 0.6)
     assert W[1, 1] == pytest.approx(1 - 0.9)
     _check_scheme(W, g)
+
+
+# per-stratum weights on SymmetricStar(2, 3), whose strata are 1 and 2
+REFUSED_ASSIGNMENTS = {
+    "empty": ({}, "no weight for strata \\[1, 2\\]"),
+    "missing": ({1: 0.4}, "no weight for strata \\[2\\]"),
+    "extra": ({1: 0.4, 2: 0.5, 7: 9.0}, "strata \\[7\\] the topology does not have"),
+}
+
+
+@pytest.mark.parametrize("per_stratum, match", REFUSED_ASSIGNMENTS.values(),
+                         ids=REFUSED_ASSIGNMENTS.keys())
+def test_refused_assignments(per_stratum, match, monkeypatch):
+    topo, assign = SymmetricStar(2, 3), WeightAssignment(per_stratum)
+    with pytest.raises(WeightError, match=match):
+        stratify(topo, assign)
+    monkeypatch.setattr(weights, "optimal_weights", lambda topology: assign)
+    with pytest.raises(WeightError, match=match):
+        scheme_matrix(topo, "optimal")
+
+
+def test_assemble_refuses_wrong_length():
+    g = build(SymmetricStar(2, 3))
+    for bad in (np.ones(5), np.ones(7), np.ones((6, 1)), 0.5, []):
+        with pytest.raises(WeightError, match="one weight per edge"):
+            assemble_matrix(g, bad)
+
+
+def _per_edge_loop(graph, weight_of):
+    """The assembly that edge arrays replaced: edge by edge, each weight
+    looked up on its own, then the diagonal."""
+    W = np.zeros((graph.node_count, graph.node_count))
+    for e in graph.edges:
+        u, v = e
+        W[u, v] = W[v, u] = weight_of(e)
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return W
+
+
+def _per_edge_scheme(topo, scheme):
+    """A scheme's matrix by the per-edge loop, each weight computed as the
+    per-edge dictionaries of the schemes computed it."""
+    g = build(topo)
+    deg = g.degrees()
+    if scheme == "optimal":
+        w = optimal_weights(topo).per_stratum
+        return _per_edge_loop(g, lambda e: w[g.stratum_of_edge[e]])
+    if scheme == "metropolis":
+        return _per_edge_loop(g, lambda e: 1.0 / (1 + max(deg[e[0]], deg[e[1]])))
+    if scheme == "max-degree":
+        return _per_edge_loop(g, lambda e: 1.0 / max(deg))
+    n = g.node_count
+    lam = np.sort(np.linalg.eigvalsh(np.eye(n) - _per_edge_loop(g, lambda e: 1.0)))[::-1]
+    alpha = 2.0 / (lam[0] + lam[n - 2])
+    return _per_edge_loop(g, lambda e: alpha)
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "metropolis", "max-degree",
+                                    "best-constant"])
+def test_edge_arrays_match_per_edge_loop_bit_for_bit(scheme):
+    for topo in (SymmetricStar(2, 3), CcsStar(2, 3), KcsStar(2, 3, 2),
+                 SymmetricStar(3, 50)):
+        W = scheme_matrix(topo, scheme)[1]
+        assert W.tobytes() == _per_edge_scheme(topo, scheme).tobytes(), topo
