@@ -365,17 +365,31 @@ def _nnls_residual(columns: list[list[float]], target: list[float]) -> float:
     follows cond(A_P), where forming A^T A would square it.  The tail of
     Q^T b is the residual of that solve in Q's basis: its norm is the
     residual, and the dual A_j^T (b - A x) of a column off P is the tail
-    of Q^T A_j against it.  An index joins P while its dual exceeds the
-    rounding of Q^T b against its column, the column is independent of
-    P's and the solve gives it a positive component; a step that would
-    make a passive component nonpositive stops where the first one
-    reaches zero, and it leaves P.  x stays feasible throughout, so even
-    a solve cut at 3 * columns outer iterations (scipy.optimize.nnls's
-    cap) bounds the minimum from above.  A has one column per active
-    eigenvalue, so the work is small enough for Python floats, which
-    keeps it the same under any thread count.
+    of Q^T A_j against it.
+
+    The solve starts from the full column set: if A has no more columns
+    than rows, its columns are independent (each one's part off the
+    columns before it exceeds 100 EPS of its norm, checked before any
+    division) and that one QR gives every component > 0, then x is the
+    unconstrained minimum and feasible, so it is the optimum by the KKT
+    conditions, and its residual is returned.  A certificate past k_max
+    is such a case: its three active eigenvalues all carry positive
+    multipliers.  Otherwise the Lawson-Hanson loop runs from P empty.  An
+    index joins P while its dual exceeds the rounding of Q^T b against
+    its column, the column is independent of P's (by the same check) and
+    the solve gives it a positive component; a step that would make a
+    passive component nonpositive stops where the first one reaches zero,
+    and it leaves P.  x stays feasible throughout, so even a solve cut at
+    3 * columns outer iterations (scipy.optimize.nnls's cap) bounds the
+    minimum from above.  A has one column per active eigenvalue, so the
+    work is small enough for Python floats, which keeps it the same under
+    any thread count.
     """
     norms = [math.hypot(*col) for col in columns]
+    if len(columns) <= len(target):
+        solved = _passive_least_squares(columns, target, list(range(len(columns))), 0, norms)
+        if solved is not None and all(zi > 0 for zi in solved[0]):
+            return math.hypot(*solved[1][len(columns):])
     floor = 10 * EPS * math.hypot(*target)  # rounding of Q^T b
     x = [0.0] * len(columns)
     P: list[int] = []
@@ -385,11 +399,10 @@ def _nnls_residual(columns: list[list[float]], target: list[float]) -> float:
         dual = {j: sum(map(mul, reflected[j][p:], c[p:]))
                 for j in range(len(columns)) if j not in P}
         for j in sorted(dual, key=dual.__getitem__, reverse=True):
-            if (dual[j] <= floor * norms[j]  # zero but for rounding
-                    or math.hypot(*reflected[j][p:]) <= 100 * EPS * norms[j]):
-                continue  # or dependent on the passive columns
-            solved = _passive_least_squares(reflected, c, P + [j], p)
-            if solved[0][j] > 0:
+            if dual[j] <= floor * norms[j]:  # zero but for rounding
+                continue
+            solved = _passive_least_squares(reflected, c, P + [j], p, norms)
+            if solved is not None and solved[0][j] > 0:  # None: j depends on P
                 P.append(j)
                 z, c, reflected = solved
                 break
@@ -406,20 +419,25 @@ def _nnls_residual(columns: list[list[float]], target: list[float]) -> float:
 
 
 def _passive_least_squares(columns: list[list[float]], target: list[float],
-                           P: list[int], start: int = 0):
+                           P: list[int], start: int = 0,
+                           norms: list[float] | None = None):
     """Least squares on the columns P of A by the Householder QR
     Q^T A_P = R, taken in P's order.
 
     ``columns`` and ``target`` are A's columns and b with the reflections
     of P[:start] already applied (from scratch: A and b themselves).
     Returns z (the solution, zero off P), Q^T b and Q^T A's columns; the
-    inputs are not changed.
+    inputs are not changed.  With the columns' ``norms``, a column of
+    P[start:] whose part off the columns before it is at most 100 EPS of
+    its norm makes it return None instead, before any division.
     """
     cols = [col[:] for col in columns]
     c = target[:]
     for k in range(start, len(P)):
         v = cols[P[k]]
         norm = math.hypot(*v[k:])
+        if norms is not None and norm <= 100 * EPS * norms[P[k]]:
+            return None
         alpha = -norm if v[k] > 0 else norm
         u = [v[k] - alpha] + v[k + 1:]
         scale = 1.0 / (norm * (norm + abs(v[k])))  # 2 / u^T u
@@ -488,28 +506,31 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
             p = t - d - e2 / (p or -EPS)
         return p
 
-    def head(t, s):
-        """The diagonal of tI - head and its squared coupling at
+    def head(s):
+        """The diagonal d0, d1 of the head and its squared coupling at
         w1 = (1 - s)/n."""
         w1 = (1.0 - s) / n
-        return t - (1.0 - n * w1), t - (1.0 - k * w1), (root_nk * w1) ** 2
-
-    def h(t, s, sector):
-        """h(t) on W0 (sector) or on W1, at w1 = (1 - s)/n."""
-        c, g, b2 = head(t, s)
-        return (c / (c * g - b2) if sector else 1.0 / g) + 1.0 / path_pivot(t)
+        return 1.0 - n * w1, 1.0 - k * w1, (root_nk * w1) ** 2
 
     def sector_bottom(s):
-        c, g, b2 = head(-s, s)
-        det2 = c * g - b2
-        return c + det2 * (1.0 / path_pivot(-s) - h(s, s, n == 1))
+        """D(s), with the head formed once for both t = -s and t = s."""
+        d0, d1, b2 = head(s)
+        c, g = -s - d0, -s - d1
+        if n == 1:  # h_top(s) is h(s) on W0, else on W1
+            h_top = (s - d0) / ((s - d0) * (s - d1) - b2)
+        else:
+            h_top = 1.0 / (s - d1)
+        return c + (c * g - b2) * (1.0 / path_pivot(-s) - (h_top + 1.0 / path_pivot(s)))
 
     hi = (2 * k - n) / (2 * k + n)
     lo = cos_theta
     while lo > 0 and sector_bottom(lo) > 0:
         lo -= hi - lo
     s, iterations = _brentq(sector_bottom, lo, hi, (), EPS)
-    return np.array([(1.0 - s) / n, -1.0 / h(-s, s, True)] + [0.5] * (m - 2)), iterations
+    d0, d1, b2 = head(s)
+    c = -s - d0
+    w2 = -1.0 / (c / (c * (-s - d1) - b2) + 1.0 / path_pivot(-s))  # -1/h(-s) on W0
+    return np.array([(1.0 - s) / n, w2] + [0.5] * (m - 2)), iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:

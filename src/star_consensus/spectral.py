@@ -314,15 +314,18 @@ def _brentq(f, a: float, b: float, args: tuple, xtol: float) -> tuple[float, int
     with 0 iterations.  Like scipy, it raises ValueError on a bracket
     without a sign change or on a NaN value, and RuntimeError when
     BRENT_MAXITER iterations do not converge.
-    """
-    def value(x):
-        fx = float(f(x, *args))
-        if fx != fx:
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
 
+    f is called directly, with the NaN check inline after each call and
+    no cast, so that an evaluation costs no wrapper call; f returns a
+    float, as ``char_kcs`` and the active-set D(s) of ``optimality`` do.
+    """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = f(xpre, *args)
+    if fpre != fpre:
+        raise ValueError(f"the function value at x={xpre} is NaN")
+    fcur = f(xcur, *args)
+    if fcur != fcur:
+        raise ValueError(f"the function value at x={xcur} is NaN")
     if fpre == 0:
         return xpre, 0
     if fcur == 0:
@@ -368,7 +371,9 @@ def _brentq(f, a: float, b: float, args: tuple, xtol: float) -> tuple[float, int
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = f(xcur, *args)
+        if fcur != fcur:
+            raise ValueError(f"the function value at x={xcur} is NaN")
     raise RuntimeError(f"failed to converge after {BRENT_MAXITER} iterations")
 
 
@@ -386,7 +391,8 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
     symmetric star is the case k = 1.  m, n and k must be integers (not
     bools) >= 1; ``char_kcs`` itself also takes real n and k.
     """
-    if not all(_is_integer(v) and v >= 1 for v in (m, n, k)):
+    if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1
+            and _is_integer(k) and k >= 1):
         raise SpectralError(f"m, n, k must be integers >= 1, got {(m, n, k)!r}")
     return _bracketed_root(char_kcs, m, (m, n, k))
 
@@ -460,7 +466,7 @@ def k_max(m: int, n: int) -> int:
     r*(m)) matched a 60-digit r*(m) on all 19,712 pairs probed (m up to
     20000, n up to 1000).  m and n must be integers (not bools) >= 1.
     """
-    if not all(_is_integer(v) and v >= 1 for v in (m, n)):
+    if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1):
         raise SpectralError(f"m, n must be integers >= 1, got {(m, n)!r}")
     return _k_max(m, n)
 
@@ -486,8 +492,12 @@ def interlacing_check(blocks: StratifiedBlocks,
     The latter identity is *not* implied by interlacing (which only gives
     lam_min(W0) <= lam_min(W1)), and at the optimal weights the smallest
     eigenvalue of W belongs to the W0 block instead, so that field is
-    informational and excluded from ``holds``.
+    informational and excluded from ``holds``.  It takes the blocks of one
+    point; a stack from ``kcs_blocks`` raises SpectralError.
     """
+    if blocks.w0_block.ndim > 2:
+        raise SpectralError("interlacing_check takes the blocks of one point, "
+                            "not a stack")
     lam0 = np.sort(eig_symmetric(blocks.w0_block))  # ascending
     lam1 = np.sort(eig_symmetric(blocks.w1_block))
     viol = max(0.0, np.max(lam0[:-1] - lam1), np.max(lam1 - lam0[1:]))

@@ -119,12 +119,17 @@ def assemble_matrix(graph: Graph, edge_weights) -> np.ndarray:
     ``graph.edges``, in order.
 
     Off-diagonal (i,j) carries the edge weight, diagonal i carries
-    1 - sum of weights incident to i.
+    1 - sum of weights incident to i.  Another number of weights, or a NaN
+    or infinite one, raises WeightError.
     """
     w = np.asarray(edge_weights, dtype=float)
     if w.shape != (len(graph.edges),):
         raise WeightError(f"need one weight per edge ({len(graph.edges)}), "
                           f"got an array of shape {w.shape}")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise WeightError("edge weights must be finite, got "
+                          + ", ".join(f"{w[i]} on edge {graph.edges[i]}" for i in bad))
     u, v = np.array(graph.edges, dtype=int).reshape(-1, 2).T
     W = np.zeros((graph.node_count, graph.node_count))
     W[u, v] = W[v, u] = w

@@ -215,6 +215,33 @@ def test_table2(capsys):
     assert float(row3[3]) == pytest.approx(0.893816, abs=1e-4)
 
 
+# the exact stdout of table --id 1 (the k_max grid) and table --id 2 (the
+# closed-form SLEMs): both run only the characteristic-root solves
+TABLE1_STDOUT = (
+    "m\\n,1,2,3,4,5,6,7,8\n"
+    "2,3,6,9,12,15,19,22,25\n"
+    "3,7,14,21,28,35,42,49,57\n"
+    "4,12,25,38,51,63,76,89,102\n"
+    "5,20,40,60,80,100,120,140,160\n"
+    "6,28,57,86,115,144,173,202,231\n"
+    "7,39,78,118,157,197,236,276,315\n"
+    "8,51,103,154,206,258,309,361,412\n"
+    "9,65,130,196,261,326,392,457,523\n"
+    "10,80,161,242,323,403,484,565,646\n"
+    "11,97,195,293,391,488,586,684,782\n"
+)
+TABLE2_STDOUT = (
+    "n,symmetric_star_m3,ccs_star_m2,kcs_star_m3_k2\n"
+    "3,0.912940,0.866025,0.893816\n"
+    "40,0.984947,0.866025,0.972613\n"
+)
+
+
+@pytest.mark.parametrize("table_id,want", [("1", TABLE1_STDOUT), ("2", TABLE2_STDOUT)])
+def test_analytic_tables_are_pinned_byte_for_byte(capsys, table_id, want):
+    assert run(capsys, "table", "--id", table_id) == (0, want, "")
+
+
 def test_table1_shape(capsys):
     code, out, _ = run(capsys, "table", "--id", "1")
     assert code == 0

@@ -349,6 +349,54 @@ def test_nnls_matches_scipy_on_random_problems():
         assert got == pytest.approx(nnls(A, b)[1], abs=1e-13)
 
 
+# cases at the edge of the NNLS early exit (the full column set solved by
+# one QR): (columns of A, b)
+NNLS_EDGE_CASES = {
+    # the third column is the sum of the first two: the full set is rank
+    # deficient, and the exit must see it before it divides
+    "rank-deficient": ([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0],
+                        [1.0, 3.0, 3.0, 2.0]], [2.0, 5.0, 4.0, 3.0]),
+    "equal-columns": ([[1.0, -2.0, 0.5], [1.0, -2.0, 0.5]], [1.0, 1.0, 1.0]),
+    # orthogonal unit columns solve exactly: one component is exactly 0
+    "zero-coefficient": ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0]], [1.0, 0.0, 2.0, 0.5]),
+    "negative-coefficient": ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+                             [1.0, -1.0, 2.0]),
+    "zero-column": ([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                    [1.0, 3.0, 2.0]),
+    "zero-column-alone": ([[0.0, 0.0]], [1.0, -1.0]),
+    "more-columns-than-rows": ([[1.0, 0.5], [-1.0, 2.0], [0.3, -0.7], [2.0, 1.0]],
+                               [1.0, 1.0]),
+    "positive-full-set": ([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 4.0]],
+                          [3.0, 4.0, 5.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NNLS_EDGE_CASES))
+def test_nnls_early_exit_edges_match_scipy(case):
+    from scipy.optimize import nnls
+
+    columns, target = NNLS_EDGE_CASES[case]
+    got = optimality._nnls_residual(columns, target)
+    assert got == pytest.approx(nnls(np.array(columns).T, np.array(target))[1], abs=1e-13)
+
+
+def test_fig2_certificates_take_the_early_exit(monkeypatch):
+    # every fig-2 point past k_max has three active eigenvalues with
+    # positive multipliers: one QR of the full set, no Lawson-Hanson step
+    solves = []
+    port = optimality._passive_least_squares
+
+    def counted(columns, target, P, *rest):
+        solves.append(len(P))
+        return port(columns, target, P, *rest)
+
+    monkeypatch.setattr(optimality, "_passive_least_squares", counted)
+    tied = optimality._tied_optima(2, 3, range(10, 31))
+    assert solves == [3] * 21
+    assert all(t.certificate_residual <= 1e-12 for t in tied)
+
+
 @pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES + LARGE_NK_CASES)
 def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
     from scipy.optimize import nnls

@@ -276,6 +276,14 @@ def test_stack_refuses_combined_spectrum():
         stack.combined_spectrum()
 
 
+def test_stack_refuses_interlacing_check():
+    # the stack of KcsStar(2, 3, 2) and KcsStar(2, 3, 3) is refused by name,
+    # not with the dense eigensolve's "square matrix" message
+    stack = kcs_blocks(3, np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]]))
+    with pytest.raises(SpectralError, match="not a stack"):
+        interlacing_check(stack)
+
+
 def test_stack_refuses_mixed_core():
     # the core eigenvalue is in every spectrum of a stack or in none
     with pytest.raises(SpectralError):
@@ -548,3 +556,23 @@ def test_brentq_port_errors_and_bisection():
         spectral._brentq(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7,
                          0.0, 1.0, (), 2e-12)
     assert spectral._brentq(lambda x: x, 0.0, 1.0, (), 2e-12) == (0.0, 0)
+
+
+# float.hex of slem_closed_form for SymmetricStar(m, 3) and KcsStar(m, 40, 2),
+# the benchmark's twelve closed-form roots; any change to the Brent port or
+# to the characteristic function that moves a bit shows here
+PINNED_ROOTS = {
+    10: ("0x1.fa8ac87ee3984p-1", "0x1.fd092689b1b4fp-1"),
+    100: ("0x1.fff011df1a3f3p-1", "0x1.fff154a95cab5p-1"),
+    1000: ("0x1.ffffd6aa792f9p-1", "0x1.ffffd703c70c4p-1"),
+    4000: ("0x1.fffffd69e90e6p-1", "0x1.fffffd6b50979p-1"),
+    6000: ("0x1.fffffed9b37f7p-1", "0x1.fffffeda1e1a8p-1"),
+    20000: ("0x1.ffffffe5822b1p-1", "0x1.ffffffe5850cap-1"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_ROOTS))
+def test_closed_form_roots_are_pinned_bit_for_bit(m):
+    got = (slem_closed_form(SymmetricStar(m, 3)).hex(),
+           slem_closed_form(KcsStar(m, 40, 2)).hex())
+    assert got == PINNED_ROOTS[m]

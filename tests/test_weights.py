@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +170,18 @@ def test_assemble_refuses_wrong_length():
     for bad in (np.ones(5), np.ones(7), np.ones((6, 1)), 0.5, []):
         with pytest.raises(WeightError, match="one weight per edge"):
             assemble_matrix(g, bad)
+
+
+def test_assemble_refuses_non_finite_weights():
+    # a NaN or infinite weight is refused by name here, not later as a W
+    # that is "not symmetric"
+    g = build(SymmetricStar(2, 3))
+    with pytest.raises(WeightError, match=r"finite, got nan on edge \(0, 1\)"):
+        assemble_matrix(g, [math.nan] * 6)
+    bad = [0.2] * 6
+    bad[4] = -math.inf
+    with pytest.raises(WeightError, match=r"^edge weights must be finite, got -inf on edge \(0, 5\)$"):
+        assemble_matrix(g, bad)
 
 
 def _per_edge_loop(graph, weight_of):
