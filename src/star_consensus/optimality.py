@@ -485,10 +485,12 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     w2 = -1/h(-s) puts the sector bottom at -s.  While D is positive at
     the lower end, it steps down by the bracket width: for n = 1 there is
     no tail block and the sector block alone can beat cos(theta), and at
-    large m near k_max the root can lie within rounding of cos(theta).  m = 1 is closed form: w1 = 2/(2n+k), SLEM k/(2n+k).  A
-    bracket without a sign change raises ValueError, and a pole hit
-    exactly ZeroDivisionError; which eigenvalues end up at +-s is for the
-    certificate to check.
+    large m near k_max the root can lie within rounding of cos(theta).  The
+    solve takes D at the final lower end from that test, so no end point
+    is evaluated twice.  m = 1 is closed form: w1 = 2/(2n+k), SLEM
+    k/(2n+k).  A bracket without a sign change raises ValueError, and a
+    pole hit exactly ZeroDivisionError; which eigenvalues end up at +-s is
+    for the certificate to check.
     """
     if m == 1:
         return np.array([2.0 / (2 * n + k)]), 0
@@ -524,9 +526,11 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
 
     hi = (2 * k - n) / (2 * k + n)
     lo = cos_theta
-    while lo > 0 and sector_bottom(lo) > 0:
+    d_lo = sector_bottom(lo)
+    while lo > 0 and d_lo > 0:
         lo -= hi - lo
-    s, iterations = _brentq(sector_bottom, lo, hi, (), EPS)
+        d_lo = sector_bottom(lo)
+    s, iterations = _brentq(sector_bottom, lo, hi, (), EPS, d_lo)
     d0, d1, b2 = head(s)
     c = -s - d0
     w2 = -1.0 / (c / (c * (-s - d1) - b2) + 1.0 / path_pivot(-s))  # -1/h(-s) on W0

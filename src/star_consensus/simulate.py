@@ -46,14 +46,20 @@ changing a bit.  The probabilistic rule takes one route, the two
 operations ceil(y - u): its draws lie on the 2^-32 grid and every level
 position y lies below 2^21, so y - u is exact or keeps its sign, and the
 result is floor(y) + [u < y - floor(y)] (``_quantize_into``, the one
-rounding entry).  A finished trial's column is only marked dead; the
-live columns are gathered once a quarter of them are dead.  The draws
-hash a key base, each trial's seed plus its pair keys, built once, so a
-stage adds one offset to it.  After the first stage only the rows whose
-rounded product can leave [0, 2^b - 1] are clipped: IEEE rounding is
-monotone, so a row with nonnegative weights stays between 0 and its
-rounded all-top sum (``_clip_rows``), and those rows are clipped by the
-two ufuncs maximum and minimum, without ``np.clip``'s Python wrapper.
+rounding entry, whose level count and scheme the loop resolves once per
+run through ``_rounding``).  A finished trial's column is only marked
+dead; the live columns are gathered once a quarter of them are dead.
+The check records a stage's finished trials at their indices, from one
+nonzero() of its consensus flags, and counts the live columns as they
+die, so a stage in which some trials finish costs work on those trials
+alone; the flags are masked with the live columns only once the cell
+holds a dead one.  The draws hash a key base, each trial's seed plus its
+pair keys, built once, so a stage adds one offset to it.  After the
+first stage only the rows whose rounded product can leave [0, 2^b - 1]
+are clipped: IEEE rounding is monotone, so a row with nonnegative
+weights stays between 0 and its rounded all-top sum (``_clip_rows``),
+and those rows are clipped by the two ufuncs maximum and minimum,
+without ``np.clip``'s Python wrapper.
 The consensus check compares adjacent rows, x[1:] == x[:-1], into a
 buffer of one row less than the state, and ANDs them down each column:
 == is transitive on the NaN-free indices (and -0.0 == 0.0), so that is
@@ -70,7 +76,13 @@ is 23 us; the rounding, 13 us; the consensus check, 10 us; the clip of
 the hub row, 1.3 us.  A whole step takes about 129 us.  The product's
 dispatch and the zero-filled result it allocates (about 4 us) stay:
 writing into a reused buffer would need scipy's private ``_sparsetools``
-module.
+module.  A table row runs 7 to 9 nodes by 10,000 columns; at 7 by
+10,000 (table 3's star, 8-bit probabilistic, on the same host), the
+hash takes about 67 us and the cast 48 us, once per stage for the row's
+four cells, and each cell's CSR product 50 us, its rounding 30 us (the
+hub clip 7 us of it) and its consensus check 12 us, or 16 us at a stage
+where 100 of its trials finish (36 us when finished trials were
+recorded through boolean masks over all columns).
 """
 
 from __future__ import annotations
@@ -256,16 +268,28 @@ def _quantize_into(y, spec, u=None, clip=...):
     in (-1, 1).  Index 0 may come out as -0.0, which compares equal to
     0.0 and forms the same value.
     """
+    return _rounding(spec)(y, u, clip)
+
+
+def _rounding(spec):
+    """The rounding of ``_quantize_into`` under spec, as a function
+    round_into(y, u, clip) -> y with the level count and the scheme
+    resolved once: the kernel resolves them once per run."""
     top = float(spec.level_count - 1)
-    if clip is not None:
-        view = y[clip]
-        np.maximum(view, 0.0, out=view)
-        np.minimum(view, top, out=view)
-    if spec.scheme == "uniform":
-        np.add(y, 0.5, out=y)
-        return np.floor(y, out=y)
-    np.subtract(y, u, out=y)
-    return np.ceil(y, out=y)
+    uniform = spec.scheme == "uniform"
+
+    def round_into(y, u, clip):
+        if clip is not None:
+            view = y[clip]
+            np.maximum(view, 0.0, out=view)
+            np.minimum(view, top, out=view)
+        if uniform:
+            np.add(y, 0.5, out=y)
+            return np.floor(y, out=y)
+        np.subtract(y, u, out=y)
+        return np.ceil(y, out=y)
+
+    return round_into
 
 
 @dataclass(frozen=True)
@@ -335,9 +359,9 @@ def _clip_rows(Wc, top):
 class _Cell:
     """One weight matrix of a row: its state, one column per trial it still
     holds (``active``; a finished trial's column is only marked dead in
-    ``live`` until the next compaction), where those columns sit among the
-    row's (``pos``, None while it holds all of them), its outcomes and its
-    recorded trajectory."""
+    ``live`` until the next compaction, and ``n_live`` counts the live
+    ones), where those columns sit among the row's (``pos``, None while it
+    holds all of them), its outcomes and its recorded trajectory."""
 
     def __init__(self, Wc, clip, x, n_trials, max_iters):
         self.Wc = Wc
@@ -345,6 +369,7 @@ class _Cell:
         self.x = x
         self.active = np.arange(n_trials)
         self.live = np.ones(n_trials, dtype=bool)
+        self.n_live = n_trials
         self.pos = None
         self.reached = np.zeros(n_trials, dtype=bool)
         self.iters = np.full(n_trials, max_iters, dtype=np.int64)
@@ -419,7 +444,12 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     in ``live``, and a cell gathers its columns once at least a quarter of
     them are dead (``_COMPACT_DEAD_SHARE``).  Dead columns keep stepping,
     but nothing reads them: ``done &= live`` keeps a trial from finishing
-    twice, and trial 0's record stops when it finishes.
+    twice, and trial 0's record stops when it finishes.  That mask runs
+    only while the cell holds a dead column (``n_live`` below its column
+    count); before the first finish, and right after a compaction, it
+    would change nothing.  A stage's finished trials are found by one
+    nonzero() of ``done`` and recorded at those indices, and ``n_live``
+    drops by their number, so no pass over all columns counts ``live``.
     """
     if not _is_integer(max_iters) or not 0 <= max_iters <= MAX_ITERS:
         raise ValueError(f"max_iters must be an integer in 0..{MAX_ITERS}, "
@@ -462,10 +492,12 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         _stage_draws_into(keys, stage, N, zk, tmpk, out)
         return draws
 
+    round_into = _rounding(spec)
+
     def quantize_stage(y, draws, pos, clip):
         if probabilistic and pos is not None:
             draws = np.take(draws, pos, axis=1)
-        _quantize_into(y, spec, draws, clip)
+        round_into(y, draws, clip)
 
     def record_row(c, t):
         if c.traj is None:
@@ -484,25 +516,28 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         x = c.x
         # == is transitive on the (NaN-free) indices, so equal adjacent
         # rows mean an equal column; with one node the empty AND is True
-        same = lead(flags, N - 1, x.shape[1])
+        k = x.shape[1]
+        same = lead(flags, N - 1, k)
         np.equal(x[1:], x[:-1], out=same)
         done = np.logical_and.reduce(same, axis=0)
-        done &= c.live
-        if not done.any():
+        if c.n_live < k:  # a dead column may still be at consensus
+            done &= c.live
+        (cols,) = done.nonzero()
+        if not cols.size:
             return False
-        finished = c.active[done]
+        finished = c.active[cols]
         c.reached[finished] = True
         c.iters[finished] = t
-        c.values[finished] = x[0, done] * delta - 1.0
-        c.live &= ~done
-        n_live = np.count_nonzero(c.live)
-        if c.live.size - n_live < _COMPACT_DEAD_SHARE * c.live.size:
+        c.values[finished] = x[0, cols] * delta - 1.0
+        c.live[cols] = False
+        c.n_live -= cols.size
+        if k - c.n_live < _COMPACT_DEAD_SHARE * k:
             return False
         keep = c.live
         c.active = c.active[keep]
         c.pos = np.flatnonzero(keep) if c.pos is None else c.pos[keep]
         c.x = x[:, keep]
-        c.live = np.ones(n_live, dtype=bool)
+        c.live = np.ones(c.n_live, dtype=bool)
         return True
 
     def regroup(running):

@@ -302,7 +302,8 @@ BRENT_RTOL = 4 * EPS
 BRENT_MAXITER = 100
 
 
-def _brentq(f, a: float, b: float, args: tuple, xtol: float) -> tuple[float, int]:
+def _brentq(f, a: float, b: float, args: tuple, xtol: float,
+            fa: float | None = None) -> tuple[float, int]:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
     method (Brent, Algorithms for Minimization without Derivatives, 1973,
     ch. 4), and the number of iterations taken.
@@ -318,9 +319,11 @@ def _brentq(f, a: float, b: float, args: tuple, xtol: float) -> tuple[float, int
     f is called directly, with the NaN check inline after each call and
     no cast, so that an evaluation costs no wrapper call; f returns a
     float, as ``char_kcs`` and the active-set D(s) of ``optimality`` do.
+    A caller that already holds f(a) passes it as fa, and f is not called
+    at a; the iterates are the same.
     """
     xpre, xcur = float(a), float(b)
-    fpre = f(xpre, *args)
+    fpre = f(xpre, *args) if fa is None else fa
     if fpre != fpre:
         raise ValueError(f"the function value at x={xpre} is NaN")
     fcur = f(xcur, *args)

@@ -139,7 +139,9 @@ class KcsStar:
     k: int
 
     def __post_init__(self):
-        if not all(_is_integer(v) and v >= 1 for v in (self.m, self.n, self.k)):
+        m, n, k = self.m, self.n, self.k
+        if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1
+                and _is_integer(k) and k >= 1):
             names = ", ".join(f.name for f in fields(self) if f.init)
             raise TopologyError(f"{type(self).__name__} requires integers "
                                 f"{names} >= 1, got {self!r}")

@@ -242,6 +242,25 @@ def test_analytic_tables_are_pinned_byte_for_byte(capsys, table_id, want):
     assert run(capsys, "table", "--id", table_id) == (0, want, "")
 
 
+# sha256 of the stdout of table --id N --trials 2000 --seed 1, recorded
+# before the consensus check finished trials by index.  Each row runs its
+# four weightings in lockstep, so it regroups the row's draws and gathers
+# them for a compacted cell, which a one-cell run never does.
+MC_TABLE_SHA256 = {
+    "3": "150574062a9daa08f4051c2b210b3728f6962f7c646ec63178559672b7d22777",
+    "4": "5cd6a3ccd5250ff5611db3d79ffad12f6825cb5b69603f7ac30b774d955600f0",
+    "5": "3401596e268dac9f10ddeeb7c07fbd6e3356feacf26c579db6f19420bace513b",
+}
+
+
+@pytest.mark.parametrize("table_id", sorted(MC_TABLE_SHA256))
+def test_monte_carlo_tables_are_pinned(capsys, table_id):
+    code, out, _ = run(capsys, "table", "--id", table_id, "--trials", "2000",
+                       "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MC_TABLE_SHA256[table_id]
+
+
 def test_table1_shape(capsys):
     code, out, _ = run(capsys, "table", "--id", "1")
     assert code == 0

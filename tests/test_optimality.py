@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -263,10 +264,11 @@ def test_active_set_brentq_matches_scipy(monkeypatch):
     port = optimality._brentq
     solves = []
 
-    def checked(f, a, b, args, xtol):
-        got = port(f, a, b, args, xtol)
+    def checked(f, a, b, args, xtol, fa=None):
+        got = port(f, a, b, args, xtol, fa)
         root, info = brentq(f, a, b, args=args, xtol=xtol, full_output=True)
         assert got == (root, info.iterations)
+        assert fa == f(a, *args)  # the value handed in is D at the lower end
         solves.append(f.__name__)
         return got
 
@@ -274,6 +276,34 @@ def test_active_set_brentq_matches_scipy(monkeypatch):
     for k in range(10, 31):
         optimality._active_set_weights(2, 3, k, math.cos(theta_root_kcs(2, 3, k)))
     assert solves == ["sector_bottom"] * 21
+
+
+def test_active_set_evaluates_d_once_per_point(monkeypatch):
+    # D at the bracket's lower end is handed to the solve, not evaluated
+    # again there: fig 2's 21 points past k_max evaluate D 201 times, 180
+    # of them inside Brent.
+    port = optimality._brentq
+    inside = []
+
+    def counted(f, a, b, args, xtol, fa=None):
+        def g(x, *args):
+            inside.append(x)
+            return f(x, *args)
+        return port(g, a, b, args, xtol, fa)
+
+    total = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "sector_bottom":
+            total.append(1)
+
+    monkeypatch.setattr(optimality, "_brentq", counted)
+    sys.setprofile(profile)
+    try:
+        optimality.kcs_slem_curve(3, 2, range(1, 31))
+    finally:
+        sys.setprofile(None)
+    assert (len(inside), len(total)) == (180, 201)
 
 
 def test_active_set_solve_runs_no_eigensolve(monkeypatch):

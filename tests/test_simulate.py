@@ -639,6 +639,59 @@ def test_row_hashes_each_stage_once(monkeypatch):
             assert np.array_equal(got[3], want[3], equal_nan=True)
 
 
+def _outcomes_match_run_trial(Ws, x0, spec, cap, seeds):
+    """Run the row Ws on x0 and check every cell's outcome of every trial
+    against ``run_trial``, which holds that trial alone; returns the
+    cells' iteration counts."""
+    row = _batch_run(Ws, x0, spec, cap, seeds)
+    for W, (reached, iters, values, _) in zip(Ws, row):
+        for i, seed in enumerate(seeds.tolist()):
+            out = run_trial(W, x0[i], spec, max_iters=cap, trial_seed=seed)
+            assert (bool(reached[i]), int(iters[i])) == (out.consensus_reached,
+                                                         out.iterations), i
+            if reached[i]:
+                assert values[i] == out.consensus_value, i
+            else:
+                assert np.isnan(values[i]), i
+    return [iters for _, iters, _, _ in row]
+
+
+def test_finished_trial_keeps_its_first_consensus_stage():
+    # Trials 0..2 start on one level, so the uniform rule holds their
+    # columns at consensus from stage 0 on.  They are 3 of 20 columns,
+    # below the compaction share, so those dead columns keep stepping
+    # beside the trials that run on; each keeps iteration 0 and its value.
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    spec = QuantizerSpec(4, "uniform")
+    trials = 20
+    x0 = np.array([initial_states(4, i, g.node_count) for i in range(trials)])
+    x0[:3] = _levels(spec)[[5, 9, 12]][:, None]
+    [iters] = _outcomes_match_run_trial([W], x0, spec, 300,
+                                        derive_trial_seed(4, np.arange(trials)))
+    assert iters[:3].tolist() == [0, 0, 0]
+    # still under a quarter dead after stage 1
+    assert np.count_nonzero(iters <= 1) < simulate._COMPACT_DEAD_SHARE * trials
+
+
+@pytest.mark.parametrize("bits,scheme", [(2, "uniform"), (6, "probabilistic")])
+def test_first_finish_after_stage_0_keeps_its_stage(bits, scheme):
+    # No trial finishes at stage 0, so the check first runs with every
+    # column live; the first finish leaves its columns dead below the
+    # compaction share, and the stages after it mask them.  A row of four
+    # weightings, so a compacted cell also gathers its draws.  (At more
+    # bits the uniform rule stalls every trial of some cells at the cap.)
+    Ws = [scheme_matrix(CcsStar(2, 3), w)[1] for w in WEIGHTINGS]
+    trials = 30
+    x0 = np.array([initial_states(6, i, 9) for i in range(trials)])
+    for iters in _outcomes_match_run_trial(
+            Ws, x0, QuantizerSpec(bits, scheme), 300,
+            derive_trial_seed(6, np.arange(trials))):
+        first = int(iters.min())
+        assert first > 0
+        assert (np.count_nonzero(iters == first)
+                < simulate._COMPACT_DEAD_SHARE * trials)
+
+
 def test_row_memory_stays_near_three_cell_states():
     # one cell peaks at 3.6 MB here; a row of four shares its draw, hash
     # and check scratch and x(0), so it adds about three cell states.  The
