@@ -18,7 +18,9 @@ Four routes:
   blocks (m per-stratum weights, blocks of size at most m + 1), with no
   eigensolve, and certified by the KKT conditions of Boyd,
   Diaconis and Xiao on ``StratifiedBlocks.nontrivial_spectrum`` through a
-  small nonnegative least-squares solve (``_nnls_residual``).  The
+  small nonnegative least-squares solve (``_nnls_residual``), the least
+  residual over the supports of independent active columns whose
+  least-squares solve is positive, tried largest first.  The
   certificate (``_kcs_certificate``) runs on stacked blocks: all of a
   curve's points past k_max share one eigensolve of their sector blocks
   and one of their tail blocks, a single point is a stack of one, and
@@ -238,7 +240,9 @@ def minimize_slem(graph: Graph,
     """Minimize the SLEM max(lam_2, -lam_N) of a graph over its edge weights.
 
     Weights sharing a symmetry class are tied to a single variable w_c
-    (without ``symmetry_classes`` every edge is its own class), so
+    (without ``symmetry_classes`` every edge is its own class; with it,
+    every edge (u, v), u < v, needs a class, and a key that is not an edge
+    is refused with ValueError), so
     W(w) = I - sum_c w_c L_c with L_c the Laplacian of the class-c edges.
     Restricted to the orthogonal complement of the ones vector (basis Q),
     W(w) is the affine block I - sum_c w_c Q^T L_c Q with the spectrum of W
@@ -255,7 +259,14 @@ def minimize_slem(graph: Graph,
     if symmetry_classes is None:
         classes = {e: e for e in edges}
     else:
-        classes = {(min(e), max(e)): symmetry_classes[(min(e), max(e))] for e in edges}
+        missing = set(edges) - symmetry_classes.keys()
+        if missing:
+            raise ValueError(f"no symmetry class for edges {sorted(missing)}")
+        extra = symmetry_classes.keys() - set(edges)
+        if extra:
+            raise ValueError(f"symmetry classes for pairs {sorted(extra, key=repr)} "
+                             "that are not edges")
+        classes = symmetry_classes
     labels = sorted(set(classes.values()), key=repr)
     lab_index = {c: i for i, c in enumerate(labels)}
     edge_class = np.array([lab_index[classes[e]] for e in edges])
@@ -319,7 +330,8 @@ def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
     ACTIVE_TOL of +s gives the term +g_j (its gradient), and each within
     ACTIVE_TOL of -s the term -g_j (near s = 0, one eigenvalue gives both).
     The residual is min ||sum mu_t term_t|| over mu >= 0 with
-    sum mu_t = 1, in one nonnegative least-squares solve.  Zero is the
+    sum mu_t = 1, in one nonnegative least-squares solve over the
+    supports of the active columns (``_nnls_residual``).  Zero is the
     optimality condition of the convex program (Boyd, Diaconis and Xiao,
     SIAM Review 46(4), 2004): then no weights w' have a SLEM below
     s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
@@ -357,99 +369,70 @@ def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
 
 def _nnls_residual(columns: list[list[float]], target: list[float]) -> float:
     """min ||A x - b|| over x >= 0, for A given by its ``columns`` and b by
-    ``target``, by the active-set method of Lawson and Hanson (Solving
-    Least Squares Problems, 1974, ch. 23).
+    ``target``, by trying the supports of x.
 
-    Each least-squares solve on the passive set P is a Householder QR of
-    A's passive columns (``_passive_least_squares``), so its accuracy
-    follows cond(A_P), where forming A^T A would square it.  The tail of
-    Q^T b is the residual of that solve in Q's basis: its norm is the
-    residual, and the dual A_j^T (b - A x) of a column off P is the tail
-    of Q^T A_j against it.
+    The minimum has a support S of independent columns on which x is the
+    least-squares solution with every component > 0 (Lawson and Hanson,
+    Solving Least Squares Problems, 1974, ch. 23), so it is that solve's
+    residual.  Any other support of independent columns whose solve is
+    positive gives a feasible x, so its residual bounds the minimum from
+    above.  The minimum is therefore the least residual over those
+    supports and over x = 0, whose residual is ||b||.  The supports are
+    tried largest first, at most as many columns as rows: if the full
+    column set solves positive, x is the unconstrained minimum and is
+    returned at once.  A certificate past k_max is such a case: its three
+    active eigenvalues all carry positive multipliers, so it takes one QR.
 
-    The solve starts from the full column set: if A has no more columns
-    than rows, its columns are independent (each one's part off the
-    columns before it exceeds 100 EPS of its norm, checked before any
-    division) and that one QR gives every component > 0, then x is the
-    unconstrained minimum and feasible, so it is the optimum by the KKT
-    conditions, and its residual is returned.  A certificate past k_max
-    is such a case: its three active eigenvalues all carry positive
-    multipliers.  Otherwise the Lawson-Hanson loop runs from P empty.  An
-    index joins P while its dual exceeds the rounding of Q^T b against
-    its column, the column is independent of P's (by the same check) and
-    the solve gives it a positive component; a step that would make a
-    passive component nonpositive stops where the first one reaches zero,
-    and it leaves P.  x stays feasible throughout, so even a solve cut at
-    3 * columns outer iterations (scipy.optimize.nnls's cap) bounds the
-    minimum from above.  A has one column per active eigenvalue, so the
-    work is small enough for Python floats, which keeps it the same under
-    any thread count.
+    Each solve is a Householder QR of the support's columns
+    (``_passive_least_squares``), so its accuracy follows cond(A_S), where
+    forming A^T A would square it, and the norm of the tail of Q^T b is
+    its residual.  A has one column per active eigenvalue, so there are
+    few supports, and the work is small enough for Python floats, which
+    keeps it the same under any thread count.
     """
     norms = [math.hypot(*col) for col in columns]
-    if len(columns) <= len(target):
-        solved = _passive_least_squares(columns, target, list(range(len(columns))), 0, norms)
-        if solved is not None and all(zi > 0 for zi in solved[0]):
-            return math.hypot(*solved[1][len(columns):])
-    floor = 10 * EPS * math.hypot(*target)  # rounding of Q^T b
-    x = [0.0] * len(columns)
-    P: list[int] = []
-    z, c, reflected = _passive_least_squares(columns, target, P)
-    for _ in range(3 * len(columns)):
-        p = len(P)
-        dual = {j: sum(map(mul, reflected[j][p:], c[p:]))
-                for j in range(len(columns)) if j not in P}
-        for j in sorted(dual, key=dual.__getitem__, reverse=True):
-            if dual[j] <= floor * norms[j]:  # zero but for rounding
+    best = math.hypot(*target)
+    for size in range(min(len(columns), len(target)), 0, -1):
+        for P in itertools.combinations(range(len(columns)), size):
+            solved = _passive_least_squares(columns, target, P, norms)
+            if solved is None or not all(zi > 0 for zi in solved[0]):
                 continue
-            solved = _passive_least_squares(reflected, c, P + [j], p, norms)
-            if solved is not None and solved[0][j] > 0:  # None: j depends on P
-                P.append(j)
-                z, c, reflected = solved
-                break
-        if len(P) == p:
-            break
-        while any(z[i] <= 0 for i in P):
-            alpha, stop = min((x[i] / (x[i] - z[i]), i) for i in P if z[i] <= 0)
-            x = [xi + alpha * (zi - xi) for xi, zi in zip(x, z)]
-            x[stop] = 0.0
-            P = [i for i in P if x[i] > 0]
-            z, c, reflected = _passive_least_squares(columns, target, P)
-        x = z
-    return math.hypot(*c[len(P):])
+            residual = math.hypot(*solved[1][size:])
+            if size == len(columns):
+                return residual
+            best = min(best, residual)
+    return best
 
 
 def _passive_least_squares(columns: list[list[float]], target: list[float],
-                           P: list[int], start: int = 0,
-                           norms: list[float] | None = None):
-    """Least squares on the columns P of A by the Householder QR
+                           P: tuple[int, ...], norms: list[float]):
+    """Least squares on the columns P of A by one Householder QR
     Q^T A_P = R, taken in P's order.
 
-    ``columns`` and ``target`` are A's columns and b with the reflections
-    of P[:start] already applied (from scratch: A and b themselves).
-    Returns z (the solution, zero off P), Q^T b and Q^T A's columns; the
-    inputs are not changed.  With the columns' ``norms``, a column of
-    P[start:] whose part off the columns before it is at most 100 EPS of
-    its norm makes it return None instead, before any division.
+    ``columns`` and ``target`` are A's columns and b, and ``norms`` the
+    columns' norms.  Returns z (the solution, one entry per column of P)
+    and Q^T b; the inputs are not changed.  A column of P whose part off
+    the columns before it is at most 100 EPS of its norm makes it return
+    None instead, before any division.
     """
-    cols = [col[:] for col in columns]
+    R = [columns[j][:] for j in P]
     c = target[:]
-    for k in range(start, len(P)):
-        v = cols[P[k]]
+    for k, v in enumerate(R):
         norm = math.hypot(*v[k:])
-        if norms is not None and norm <= 100 * EPS * norms[P[k]]:
+        if norm <= 100 * EPS * norms[P[k]]:
             return None
         alpha = -norm if v[k] > 0 else norm
         u = [v[k] - alpha] + v[k + 1:]
         scale = 1.0 / (norm * (norm + abs(v[k])))  # 2 / u^T u
-        for q in [c] + [cols[i] for i in range(len(cols)) if i not in P[:k + 1]]:
+        for q in [c] + R[k + 1:]:
             s = scale * sum(map(mul, u, q[k:]))
             q[k:] = [qi - s * ui for qi, ui in zip(q[k:], u)]
-        v[k:] = [alpha] + [0.0] * (len(v) - k - 1)
-    z = [0.0] * len(cols)
+        v[k] = alpha
+    z = [0.0] * len(P)
     for k in reversed(range(len(P))):
-        done = sum(cols[P[i]][k] * z[P[i]] for i in range(k + 1, len(P)))
-        z[P[k]] = (c[k] - done) / cols[P[k]][k]
-    return z, c, cols
+        done = sum(R[i][k] * z[i] for i in range(k + 1, len(P)))
+        z[k] = (c[k] - done) / R[k][k]
+    return z, c
 
 
 def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
@@ -601,6 +584,10 @@ def _closed_form(topology: KcsStar) -> np.ndarray:
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     """Optimal SLEM of the k-cored star versus k.
+
+    The arguments are (n, m, k_range), n first, unlike ``KcsStar(m, n,
+    k)`` and ``kcs_tied_optimum(m, n, k)``: fig 2's curve, m = 2 and
+    n = 3, is ``kcs_slem_curve(3, 2, range(1, 31))``.
 
     Within the closed-form validity range the characteristic-equation
     value is used; beyond it the certified tied optimum

@@ -45,10 +45,10 @@ Some shortcuts keep the step short, and the record small, without
 changing a bit.  The probabilistic rule takes one route, the two
 operations ceil(y - u): its draws lie on the 2^-32 grid and every level
 position y lies below 2^21, so y - u is exact or keeps its sign, and the
-result is floor(y) + [u < y - floor(y)] (``_quantize_into``, the one
-rounding entry, whose level count and scheme the loop resolves once per
-run through ``_rounding``).  A finished trial's column is only marked
-dead; the live columns are gathered once a quarter of them are dead.
+result is floor(y) + [u < y - floor(y)] (``_rounding``, the one
+rounding entry, which resolves the level count and the scheme once per
+run).  A finished trial's column is only marked dead; the live columns
+are gathered once a quarter of them are dead.
 The check records a stage's finished trials at their indices, from one
 nonzero() of its consensus flags, and counts the live columns as they
 die, so a stage in which some trials finish costs work on those trials
@@ -228,7 +228,7 @@ class QuantizerSpec:
     'probabilistic'.
 
     The bound is that of the kernel's one probabilistic rounding,
-    ceil(y - u) on draws u on the 2^-32 grid (``_quantize_into``).  At 22
+    ceil(y - u) on draws u on the 2^-32 grid (``_rounding``).  At 22
     bits it would fail: y = 2^21 + 1/2 and u = 1/2 - 2^-32 must round up,
     but y - u rounds to 2^21.  The bound holds for both schemes."""
 
@@ -251,15 +251,18 @@ class QuantizerSpec:
         return 2.0 / (2**self.bits - 1)
 
 
-def _quantize_into(y, spec, u=None, clip=...):
-    """Round level positions y = (x + 1)/delta in place to level indices.
+def _rounding(spec):
+    """The kernel's rounding under spec, as a function round_into(y, u,
+    clip) -> y, with the level count and the scheme resolved once: the
+    kernel resolves them once per run.
 
-    The part of y that the basic index ``clip`` selects (all of y by
-    default; none if it is None) is clipped to [0, 2^b - 1] first; the
-    caller vouches that the rest lies in that range.  Then y is rounded:
-    uniform to floor(y + 1/2), probabilistic to floor(y) + [u < y -
-    floor(y)], with draws u that are multiples of 2^-32, as the kernel's
-    stage draws are (``_stage_draws_into``).  Returns y.
+    round_into rounds level positions y = (x + 1)/delta in place to level
+    indices.  The part of y that the basic index ``clip`` selects (all of
+    y for ``...``; none if it is None) is clipped to [0, 2^b - 1] first;
+    the caller vouches that the rest lies in that range.  Then y is
+    rounded: uniform to floor(y + 1/2), probabilistic to floor(y) +
+    [u < y - floor(y)], with draws u that are multiples of 2^-32, as the
+    kernel's stage draws are (``_stage_draws_into``).  It returns y.
 
     The probabilistic rule is the two operations ceil(y - u), its one
     route.  With b <= MAX_BITS = 21, y <= 2^21 - 1, so for y >= 1 both y
@@ -268,13 +271,6 @@ def _quantize_into(y, spec, u=None, clip=...):
     in (-1, 1).  Index 0 may come out as -0.0, which compares equal to
     0.0 and forms the same value.
     """
-    return _rounding(spec)(y, u, clip)
-
-
-def _rounding(spec):
-    """The rounding of ``_quantize_into`` under spec, as a function
-    round_into(y, u, clip) -> y with the level count and the scheme
-    resolved once: the kernel resolves them once per run."""
     top = float(spec.level_count - 1)
     uniform = spec.scheme == "uniform"
 
@@ -431,7 +427,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     key, built once and gathered when the row's columns shrink; each
     stage adds one offset.  The probabilistic rule rounds the stage draws,
     which lie on the 2^-32 grid, by ceil(y - u) alone, exact at 1..21 bits
-    (see ``_quantize_into``).  Stage 1 clips every row, as x(0) may lie
+    (see ``_rounding``).  Stage 1 clips every row, as x(0) may lie
     anywhere.  After it every index lies in [0, 2^b - 1], so later stages
     clip only the block of rows that ``_clip_rows`` gives, whose rounded
     product can leave that range (on the optimal stars, the hub row

@@ -85,6 +85,14 @@ def test_minimize_slem_requires_connected():
         minimize_slem(Graph(1, ()))
 
 
+def test_minimize_slem_refuses_classes_off_the_edge_set():
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"edges \[\(0, 1\)\]"):
+        minimize_slem(g, symmetry_classes={(1, 2): "a"})
+    with pytest.raises(ValueError, match=r"pairs \[\(0, 99\)\]"):
+        minimize_slem(g, symmetry_classes={(0, 1): "a", (1, 2): "a", (0, 99): "b"})
+
+
 def test_minimize_slem_matches_closed_form():
     topo = SymmetricStar(2, 3)
     g = build(topo)
@@ -413,7 +421,8 @@ def test_nnls_early_exit_edges_match_scipy(case):
 
 def test_fig2_certificates_take_the_early_exit(monkeypatch):
     # every fig-2 point past k_max has three active eigenvalues with
-    # positive multipliers: one QR of the full set, no Lawson-Hanson step
+    # positive multipliers: one QR of the full set, and no smaller support
+    # is tried
     solves = []
     port = optimality._passive_least_squares
 
@@ -427,7 +436,13 @@ def test_fig2_certificates_take_the_early_exit(monkeypatch):
     assert all(t.certificate_residual <= 1e-12 for t in tied)
 
 
-@pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES + LARGE_NK_CASES)
+# m = 1, k = n = k_max: three active columns in two rows, so the full set
+# is dependent and the minimum lies on a smaller support
+M1_TIE_CASES = [(1, 2, 2), (1, 5, 5)]
+
+
+@pytest.mark.parametrize("m,n,k", TIED_CASES + CERTIFIED_CASES + LARGE_NK_CASES
+                         + M1_TIE_CASES)
 def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
     from scipy.optimize import nnls
 

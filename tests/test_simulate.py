@@ -20,7 +20,7 @@ from star_consensus.simulate import (
     _batch_run,
     _clip_rows,
     _pair_keys,
-    _quantize_into,
+    _rounding,
     _stage_draws_into,
     derive_trial_seed,
     initial_states,
@@ -52,7 +52,7 @@ def _grid_draws(rng, size):
 
 def _round(y, spec, u=None):
     """The kernel's rounding of level positions y (a copy), with draws u."""
-    return _quantize_into(np.array(y, dtype=float), spec, u)
+    return _rounding(spec)(np.array(y, dtype=float), u, ...)
 
 
 def _levels(spec):
