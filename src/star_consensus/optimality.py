@@ -470,7 +470,11 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     no tail block and the sector block alone can beat cos(theta), and at
     large m near k_max the root can lie within rounding of cos(theta).  The
     solve takes D at the final lower end from that test, so no end point
-    is evaluated twice.  m = 1 is closed form: w1 = 2/(2n+k), SLEM
+    is evaluated twice.  What D reuses at every evaluation is built once
+    per solve: the path's last diagonal entry and its bottom-up (diagonal,
+    squared coupling) pairs, which both pivot recursions iterate, so an
+    evaluation slices nothing, and it forms the head's w1, d0, d1 and b2
+    inline.  m = 1 is closed form: w1 = 2/(2n+k), SLEM
     k/(2n+k).  A bracket without a sign change raises ValueError, and a
     pole hit exactly ZeroDivisionError; which eigenvalues end up at +-s is
     for the certificate to check.
@@ -478,28 +482,26 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
     if m == 1:
         return np.array([2.0 / (2 * n + k)]), 0
     # the path is W0's rows 2..m at w2 = 0 and w3..wm = 1/2: diagonal
-    # 1 - w_i - w_(i+1) and couplings w3..wm
+    # 1 - w_i - w_(i+1) and couplings w3..wm, held as its last diagonal
+    # entry and its (diagonal, squared coupling) pairs from the bottom up
     path_diag = [1.0] if m == 2 else [0.5] + [0.0] * (m - 3) + [0.5]
-    path_coupling = [0.25] * (m - 2)  # squared
+    path_last = path_diag[-1]
+    path_rising = tuple(zip(path_diag[-2::-1], [0.25] * (m - 2)))
     root_nk = math.sqrt(n * k)
 
     def path_pivot(t):
         """The first pivot of tI - path, eliminated from the bottom up; a
         zero pivot on the way is replaced by -EPS (Kahan)."""
-        p = t - path_diag[-1]
-        for d, e2 in zip(path_diag[-2::-1], path_coupling[::-1]):
+        p = t - path_last
+        for d, e2 in path_rising:
             p = t - d - e2 / (p or -EPS)
         return p
 
-    def head(s):
-        """The diagonal d0, d1 of the head and its squared coupling at
-        w1 = (1 - s)/n."""
-        w1 = (1.0 - s) / n
-        return 1.0 - n * w1, 1.0 - k * w1, (root_nk * w1) ** 2
-
     def sector_bottom(s):
-        """D(s), with the head formed once for both t = -s and t = s."""
-        d0, d1, b2 = head(s)
+        """D(s), with the head's diagonal d0, d1 and squared coupling b2 at
+        w1 = (1 - s)/n formed once for both t = -s and t = s."""
+        w1 = (1.0 - s) / n
+        d0, d1, b2 = 1.0 - n * w1, 1.0 - k * w1, (root_nk * w1) ** 2
         c, g = -s - d0, -s - d1
         if n == 1:  # h_top(s) is h(s) on W0, else on W1
             h_top = (s - d0) / ((s - d0) * (s - d1) - b2)
@@ -514,10 +516,11 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
         lo -= hi - lo
         d_lo = sector_bottom(lo)
     s, iterations = _brentq(sector_bottom, lo, hi, (), EPS, d_lo)
-    d0, d1, b2 = head(s)
+    w1 = (1.0 - s) / n
+    d0, d1, b2 = 1.0 - n * w1, 1.0 - k * w1, (root_nk * w1) ** 2
     c = -s - d0
     w2 = -1.0 / (c / (c * (-s - d1) - b2) + 1.0 / path_pivot(-s))  # -1/h(-s) on W0
-    return np.array([(1.0 - s) / n, w2] + [0.5] * (m - 2)), iterations
+    return np.array([w1, w2] + [0.5] * (m - 2)), iterations
 
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:

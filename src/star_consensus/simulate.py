@@ -641,7 +641,8 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     population variance).  Per-trial randomness is keyed by (master_seed,
     trial index), so every trial draws the same stream whatever the trial
     count.  trials must be an integer >= 1 (not a bool), and at least one
-    weighting is needed.
+    weighting is needed.  A numpy integer trial count or seed is held as
+    a Python int, so every field of the result is a Python number.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -650,7 +651,8 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     matrices = [scheme_matrix(topology, w)[1] for w in weightings]
     runs = _batch_run(matrices, None, spec, max_iters,
                       derive_trial_seed(master_seed, np.arange(trials)))
-    return [_trial_stats(reached, iters, errors, trials, master_seed)
+    # derive_trial_seed has checked master_seed
+    return [_trial_stats(reached, iters, errors, int(trials), int(master_seed))
             for reached, iters, _, errors in runs]
 
 

@@ -38,10 +38,11 @@ ratio r = cot^2(t/2)/2 scaled so that f(0) = -4.
 k_max(m, n) = floor(n * r*(m)) for m >= 2 and n at m = 1, and that one
 rule, with no tolerance, decides where the closed form holds: the closed
 form is refused and the tied optimum takes the active-set route exactly
-when k > k_max.  At m = 1, f(t) = cos(t/2) (2n(1 - cos t) - 4k cos t), so
-cos(theta) = n/(n + 2k), which the central eigenvalue (2k-n)/(2k+n)
-meets exactly at k = n: r*(1) = 1, where the float root lands an ulp
-below it.  The condition is not re-checked in floats at k and k + 1; at
+when k > k_max.  Where n * r*(m) lies too near an integer for floating
+point to decide the floor (``K_MAX_GUARD``), k_max is refused instead.
+At m = 1, f(t) = cos(t/2) (2n(1 - cos t) - 4k cos t), so cos(theta) =
+n/(n + 2k), which the central eigenvalue (2k-n)/(2k+n) meets exactly at
+k = n: r*(1) = 1, where the float root lands an ulp below it.  The condition is not re-checked in floats at k and k + 1; at
 large m its two sides are too close to decide it (see ``k_max``).  No
 analysis path loads scipy.optimize; only the SLSQP minimizer in
 ``optimality`` does.
@@ -290,10 +291,26 @@ def char_kcs(theta: float, m: int, n: float, k: float) -> float:
     (innermost tail diagonal 1 - k*w1 - w2 with w1 = 2/(n+2k)); at k = 1
     it is the symmetric-star equation, and it reproduces the published
     k-cored SLEM values, which the commonly circulated sin-form of the
-    equation does not.  On math.cos: a numpy call per value would cost
-    more than the root solve itself."""
-    return ((n - 2 * k) * math.cos((m - 0.5) * theta)
-            - (n + 2 * k) * math.cos((m + 0.5) * theta))
+    equation does not.  It is ``_char_of_angle(m, n, k)`` at theta, so the
+    function is written once, there."""
+    return _char_of_angle(m, n, k)(theta)
+
+
+def _char_of_angle(m: int, n: float, k: float):
+    """``char_kcs`` at fixed (m, n, k) as a function of the angle alone,
+    the target that ``theta_root_kcs`` solves.
+
+    Its coefficients n - 2k, m - 1/2, n + 2k and m + 1/2 are formed once,
+    here, so a root solve builds its target once and each evaluation is
+    two math.cos calls (a numpy call per value would cost more than the
+    root solve itself)."""
+    lo, lo_freq = n - 2 * k, m - 0.5
+    hi, hi_freq = n + 2 * k, m + 0.5
+
+    def char(theta):
+        return lo * math.cos(lo_freq * theta) - hi * math.cos(hi_freq * theta)
+
+    return char
 
 
 EPS = float(np.finfo(float).eps)
@@ -397,22 +414,26 @@ def theta_root_kcs(m: int, n: int, k: int) -> float:
     if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1
             and _is_integer(k) and k >= 1):
         raise SpectralError(f"m, n, k must be integers >= 1, got {(m, n, k)!r}")
-    return _bracketed_root(char_kcs, m, (m, n, k))
+    return _bracketed_root(_char_of_angle(m, n, k), m, ())
 
 
 def slem_closed_form(topology: Topology) -> float:
     """Optimal SLEM of a star family via its characteristic equation.
 
     KCS (k = 1 is the symmetric star): cos of the smallest k-cored root,
-    refused for k > k_max(m, n); CCS: cos(pi/(2(m+1))), independent of n.
+    refused for k > k_max(m, n), and for k >= 2 wherever ``k_max`` itself
+    is refused; CCS: cos(pi/(2(m+1))), independent of n.  k = 1 does not
+    read k_max, so a symmetric star of any n keeps its closed form.
     """
     if isinstance(topology, CcsStar):
         return math.cos(math.pi / (2 * (topology.m + 1)))
     if isinstance(topology, KcsStar):
         m, n, k = topology.m, topology.n, topology.k
-        km = _k_max(m, n)
-        if k > km:
-            raise SpectralError(f"{topology} is past k_max = {km}")
+        # k = 1 never exceeds k_max: n at m = 1, at least 3n past it
+        if k > 1:
+            km = _k_max(m, n)
+            if k > km:
+                raise SpectralError(f"{topology} is past k_max = {km}")
         return math.cos(theta_root_kcs(m, n, k))
     raise SpectralError("closed-form SLEM is defined only for the star families")
 
@@ -449,9 +470,26 @@ def _r_star(m: int) -> float:
     return 0.5 / math.tan(theta / 2) ** 2
 
 
+# r*'s relative error (at most 6.3e-16, see ``_r_star``) plus the rounding
+# of n * r*(m) (at most 2^-53 = 1.1e-16 relative), rounded up: a product
+# within this relative distance of an integer may floor either way.
+K_MAX_GUARD = 8e-16
+
+
 def _k_max(m: int, n: int) -> int:
-    """``k_max`` without its argument check."""
-    return n if m == 1 else math.floor(n * _r_star(m))
+    """``k_max`` without its argument check; it raises SpectralError where
+    floating point cannot decide the floor."""
+    if m == 1:
+        return n
+    x = n * _r_star(m)
+    floor = math.floor(x)
+    guard = K_MAX_GUARD * x
+    # both differences are exact wherever they can reach the guard
+    if x - floor <= guard or floor + 1 - x <= guard:
+        raise SpectralError(
+            f"k_max({m}, {n}) is undecided in floating point: n * r*(m) = "
+            f"{x!r} lies within {K_MAX_GUARD} * n * r*(m) of an integer")
+    return floor
 
 
 def k_max(m: int, n: int) -> int:
@@ -467,7 +505,14 @@ def k_max(m: int, n: int) -> int:
     would move k_max off the exact value (to 810569793 in place of
     810569136 at (1000, 1000) with a 1e-12 tolerance), while floor(n *
     r*(m)) matched a 60-digit r*(m) on all 19,712 pairs probed (m up to
-    20000, n up to 1000).  m and n must be integers (not bools) >= 1.
+    20000, n up to 1000).  For m >= 2 it refuses, with SpectralError, a
+    product n * r*(m) within K_MAX_GUARD * n * r*(m) of an integer, where
+    r*'s error and the product's rounding could move the floor: every n
+    from about 6.3e14 on, as k_max(2, 10**15) (which read 3186140661634507,
+    where a float's ulp is 0.5 and r*'s error alone about 2), and no pair
+    of m 2..300 x n 1..1000, whose least relative distance is 1.8e-14.
+    m = 1 is exact and never refused.  m and n must be integers (not
+    bools) >= 1.
     """
     if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1):
         raise SpectralError(f"m, n must be integers >= 1, got {(m, n)!r}")

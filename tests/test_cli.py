@@ -197,6 +197,21 @@ def test_slem_refuses_past_k_max(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "k_max = 9" in err
 
 
+def test_slem_refuses_an_undecided_k_max(capsys):
+    # n * r*(2) at n = 10**15 lies within float error of an integer; the
+    # default closed-form method never builds the star's graph
+    code, out, err = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
+                         "--n", str(10**15), "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "undecided in floating point" in err
+    # k = 1 does not read k_max
+    code, out, _ = run(capsys, "slem", "--topology", "symmetric-star", "--m", "2",
+                       "--n", str(10**15))
+    assert code == 0
+    assert 0.99 < float(out) < 1.0
+
+
 def test_slem_check_at_k_max(capsys):
     code, out, _ = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
                        "--n", "3", "--k", "9", "--check")

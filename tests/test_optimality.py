@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import time
@@ -527,6 +528,27 @@ def test_curve_points_are_the_tied_optima_bit_for_bit(n, m, ks):
         assert tied.certificate_residual == alone.certificate_residual
         assert tied == alone
         assert tied.message == "active-set solve"
+
+
+# sha256 of the tied optima at k_max + 1, k_max + 2 and 2 k_max + 5 on this
+# (m, n) grid (numpy 2.4 with its bundled OpenBLAS): weights, SLEM and
+# residual as float.hex, iterations and message.  Every m >= 3 runs the
+# bottom-up pivots of the tail path, which fig 2 (m = 2) never does.
+TIED_OPTIMA_SHA256 = "074d0eedf5f538f0c96063a265fc085da6c2afd901fb90a7b9fbe7a981f102fb"
+
+
+def test_tied_optima_pinned_bit_for_bit():
+    lines = []
+    for m in (1, 2, 3, 4, 7, 12, 40, 150):
+        for n in (1, 2, 3, 5, 8):
+            km = k_max(m, n)
+            ks = [km + 1, km + 2, 2 * km + 5]
+            for k, t in zip(ks, optimality._tied_optima(m, n, ks)):
+                w = ",".join(t.weights.per_stratum[j].hex() for j in range(1, m + 1))
+                lines.append(f"{m} {n} {k} {w} {t.slem.hex()} "
+                             f"{t.certificate_residual.hex()} {t.iterations} {t.message}")
+    assert len(lines) == 120
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TIED_OPTIMA_SHA256
 
 
 def test_failing_point_of_a_stack_falls_back_alone(monkeypatch):

@@ -600,6 +600,20 @@ def test_monte_carlo_row_equals_per_weighting(table_id, cap):
         assert censored
 
 
+def test_monte_carlo_stats_hold_python_numbers():
+    # numpy integer trials and seed once came back as np.int64 and
+    # np.uint64 (and psi as np.float64), which json.dumps refuses
+    import dataclasses
+    import json
+
+    topo, spec = SymmetricStar(2, 3), QuantizerSpec(4, "probabilistic")
+    stats = monte_carlo(topo, "optimal", spec, np.int64(20), np.uint64(5))
+    assert repr(stats) == repr(monte_carlo(topo, "optimal", spec, 20, 5))
+    assert type(stats.trials) is int and type(stats.seed) is int
+    assert type(stats.psi) is float
+    json.dumps(dataclasses.asdict(stats))
+
+
 def test_monte_carlo_row_needs_a_weighting():
     with pytest.raises(ValueError, match="at least one weighting"):
         monte_carlo_row(SymmetricStar(2, 3), [],

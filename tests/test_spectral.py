@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -507,6 +508,58 @@ def test_slem_closed_form_refuses_one_past_large_m_k_max():
     slem_closed_form(KcsStar(300, 13, 948361))
     with pytest.raises(SpectralError, match="k_max = 948361"):
         slem_closed_form(KcsStar(300, 13, 948362))
+
+
+# sha256 of theta_root_kcs(m, n, k).hex() for m 1..12, n 1..8 and k in
+# {1, 2, k_max(m, n)}, one line "m n k root" each
+THETA_ROOTS_SHA256 = "f661e23c48ee57fbab72146e9027daa40fb3155c8d103bc0302a075b22cbc19e"
+
+
+def test_theta_roots_pinned_bit_for_bit():
+    lines = [f"{m} {n} {k} {theta_root_kcs(m, n, k).hex()}"
+             for m in range(1, 13) for n in range(1, 9)
+             for k in sorted({1, 2, k_max(m, n)})]
+    assert len(lines) == 286
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THETA_ROOTS_SHA256
+
+
+def test_k_max_refuses_what_floating_point_cannot_decide():
+    # at n = 10**15, n * r*(2) is near 3.2e15, where a float's ulp is 0.5
+    # and r*'s own error about 2: k_max once read 3186140661634507 there
+    with pytest.raises(SpectralError, match="undecided in floating point"):
+        k_max(2, 10**15)
+    with pytest.raises(SpectralError, match="undecided in floating point"):
+        slem_closed_form(KcsStar(2, 10**15, 2))
+    # k = 1 never exceeds k_max, so the symmetric star keeps its closed form
+    assert 0.99 < slem_closed_form(SymmetricStar(2, 10**15)) < 1.0
+    assert k_max(1, 10**15) == 10**15  # m = 1 is exact
+
+
+@pytest.mark.parametrize("r,want", [
+    (4.0, None), (math.nextafter(4.0, 5.0), None), (math.nextafter(4.0, 0.0), None),
+    (4.0 + 1e-14, 4), (4.0 - 1e-14, 3)])
+def test_k_max_guard_on_both_sides_of_an_integer(monkeypatch, r, want):
+    # with n = 1, n * r* = r: within 8e-16 r of 4 from either side is
+    # refused, and 1e-14 away floors as usual
+    monkeypatch.setattr(spectral, "_r_star", lambda m: r)
+    if want is None:
+        with pytest.raises(SpectralError, match="undecided"):
+            k_max(2, 1)
+    else:
+        assert k_max(2, 1) == want
+
+
+def test_k_max_guard_refuses_no_probed_pair():
+    # the least relative distance of n * r*(m) to an integer on m 2..300 x
+    # n 1..1000 is 1.8e-14, far from spectral.K_MAX_GUARD = 8e-16
+    for m in range(2, 301):
+        for n in range(1, 1001):
+            k_max(m, n)
+    # nor is any of the benchmark's 12 closed-form roots refused
+    for m in (10, 100, 1000, 4000, 6000, 20000):
+        for topo in (SymmetricStar(m, 3), KcsStar(m, 40, 2)):
+            k_max(m, topo.n)
+            assert 0 < slem_closed_form(topo) < 1
 
 
 def _brentq_both(f, a, b, args, xtol):
