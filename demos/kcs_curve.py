@@ -4,10 +4,11 @@ Sweeps the number of central nodes k for branches of length 2 and plots
 (textually) the optimal SLEM: closed form while it is valid, numerical
 weight optimization beyond.  Adding central nodes helps until the
 ignored central eigenvalue (2k-n)/(2k+n) catches up with the tail rate,
-then hurts.
+then hurts.  At the minimum it prints the certified optimum: the
+per-stratum weights and the KKT residual that proves them optimal.
 """
 
-from star_consensus import k_max, kcs_slem_curve
+from star_consensus import k_max, kcs_slem_curve, kcs_tied_optimum
 
 n, m = 3, 2
 km = k_max(m, n)
@@ -28,3 +29,9 @@ for k, s in curve:
 print(f"\nminimum slem {best_s:.6f} at k = {best_k}")
 print("(central copies of the eigenvalue (2k-n)/(2k+n) take over past "
       "the bound, so piling on central nodes eventually slows mixing)")
+
+opt = kcs_tied_optimum(m, n, best_k)
+print(f"\ncertified optimum at k = {best_k} ({opt.message}):")
+for stratum, w in sorted(opt.weights.per_stratum.items()):
+    print(f"  w{stratum} = {w:.6f}")
+print(f"  slem {opt.slem:.6f}, KKT certificate residual {opt.certificate_residual:.1e}")

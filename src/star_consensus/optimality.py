@@ -17,16 +17,16 @@ Four routes:
   (``spectral._brentq``) on O(m) pivots of the tridiagonal sector and tail
   blocks (m per-stratum weights, blocks of size at most m + 1), with no
   eigensolve, and certified by the KKT conditions of Boyd,
-  Diaconis and Xiao on ``StratifiedBlocks.nontrivial_spectrum`` through a
-  small nonnegative least-squares solve (``_nnls_residual``), the least
-  residual over the supports of independent active columns whose
-  least-squares solve is positive, tried largest first.  The
-  certificate (``_kcs_certificate``) runs on stacked blocks: all of a
-  curve's points past k_max share one eigensolve of their sector blocks
-  and one of their tail blocks, a single point is a stack of one, and
-  only the NNLS runs point by point.  The residual comes with every
-  result: near zero, it proves the weights optimal, whatever produced
-  them,
+  Diaconis and Xiao on the block spectrum (``spectral._block_spectrum``)
+  through a small nonnegative least-squares solve (``_nnls_residual``),
+  the least residual over the supports of independent active columns
+  whose least-squares solve is positive, tried largest first.  The
+  certificate (``_kcs_certificate``) stacks the sector blocks of its
+  points: all of a curve's points past k_max share one eigensolve of
+  their sector blocks and one of their tail blocks, a single point is a
+  stack of one, and only the NNLS runs point by point.  The residual
+  comes with every result: near zero, it proves the weights optimal,
+  whatever produced them,
 * one SLEM minimizer: an epigraph program over the eigenvalues of affine
   symmetric blocks and their gradients, solved by SLSQP.  It serves
   arbitrary connected graphs with optional weight tying by symmetry class
@@ -55,12 +55,12 @@ from .topology import CcsStar, Graph, KcsStar, SymmetricStar
 from .spectral import (
     EPS,
     SpectralError,
+    _block_spectrum,
     _brentq,
     _k_max,
     complement_basis,
     k_max,
-    kcs_blocks,
-    slem_closed_form,
+    sector_block,
     stratify,
     theta_root_kcs,
 )
@@ -326,7 +326,7 @@ def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
     residual there, for each k of ``ks`` and row w of ``ws`` (m is the row
     length).
 
-    Of the blocks' ``nontrivial_spectrum``, each eigenvalue within
+    Of the block spectrum (``_block_spectrum``), each eigenvalue within
     ACTIVE_TOL of +s gives the term +g_j (its gradient), and each within
     ACTIVE_TOL of -s the term -g_j (near s = 0, one eigenvalue gives both).
     The residual is min ||sum mu_t term_t|| over mu >= 0 with
@@ -337,11 +337,11 @@ def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
     s - ACTIVE_TOL - r*|w' - w| for residual r.  The blocks are unreduced
     tridiagonal, so their eigenvalues are simple and each has one gradient.
 
-    The points' blocks are stacked (``kcs_blocks``), up to
-    CERTIFICATE_STACK_BYTES of sector blocks at a time, so each stack
-    takes one eigensolve of its sector blocks and one of its tail blocks,
-    and only the NNLS runs point by point.  LAPACK solves each block of a
-    stack on its own, so a point gets the same bits in any stack.
+    The points' sector blocks are stacked, up to CERTIFICATE_STACK_BYTES
+    of them at a time, so each stack takes one eigensolve of its sector
+    blocks and one of its tail blocks, and only the NNLS runs point by
+    point.  LAPACK solves each block of a stack on its own, so a point
+    gets the same bits in any stack.
     """
     ws = np.asarray(ws, dtype=float)
     m = ws.shape[-1]
@@ -349,8 +349,9 @@ def _kcs_certificate(n: int, ks, ws) -> list[tuple[float, float]]:
     target = [0.0] * m + [1.0]
     out = []
     for at in range(0, len(ks), chunk):
-        lam, grad = kcs_blocks(n, np.asarray(ks[at:at + chunk]),
-                               ws[at:at + chunk]).nontrivial_spectrum()
+        k = np.asarray(ks[at:at + chunk])
+        lam, grad = _block_spectrum(sector_block(n, k, ws[at:at + chunk]),
+                                    n, k, gradients=True)
         s = np.abs(lam).max(axis=-1)
         up = lam >= (s - ACTIVE_TOL)[:, None]
         down = lam <= (ACTIVE_TOL - s)[:, None]
@@ -569,7 +570,8 @@ def _tied_optima(m: int, n: int, ks) -> list[TiedOptimum]:
             value, residual = next(certified)
         if w is None or residual > CERTIFICATE_TOL:
             w, _, iterations, message = _epigraph_slem(
-                lambda w: kcs_blocks(n, k, w).nontrivial_spectrum(),
+                lambda w: _block_spectrum(sector_block(n, k, w), n, k,
+                                          gradients=True),
                 _closed_form(topology),
                 f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
             [(value, residual)] = _kcs_certificate(n, [k], [w])
@@ -593,14 +595,15 @@ def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     n = 3, is ``kcs_slem_curve(3, 2, range(1, 31))``.
 
     Within the closed-form validity range the characteristic-equation
-    value is used; beyond it the certified tied optimum
+    value cos(theta_root_kcs(m, n, k)) is used, the value of
+    ``slem_closed_form`` there; beyond it the certified tied optimum
     (``kcs_tied_optimum``), with the certificates of all those points
     computed on stacked blocks at once.
     """
     km = k_max(m, n)
     ks = list(k_range)
     tied = iter(_tied_optima(m, n, [k for k in ks if k > km]))
-    return [(k, slem_closed_form(KcsStar(m, n, k)) if k <= km else next(tied).slem)
+    return [(k, math.cos(theta_root_kcs(m, n, k)) if k <= km else next(tied).slem)
             for k in ks]
 
 

@@ -65,8 +65,8 @@ buffer of one row less than the state, and ANDs them down each column:
 == is transitive on the NaN-free indices (and -0.0 == 0.0), so that is
 the all-equal test without broadcasting the first row.  The views of the
 draw buffers are built once per column count.  And a recorded trajectory
-is written row by row into one buffer, cut to its rows in place, so it
-costs its own size.
+is appended row by row to one growable buffer, so it costs about its own
+size.
 
 Where a step's time goes, at 151 nodes by 200 columns on one thread of
 a 2-core x86-64 host (numpy 2.4, scipy 1.17; the parts timed alone): the
@@ -88,6 +88,7 @@ recorded through boolean masks over all columns).
 from __future__ import annotations
 
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -326,10 +327,6 @@ def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarr
 # belong to finished trials.
 _COMPACT_DEAD_SHARE = 0.25
 
-# A recorded trajectory reserves up to this many bytes at once; the pages
-# it never writes are never touched, and a longer one grows in place.
-_RECORD_RESERVE_BYTES = 1 << 26
-
 
 def _clip_rows(Wc, top):
     """The rows that a stage after the first clips: the slice of rows of
@@ -370,7 +367,7 @@ class _Cell:
         self.reached = np.zeros(n_trials, dtype=bool)
         self.iters = np.full(n_trials, max_iters, dtype=np.int64)
         self.values = np.full(n_trials, np.nan)
-        self.traj = None
+        self.traj = array("d")
 
 
 def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
@@ -415,13 +412,10 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     per column count of the row, which changes only in ``regroup``.  Each
     cell keeps its own state and outcomes.
 
-    The recorded rows are formed straight into one float64 buffer, with
-    the same two operations as a consensus value.  It reserves
-    min(max_iters + 1, _RECORD_RESERVE_BYTES worth of) rows, grows in
-    place by doubling (up to max_iters + 1) only past that, and is cut in
-    place to its rows at the end, so the record costs its own size and a
-    huge cap on a short trial allocates no more than the reserve, whose
-    unwritten pages are never touched.
+    The recorded rows are formed with the same two operations as a
+    consensus value and appended to one growable float64 buffer (an
+    ``array('d')``), which the trajectory then views, so the record costs
+    about its own size whatever the cap.
 
     The probabilistic draws hash a (P, columns) key base, seed plus pair
     key, built once and gathered when the row's columns shrink; each
@@ -495,16 +489,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
             draws = np.take(draws, pos, axis=1)
         round_into(y, draws, clip)
 
-    def record_row(c, t):
-        if c.traj is None:
-            c.traj = np.empty((min(max_iters + 1,
-                                   max(1, _RECORD_RESERVE_BYTES // (8 * N))), N))
-        elif t == len(c.traj):
-            c.traj.resize((min(2 * t, max_iters + 1), N), refcheck=False)
-        row = c.traj[t]
+    def record_row(c):
         # i * delta - 1.0, as a consensus value is formed
-        np.multiply(c.x[:, 0], delta, out=row)
-        np.subtract(row, 1.0, out=row)
+        c.traj.frombytes((c.x[:, 0] * delta - 1.0).tobytes())
 
     def check(c, t):
         """Record the cell's trials that reached consensus at t; returns
@@ -561,7 +548,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     compacted = False
     for c in cells:
         if record:
-            record_row(c, 0)
+            record_row(c)
         compacted |= check(c, 0)
     running, t = cells, 0
     while True:
@@ -578,13 +565,11 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
             c.x = c.Wc @ c.x
             quantize_stage(c.x, draws, c.pos, c.clip)
             if record and not c.reached[0]:
-                record_row(c, t)
+                record_row(c)
             compacted |= check(c, t)
-    if record:
-        for c in cells:
-            c.traj.resize((int(c.iters[0]) + 1, N), refcheck=False)
     return [(c.reached, c.iters, c.values, (c.values - means) / delta)
-            + ((c.traj,) if record else ()) for c in cells]
+            + ((np.frombuffer(c.traj).reshape(-1, N),) if record else ())
+            for c in cells]
 
 
 def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
@@ -604,10 +589,8 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     of x0 to [-1, 1] at the first quantization.
 
     With ``return_trajectory``, the states after every stage come back as
-    an (iterations + 1, N) array, written row by row into one buffer that
-    is cut to those rows in place: the record costs its own size.  A
-    large max_iters on a trial that stops early reserves at most 64 MiB
-    of address space, of which only the written rows are touched.
+    an (iterations + 1, N) array, appended row by row to one growable
+    buffer: the record costs about its own size, whatever max_iters.
     """
     _check_seed(trial_seed, "trial seed")
     W = _check_weight_matrix(W)
@@ -641,11 +624,15 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     population variance).  Per-trial randomness is keyed by (master_seed,
     trial index), so every trial draws the same stream whatever the trial
     count.  trials must be an integer >= 1 (not a bool), and at least one
-    weighting is needed.  A numpy integer trial count or seed is held as
-    a Python int, so every field of the result is a Python number.
+    weighting is needed, in a sequence of names (a single name is refused:
+    ``monte_carlo`` takes one).  A numpy integer trial count or seed is
+    held as a Python int, so every field of the result is a Python number.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if isinstance(weightings, str):
+        raise ValueError(f"weightings must be a sequence of names, got the name "
+                         f"{weightings!r}; monte_carlo runs a single weighting")
     if not weightings:
         raise ValueError("monte_carlo_row needs at least one weighting")
     matrices = [scheme_matrix(topology, w)[1] for w in weightings]

@@ -7,16 +7,15 @@ copies of the core eigenvalue, the characteristic equation whose
 smallest positive root gives the optimal SLEM, the k_max threshold for
 k-cored stars, and Cauchy-interlacing consistency checks.
 
-``StratifiedBlocks.nontrivial_spectrum`` alone knows which block
-eigenvalues make up W's spectrum without its eigenvalue 1, and their
-weight gradients, in band form (each weight moves W0 by a rank-one
-slope); everything else (block SLEM, interlacing check, the certificate
-and SLSQP fallback of ``kcs_tied_optimum``) reads it.  Its first step,
-the eigenpairs without the Perron eigenvalue, is all that the block SLEM
-and the interlacing check read, so they form no gradients.  The blocks of
-many points of one (m, n) can be held as one stack, whose eigensolves
-then run in one LAPACK call per block kind; the certificate of a k-cored
-curve reads them so.
+``stratify`` gives the blocks of one point as ``StratifiedBlocks``.  The
+private ``_block_spectrum`` alone knows which block eigenvalues make up
+W's spectrum without its eigenvalue 1, and their weight gradients, in
+band form (each weight moves W0 by a rank-one slope); everything else
+(block SLEM, interlacing check, the certificate and SLSQP fallback of
+``kcs_tied_optimum``) reads it, the block SLEM and the interlacing check
+without gradients.  It takes sector blocks, so the certificate of a
+k-cored curve hands it the blocks of many points of one (m, n) as one
+stack, whose eigensolves then run in one LAPACK call per block kind.
 
 The characteristic function of the k-cored star (the symmetric star is
 the case k = 1) can be written
@@ -134,86 +133,33 @@ def complement_basis(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StratifiedBlocks:
     """Blocks of the branch-permutation diagonalization of a k-cored star
-    (the symmetric star is the case k = 1).
+    (the symmetric star is the case k = 1) at one point of weights.
 
     The full matrix is orthogonally similar to
     diag(W0, W1, ..., W1, c, ..., c) with n-1 copies of the tail block W1
     and k-1 copies of the core eigenvalue c = 1 - n*w1.  W0 holds the
-    Perron eigenvalue 1.  ``nontrivial_spectrum`` is the one place that
-    says which of these eigenvalues make up the rest of W's spectrum.
-
-    The blocks of several points of one (m, n) can be held as a stack
-    (``kcs_blocks`` with a row of weights per point): then the blocks carry
-    a leading axis, ``core_value`` and ``core_multiplicity`` hold one entry
-    per point, and ``nontrivial_spectrum`` answers for every point at once.
+    Perron eigenvalue 1.  Built by ``stratify``; ``_block_spectrum`` says
+    which of these eigenvalues make up the rest of W's spectrum.
     """
 
     w0_block: np.ndarray
     w1_block: np.ndarray
     w1_multiplicity: int
-    core_value: float | np.ndarray
-    core_multiplicity: int | np.ndarray
+    core_value: float
+    core_multiplicity: int
 
     def combined_spectrum(self) -> np.ndarray:
-        """W's whole spectrum, decreasing, from the blocks of one point."""
-        if self.w0_block.ndim > 2:
-            raise SpectralError("combined_spectrum takes the blocks of one "
-                                "point, not a stack")
+        """W's whole spectrum, decreasing."""
         vals = [eig_symmetric(self.w0_block)]
         vals += [eig_symmetric(self.w1_block)] * self.w1_multiplicity
         vals += [np.array([self.core_value])] * self.core_multiplicity
         return np.sort(np.concatenate(vals))[::-1]
 
-    def nontrivial_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """W's eigenvalues other than the Perron 1, one copy per block, and
-        their gradients in w1..wm, one row each.
-
-        In order: W0 without its Perron eigenvalue (ascending), W1
-        (ascending, n >= 2) and the core value (k >= 2).  Two steps: the
-        eigenpairs without the Perron eigenvalue
-        (``_nontrivial_eigenpairs``, all that the block SLEM and the
-        interlacing check read), then their gradients from
-        ``_band_gradients``, O(m^2) for all of them.
-        """
-        lam, vecs = self._nontrivial_eigenpairs()
-        n, k = self.w1_multiplicity + 1, np.asarray(self.core_multiplicity, dtype=float) + 1
-        grad = _band_gradients(n, k[..., None], vecs)
-        if lam.shape[-1] > vecs.shape[-2]:  # the core value, -n in w1 alone
-            core = np.zeros(grad.shape[:-2] + (1, grad.shape[-1]))
-            core[..., 0] = -n
-            grad = np.concatenate((grad, core), axis=-2)
-        return lam, grad
-
-    def _nontrivial_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues of ``nontrivial_spectrum``, and as rows the
-        eigenvectors of the W0 and W1 ones in W0's coordinates (the core
-        value, last, has none).
-
-        The Perron eigenvalue is the one nearest 1: W0 (sqrt(k), sqrt(n),
-        ...)^T = (sqrt(k), sqrt(n), ...)^T at every w, and at nonnegative
-        weights it is W0's largest.  W1 is W0 on rows 1..m, so in W0's
-        coordinates its vectors have entry 0 zero.
-        """
-        m = self.w1_block.shape[-1]
-        vals, vecs = np.linalg.eigh(self.w0_block)
-        perron = np.argmin(np.abs(vals - 1.0), axis=-1)[..., None]
-        keep = np.arange(m + 1) != perron
-        batch = vals.shape[:-1]
-        lam = [vals[keep].reshape(batch + (m,))]
-        rows = [vecs.swapaxes(-1, -2)[keep].reshape(batch + (m, m + 1))]
-        if self.w1_multiplicity:
-            vals, vecs = np.linalg.eigh(self.w1_block)
-            lam.append(vals)
-            rows.append(np.concatenate((np.zeros(batch + (m, 1)),
-                                        vecs.swapaxes(-1, -2)), axis=-1))
-        if np.all(self.core_multiplicity):
-            lam.append(np.asarray(self.core_value)[..., None])
-        return np.concatenate(lam, axis=-1), np.concatenate(rows, axis=-2)
-
-    def slem(self) -> float | np.ndarray:
-        """SLEM of W from the block spectra; over a stack, one per point."""
-        slems = np.abs(self._nontrivial_eigenpairs()[0]).max(axis=-1)
-        return float(slems) if slems.ndim == 0 else slems
+    def slem(self) -> float:
+        """SLEM of W from the block spectra."""
+        lam = _block_spectrum(self.w0_block, self.w1_multiplicity + 1,
+                              self.core_multiplicity + 1)[0]
+        return float(np.abs(lam).max())
 
 
 def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBlocks:
@@ -231,23 +177,59 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
     if not isinstance(topology, KcsStar):
         raise SpectralError("stratification is implemented for symmetric "
                             "and k-cored stars only")
-    w = assignment.for_strata(range(1, topology.m + 1))
-    return kcs_blocks(topology.n, topology.k, w)
+    n, k = topology.n, topology.k
+    W0 = sector_block(n, k, assignment.for_strata(range(1, topology.m + 1)))
+    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, float(W0[0, 0]), k - 1)
 
 
-def kcs_blocks(n: int, k, w: np.ndarray) -> StratifiedBlocks:
-    """The stratified blocks of KcsStar(len(w), n, k) at weights w1..wm.
+def _block_spectrum(W0: np.ndarray, n: int, k, gradients: bool = False):
+    """W's eigenvalues other than the Perron 1, one copy per block, from
+    the sector block W0 of KcsStar(m, n, k), and with ``gradients`` their
+    gradients in w1..wm, one row each (else None).
 
-    With a row of weights per point in w and an array of one k per point,
-    the blocks of all the points as one stack; their k are all 1 or all 2
-    or more, as the core eigenvalue is in every spectrum of a stack or in
-    none.
+    In order: W0 without its Perron eigenvalue (ascending), the tail block
+    W0[1:, 1:] (ascending, n >= 2) and the core value W0[0, 0] = 1 - n*w1
+    (k >= 2).  The Perron eigenvalue is the one nearest 1: W0 (sqrt(k),
+    sqrt(n), ...)^T = (sqrt(k), sqrt(n), ...)^T at every w, and at
+    nonnegative weights it is W0's largest.  The gradients come from the
+    eigenvectors in W0's coordinates (the tail block's with entry 0 zero)
+    by ``_band_gradients``, O(m^2) for all of them; the block SLEM and the
+    interlacing check form none.
+
+    The sector blocks of several points of one (m, n), stacked on leading
+    axes with k holding one entry per point, take one eigensolve per
+    block kind; LAPACK solves each block on its own, so a point gets the
+    same bits in any stack.  The certificate of a k-cored curve reads them
+    so.  Their k are all 1 or all 2 or more, as the core eigenvalue is in
+    every spectrum of a stack or in none.
     """
-    if np.ndim(k) and (np.min(k) == 1) != (np.max(k) == 1):
-        raise SpectralError("a stack of blocks takes k = 1 at every point or at none")
-    W0 = sector_block(n, k, w)
-    return StratifiedBlocks(W0, W0[..., 1:, 1:].copy(), n - 1,
-                            1.0 - n * w[..., 0], k - 1)
+    k = np.asarray(k)
+    core = np.all(k > 1)
+    if not core and np.any(k > 1):
+        raise SpectralError("k must be 1 at every point or at none")
+    m = W0.shape[-1] - 1
+    vals, vecs = np.linalg.eigh(W0)
+    perron = np.argmin(np.abs(vals - 1.0), axis=-1)[..., None]
+    keep = np.arange(m + 1) != perron
+    batch = vals.shape[:-1]
+    lam = [vals[keep].reshape(batch + (m,))]
+    rows = [vecs.swapaxes(-1, -2)[keep].reshape(batch + (m, m + 1))]
+    if n > 1:
+        vals, vecs = np.linalg.eigh(W0[..., 1:, 1:])
+        lam.append(vals)
+        rows.append(np.concatenate((np.zeros(batch + (m, 1)),
+                                    vecs.swapaxes(-1, -2)), axis=-1))
+    if core:
+        lam.append(W0[..., 0, 0][..., None])
+    lam = np.concatenate(lam, axis=-1)
+    if not gradients:
+        return lam, None
+    grad = _band_gradients(n, k.astype(float)[..., None], np.concatenate(rows, axis=-2))
+    if core:  # the core value, -n in w1 alone
+        row = np.zeros(batch + (1, m))
+        row[..., 0] = -n
+        grad = np.concatenate((grad, row), axis=-2)
+    return lam, grad
 
 
 def sector_block(n: int, k, w: np.ndarray) -> np.ndarray:
@@ -533,31 +515,34 @@ def interlacing_check(blocks: StratifiedBlocks,
 
     With both spectra ascending, lam_j(W0) <= lam_j(W1) <= lam_{j+1}(W0)
     must hold for every j.  When the full matrix is supplied, also check
-    that its second largest eigenvalue is the largest of
-    ``blocks.nontrivial_spectrum()`` (by interlacing, the top of W1 when
-    n >= 2, unless the core eigenvalue 1 - n*w1 is larger, as past k_max),
-    and report whether its smallest eigenvalue equals the bottom of W1.
-    The latter identity is *not* implied by interlacing (which only gives
-    lam_min(W0) <= lam_min(W1)), and at the optimal weights the smallest
-    eigenvalue of W belongs to the W0 block instead, so that field is
-    informational and excluded from ``holds``.  It takes the blocks of one
-    point; a stack from ``kcs_blocks`` raises SpectralError.
+    that its second largest eigenvalue is the largest block eigenvalue
+    other than the Perron 1 (``_block_spectrum``; by interlacing, the top
+    of W1 when n >= 2, unless the core eigenvalue 1 - n*w1 is larger, as
+    past k_max), and report whether its smallest eigenvalue equals the
+    bottom of W1.  The latter identity is *not* implied by interlacing
+    (which only gives lam_min(W0) <= lam_min(W1)), and at the optimal
+    weights the smallest eigenvalue of W belongs to the W0 block instead,
+    so that field is informational and excluded from ``holds``.  A W whose
+    order is not the star's k + n*m raises SpectralError.  Every field is
+    a Python bool or float.
     """
-    if blocks.w0_block.ndim > 2:
-        raise SpectralError("interlacing_check takes the blocks of one point, "
-                            "not a stack")
     lam0 = np.sort(eig_symmetric(blocks.w0_block))  # ascending
     lam1 = np.sort(eig_symmetric(blocks.w1_block))
-    viol = max(0.0, np.max(lam0[:-1] - lam1), np.max(lam1 - lam0[1:]))
+    viol = float(max(0.0, np.max(lam0[:-1] - lam1), np.max(lam1 - lam0[1:])))
     top_ok = bottom_ok = True
     if W is not None:
         lam = eig_symmetric(W)
-        top = blocks._nontrivial_eigenpairs()[0].max()
-        top_ok = abs(lam[1] - top) <= INTERLACING_TOL
-        bottom_ok = abs(lam[-1] - lam1[0]) <= INTERLACING_TOL
+        n, k = blocks.w1_multiplicity + 1, blocks.core_multiplicity + 1
+        order = k + n * lam1.size
+        if lam.size != order:
+            raise SpectralError(f"W has order {lam.size}, but the blocks are "
+                                f"of a star of order {order}")
+        top = _block_spectrum(blocks.w0_block, n, k)[0].max()
+        top_ok = bool(abs(lam[1] - top) <= INTERLACING_TOL)
+        bottom_ok = bool(abs(lam[-1] - lam1[0]) <= INTERLACING_TOL)
     return InterlacingReport(
         holds=viol <= INTERLACING_TOL and top_ok,
-        max_violation=float(viol),
+        max_violation=viol,
         lambda2_matches_w1_top=top_ok,
         lambda_min_matches_w1_bottom=bottom_ok,
     )

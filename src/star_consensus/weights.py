@@ -140,11 +140,16 @@ def assemble_matrix(graph: Graph, edge_weights) -> np.ndarray:
 def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
     """Recover per-stratum weights from a matrix respecting the strata.
 
-    Rejects matrices whose edge weights vary within a stratum (those do
-    not admit a stratified block form).
+    Rejects a W that is not N x N for the graph's N nodes, and matrices
+    whose edge weights vary within a stratum (those do not admit a
+    stratified block form).
     """
     if graph.stratum_of_edge is None:
         raise WeightError("graph carries no stratum labels")
+    N = graph.node_count
+    if np.shape(W) != (N, N):
+        raise WeightError(f"W has shape {np.shape(W)}, but the graph has "
+                          f"{N} nodes: W must be {N} x {N}")
     per: dict[int, float] = {}
     for (u, v), s in graph.stratum_of_edge.items():
         w = float(W[u, v])

@@ -10,9 +10,9 @@ from star_consensus import optimality
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.spectral import (
     k_max,
-    kcs_blocks,
     slem,
     slem_closed_form,
+    stratify,
     theta_root_kcs,
 )
 from star_consensus.weights import assemble_matrix, optimal_weights
@@ -155,6 +155,18 @@ def test_kcs_curve_anchors():
     curve = dict(kcs_slem_curve(3, 2, [1, 2, 9]))
     assert curve[1] == pytest.approx(slem_closed_form(SymmetricStar(2, 3)))
     assert curve[9] == pytest.approx(slem_closed_form(KcsStar(2, 3, 9)))
+
+
+def test_kcs_curve_closed_form_entries_are_slem_closed_form():
+    for m in range(1, 9):
+        for n in range(1, 7):
+            km = k_max(m, n)
+            curve = kcs_slem_curve(n, m, range(1, km + 1))
+            assert curve == [(k, slem_closed_form(KcsStar(m, n, k)))
+                             for k in range(1, km + 1)], (m, n)
+            for k in (0, 2.5, True):
+                with pytest.raises(ValueError):
+                    kcs_slem_curve(n, m, [k])
 
 
 def test_kcs_curve_non_increasing_up_to_k_max():
@@ -350,8 +362,7 @@ def test_active_set_solve_vs_dense_block_eigensolve(m):
     tied = kcs_tied_optimum(m, n, k)
     assert tied.message == "active-set solve"
     assert tied.certificate_residual <= 1e-12
-    w = np.array([tied.weights.per_stratum[j] for j in range(1, m + 1)])
-    blocks = kcs_blocks(n, k, w)
+    blocks = stratify(KcsStar(m, n, k), tied.weights)
     sector = np.linalg.eigvalsh(blocks.w0_block)
     tail = np.linalg.eigvalsh(blocks.w1_block)
     s = tied.slem

@@ -327,21 +327,18 @@ def test_trajectory_record_costs_its_own_size():
     assert peak <= 1.25 * traj.nbytes
 
 
-def test_huge_cap_trajectory_is_the_short_one(monkeypatch):
+def test_huge_cap_trajectory_is_the_short_one():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     spec = QuantizerSpec(4, "probabilistic")
     x0, seed = initial_states(3, 0, g.node_count), derive_trial_seed(3, 0)
     out, ref = run_trial(W, x0, spec, max_iters=500, trial_seed=seed,
                          return_trajectory=True)
     assert out.consensus_reached and out.iterations > 4
-    # the default reserve, and a 3-row one that the record must outgrow
-    for reserve in (simulate._RECORD_RESERVE_BYTES, 3 * 8 * g.node_count):
-        monkeypatch.setattr(simulate, "_RECORD_RESERVE_BYTES", reserve)
-        for cap in (4, 500, 10**12):
-            got, traj = run_trial(W, x0, spec, max_iters=cap, trial_seed=seed,
-                                  return_trajectory=True)
-            assert got.iterations == min(cap, out.iterations)
-            assert np.array_equal(traj, ref[:cap + 1])
+    for cap in (4, 500, 10**12):
+        got, traj = run_trial(W, x0, spec, max_iters=cap, trial_seed=seed,
+                              return_trajectory=True)
+        assert got.iterations == min(cap, out.iterations)
+        assert np.array_equal(traj, ref[:cap + 1])
 
 
 def test_initial_states_deterministic_and_in_range():
@@ -617,6 +614,14 @@ def test_monte_carlo_stats_hold_python_numbers():
 def test_monte_carlo_row_needs_a_weighting():
     with pytest.raises(ValueError, match="at least one weighting"):
         monte_carlo_row(SymmetricStar(2, 3), [],
+                        QuantizerSpec(4, "probabilistic"), 3, 1)
+
+
+def test_monte_carlo_row_refuses_a_single_name():
+    # a name is a sequence of one-letter strings, which would be run as
+    # the scheme 'o'
+    with pytest.raises(ValueError, match="monte_carlo runs a single weighting"):
+        monte_carlo_row(SymmetricStar(2, 3), "optimal",
                         QuantizerSpec(4, "probabilistic"), 3, 1)
 
 

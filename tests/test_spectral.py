@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,6 @@ from star_consensus.spectral import (
     eig_symmetric,
     interlacing_check,
     k_max,
-    kcs_blocks,
     slem,
     slem_closed_form,
     stratify,
@@ -34,6 +35,18 @@ def _stratum_matrix(topo, assignment):
     """W of a star family at per-stratum weights."""
     g = build(topo)
     return assemble_matrix(g, assignment.for_strata(map(g.stratum_of_edge.get, g.edges)))
+
+
+def _spectrum(n, k, w):
+    """The block spectrum of KcsStar(m, n, k) at weights w1..wm and its
+    gradients; rows of w and one k per row give a stack."""
+    return spectral._block_spectrum(spectral.sector_block(n, k, w), n, k, gradients=True)
+
+
+def _blocks_spectrum(blocks):
+    """The block spectrum of a stratified point and its gradients."""
+    return spectral._block_spectrum(blocks.w0_block, blocks.w1_multiplicity + 1,
+                                    blocks.core_multiplicity + 1, gradients=True)
 
 
 def test_eig_symmetric_self_check():
@@ -132,7 +145,7 @@ def _assert_drops_sector_perron_eigenvalue(blocks, n, k):
     m = blocks.w1_block.shape[0]
     perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
     assert np.allclose(blocks.w0_block @ perron, perron, rtol=0, atol=1e-14)
-    lam = blocks.nontrivial_spectrum()[0]
+    lam = _blocks_spectrum(blocks)[0]
     assert lam.size == m + m * (n > 1) + (k > 1)
     assert np.allclose(np.append(lam[:m], 1.0),
                        np.sort(np.linalg.eigvalsh(blocks.w0_block)), rtol=0, atol=1e-14)
@@ -148,7 +161,7 @@ def test_stratify_symmetric_is_kcs_k1():
         assert np.array_equal(a.w1_block, b.w1_block)
         assert (a.w1_multiplicity, a.core_value, a.core_multiplicity) == \
             (b.w1_multiplicity, b.core_value, b.core_multiplicity)
-        for got, want in zip(a.nontrivial_spectrum(), b.nontrivial_spectrum()):
+        for got, want in zip(_blocks_spectrum(a), _blocks_spectrum(b)):
             assert np.array_equal(got, want)
         _assert_drops_sector_perron_eigenvalue(a, n, 1)
 
@@ -168,7 +181,7 @@ def _nontrivial_cases():
 def test_nontrivial_spectrum_matches_dense_eigensolve():
     for topo, assign in _nontrivial_cases():
         blocks = stratify(topo, assign)
-        lam, grad = blocks.nontrivial_spectrum()
+        lam, grad = _blocks_spectrum(blocks)
         m = topo.m
         assert grad.shape == (lam.size, m)
         # one copy per block: W0 without its eigenvalue 1, W1, the core value
@@ -198,9 +211,8 @@ def test_nontrivial_spectrum_gradients_match_central_differences():
     for topo, assign in _nontrivial_cases():
         m, n, k = topo.m, topo.n, topo.k
         w = np.array([assign.per_stratum[j] for j in range(1, m + 1)])
-        lam, grad = kcs_blocks(n, k, w).nontrivial_spectrum()
-        fd = np.column_stack([(kcs_blocks(n, k, w + h * e).nontrivial_spectrum()[0]
-                               - kcs_blocks(n, k, w - h * e).nontrivial_spectrum()[0])
+        lam, grad = _spectrum(n, k, w)
+        fd = np.column_stack([(_spectrum(n, k, w + h * e)[0] - _spectrum(n, k, w - h * e)[0])
                               / (2 * h) for e in np.eye(m)])
         assert np.all(_gaps_within_blocks(lam, m) > 1e-3), topo
         assert np.max(np.abs(grad - fd)) <= 1e-6, topo
@@ -227,7 +239,7 @@ def _einsum_gradients(blocks, n, k):
 def test_nontrivial_spectrum_band_gradients_match_einsum():
     for topo, assign in _nontrivial_cases():
         blocks = stratify(topo, assign)
-        grad = blocks.nontrivial_spectrum()[1]
+        grad = _blocks_spectrum(blocks)[1]
         want = _einsum_gradients(blocks, topo.n, topo.k)
         assert grad.shape == want.shape
         # entries reach n + k in size, so the bound is relative above 1
@@ -253,42 +265,18 @@ def test_stacked_blocks_give_each_point_its_own_bits(m, n):
     rng = np.random.default_rng(m * 10 + n)
     ks = np.array([2, 3, 7, 40, 41])
     w = rng.uniform(0.05, 0.6, (ks.size, m))
-    lam, grad = kcs_blocks(n, ks, w).nontrivial_spectrum()
+    lam, grad = _spectrum(n, ks, w)
     assert lam.shape == (ks.size, m + m * (n > 1) + 1)
     for p, k in enumerate(ks):
-        alone = kcs_blocks(n, int(k), w[p]).nontrivial_spectrum()
+        alone = _spectrum(n, int(k), w[p])
         assert np.array_equal(lam[p], alone[0])
         assert np.array_equal(grad[p], alone[1])
 
 
-def test_stack_slem_is_one_per_point():
-    # KcsStar(2, 3, 2) at (0.2, 0.5) and KcsStar(2, 3, 3) at (0.1, 0.5)
-    ks, w = np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]])
-    alone = [kcs_blocks(3, int(k), wp).slem() for k, wp in zip(ks, w)]
-    assert alone == [pytest.approx(0.8385, abs=1e-4), pytest.approx(0.8720, abs=1e-4)]
-    got = kcs_blocks(3, ks, w).slem()
-    assert got.shape == (2,)
-    assert got.tolist() == alone
-
-
-def test_stack_refuses_combined_spectrum():
-    stack = kcs_blocks(3, np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]]))
-    with pytest.raises(SpectralError, match="not a stack"):
-        stack.combined_spectrum()
-
-
-def test_stack_refuses_interlacing_check():
-    # the stack of KcsStar(2, 3, 2) and KcsStar(2, 3, 3) is refused by name,
-    # not with the dense eigensolve's "square matrix" message
-    stack = kcs_blocks(3, np.array([2, 3]), np.array([[0.2, 0.5], [0.1, 0.5]]))
-    with pytest.raises(SpectralError, match="not a stack"):
-        interlacing_check(stack)
-
-
 def test_stack_refuses_mixed_core():
     # the core eigenvalue is in every spectrum of a stack or in none
-    with pytest.raises(SpectralError):
-        kcs_blocks(3, np.array([1, 2]), np.full((2, 2), 0.4))
+    with pytest.raises(SpectralError, match="k must be 1 at every point or at none"):
+        _spectrum(3, np.array([1, 2]), np.full((2, 2), 0.4))
 
 
 def test_nontrivial_spectrum_slem_at_m200_matches_closed_form():
@@ -329,6 +317,26 @@ def test_interlacing_zero_weights_degenerate():
     zero = WeightAssignment(per_stratum={1: 0.0, 2: 0.0})
     rep = interlacing_check(stratify(topo, zero))
     assert rep.holds and rep.max_violation <= 1e-12
+
+
+def test_interlacing_refuses_a_matrix_of_another_star():
+    # SymmetricStar(3, 4) has 13 nodes, SymmetricStar(3, 5) 16; KcsStar(2, 3, 4) 10
+    for topo, other in ((SymmetricStar(3, 4), SymmetricStar(3, 5)),
+                        (KcsStar(2, 3, 4), KcsStar(2, 3, 5))):
+        blocks = stratify(topo, optimal_weights(topo))
+        W = scheme_matrix(other, "optimal")[1]
+        order = build(topo).node_count
+        with pytest.raises(SpectralError, match=f"order {len(W)}.* order {order}"):
+            interlacing_check(blocks, W)
+
+
+def test_interlacing_report_holds_python_bools():
+    topo = SymmetricStar(3, 5)
+    blocks = stratify(topo, optimal_weights(topo))
+    for W in (None, scheme_matrix(topo, "optimal")[1]):
+        report = dataclasses.asdict(interlacing_check(blocks, W))
+        assert [type(v) for v in report.values()] == [bool, float, bool, bool]
+        assert json.loads(json.dumps(report)) == report
 
 
 def test_symmetric_root_vs_eigen():

@@ -137,6 +137,14 @@ def test_recover_rejects_nonuniform_stratum():
         per_stratum_from_matrix(g, W)
 
 
+def test_recover_refuses_a_matrix_of_another_order():
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")  # 7 nodes
+    smaller = scheme_matrix(SymmetricStar(2, 2), "optimal")[1]
+    for bad in (smaller, W[:, :-1], W[0], np.pad(W, (0, 1))):
+        with pytest.raises(WeightError, match="graph has 7 nodes"):
+            per_stratum_from_matrix(g, bad)
+
+
 def test_per_edge_assignment():
     # one weight per entry of graph.edges, in order
     g = Graph(3, ((2, 1), (0, 1)))
