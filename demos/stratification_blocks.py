@@ -27,8 +27,8 @@ blocks = stratify(topo, optimal_weights(topo))
 print(f"symmetric star m={m}, n={n}: {g.node_count} nodes")
 print(f"\nW0 ({m+1}x{m+1}, symmetric sector):")
 print(np.round(blocks.w0_block, 4))
-print(f"\nW1 ({m}x{m}, appears {blocks.w1_multiplicity} times):")
-print(np.round(blocks.w1_block, 4))
+print(f"\nW1 ({m}x{m}, appears {blocks.n - 1} times):")
+print(np.round(blocks.w0_block[1:, 1:], 4))
 
 full = np.sort(eig_symmetric(W))
 stacked = np.sort(blocks.combined_spectrum())

@@ -164,7 +164,7 @@ def slackness_residuals(m: int, n: int) -> SlacknessReport:
     res["eq19"] = float(np.max(np.abs((A @ z1) ** 2 - (B @ z2) ** 2)))
 
     blocks = stratify(topo, assignment)
-    res["matrix_w1"] = float(np.max(np.abs(s * z1 - blocks.w1_block @ z1)))
+    res["matrix_w1"] = float(np.max(np.abs(s * z1 - blocks.w0_block[1:, 1:] @ z1)))
     res["matrix_w0"] = float(np.max(np.abs(s * z2 + blocks.w0_block @ z2)))
 
     return SlacknessReport(m=m, n=n, theta=theta, s=s, a_coords=a, b_coords=b,

@@ -41,10 +41,10 @@ when k > k_max.  Where n * r*(m) lies too near an integer for floating
 point to decide the floor (``K_MAX_GUARD``), k_max is refused instead.
 At m = 1, f(t) = cos(t/2) (2n(1 - cos t) - 4k cos t), so cos(theta) =
 n/(n + 2k), which the central eigenvalue (2k-n)/(2k+n) meets exactly at
-k = n: r*(1) = 1, where the float root lands an ulp below it.  The condition is not re-checked in floats at k and k + 1; at
-large m its two sides are too close to decide it (see ``k_max``).  No
-analysis path loads scipy.optimize; only the SLSQP minimizer in
-``optimality`` does.
+k = n: r*(1) = 1, where the float root lands an ulp below it.  The
+condition is not re-checked in floats at k and k + 1; at large m its two
+sides are too close to decide it (see ``k_max``).  No analysis path loads
+scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
 
 Dense eigenproblems go to LAPACK through numpy.linalg.eigvalsh (eigh for
 gradients), deterministic for identical input bits;
@@ -136,29 +136,28 @@ class StratifiedBlocks:
     (the symmetric star is the case k = 1) at one point of weights.
 
     The full matrix is orthogonally similar to
-    diag(W0, W1, ..., W1, c, ..., c) with n-1 copies of the tail block W1
-    and k-1 copies of the core eigenvalue c = 1 - n*w1.  W0 holds the
-    Perron eigenvalue 1.  Built by ``stratify``; ``_block_spectrum`` says
+    diag(W0, W1, ..., W1, c, ..., c) with n-1 copies of the tail block
+    W1 = W0[1:, 1:] and k-1 copies of the core eigenvalue
+    c = W0[0, 0] = 1 - n*w1.  W0 holds the Perron eigenvalue 1.  The
+    record is (W0, n, k) alone, so W1 and c are read off W0 and cannot
+    disagree with it.  Built by ``stratify``; ``_block_spectrum`` says
     which of these eigenvalues make up the rest of W's spectrum.
     """
 
     w0_block: np.ndarray
-    w1_block: np.ndarray
-    w1_multiplicity: int
-    core_value: float
-    core_multiplicity: int
+    n: int
+    k: int
 
     def combined_spectrum(self) -> np.ndarray:
         """W's whole spectrum, decreasing."""
         vals = [eig_symmetric(self.w0_block)]
-        vals += [eig_symmetric(self.w1_block)] * self.w1_multiplicity
-        vals += [np.array([self.core_value])] * self.core_multiplicity
+        vals += [eig_symmetric(self.w0_block[1:, 1:])] * (self.n - 1)
+        vals += [self.w0_block[:1, 0]] * (self.k - 1)
         return np.sort(np.concatenate(vals))[::-1]
 
     def slem(self) -> float:
         """SLEM of W from the block spectra."""
-        lam = _block_spectrum(self.w0_block, self.w1_multiplicity + 1,
-                              self.core_multiplicity + 1)[0]
+        lam = _block_spectrum(self.w0_block, self.n, self.k)[0]
         return float(np.abs(lam).max())
 
 
@@ -178,8 +177,8 @@ def stratify(topology: Topology, assignment: WeightAssignment) -> StratifiedBloc
         raise SpectralError("stratification is implemented for symmetric "
                             "and k-cored stars only")
     n, k = topology.n, topology.k
-    W0 = sector_block(n, k, assignment.for_strata(range(1, topology.m + 1)))
-    return StratifiedBlocks(W0, W0[1:, 1:].copy(), n - 1, float(W0[0, 0]), k - 1)
+    w = assignment.for_strata(range(1, topology.m + 1))
+    return StratifiedBlocks(sector_block(n, k, w), n, k)
 
 
 def _block_spectrum(W0: np.ndarray, n: int, k, gradients: bool = False):
@@ -527,17 +526,16 @@ def interlacing_check(blocks: StratifiedBlocks,
     a Python bool or float.
     """
     lam0 = np.sort(eig_symmetric(blocks.w0_block))  # ascending
-    lam1 = np.sort(eig_symmetric(blocks.w1_block))
+    lam1 = np.sort(eig_symmetric(blocks.w0_block[1:, 1:]))
     viol = float(max(0.0, np.max(lam0[:-1] - lam1), np.max(lam1 - lam0[1:])))
     top_ok = bottom_ok = True
     if W is not None:
         lam = eig_symmetric(W)
-        n, k = blocks.w1_multiplicity + 1, blocks.core_multiplicity + 1
-        order = k + n * lam1.size
+        order = blocks.k + blocks.n * lam1.size
         if lam.size != order:
             raise SpectralError(f"W has order {lam.size}, but the blocks are "
                                 f"of a star of order {order}")
-        top = _block_spectrum(blocks.w0_block, n, k)[0].max()
+        top = _block_spectrum(blocks.w0_block, blocks.n, blocks.k)[0].max()
         top_ok = bool(abs(lam[1] - top) <= INTERLACING_TOL)
         bottom_ok = bool(abs(lam[-1] - lam1[0]) <= INTERLACING_TOL)
     return InterlacingReport(

@@ -140,9 +140,13 @@ def assemble_matrix(graph: Graph, edge_weights) -> np.ndarray:
 def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
     """Recover per-stratum weights from a matrix respecting the strata.
 
-    Rejects a W that is not N x N for the graph's N nodes, and matrices
-    whose edge weights vary within a stratum (those do not admit a
-    stratified block form).
+    Each stratum's weight is read off W at its edges, and W must be the
+    matrix that ``assemble_matrix`` builds from those weights, within
+    1e-12 in every entry.  So it refuses, with WeightError, a graph
+    without stratum labels, a W that is not N x N for the graph's N
+    nodes, and a W with edge weights that vary within a stratum, an
+    asymmetric W, weight off the edges, a row that does not sum to one,
+    or a NaN or infinite entry.
     """
     if graph.stratum_of_edge is None:
         raise WeightError("graph carries no stratum labels")
@@ -150,12 +154,12 @@ def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
     if np.shape(W) != (N, N):
         raise WeightError(f"W has shape {np.shape(W)}, but the graph has "
                           f"{N} nodes: W must be {N} x {N}")
-    per: dict[int, float] = {}
-    for (u, v), s in graph.stratum_of_edge.items():
-        w = float(W[u, v])
-        if s in per and abs(per[s] - w) > 1e-12:
-            raise WeightError(f"stratum {s} has non-uniform edge weights")
-        per[s] = w
+    per = {s: float(W[u, v]) for (u, v), s in graph.stratum_of_edge.items()}
+    strata = map(graph.stratum_of_edge.get, graph.edges)
+    rebuilt = assemble_matrix(graph, WeightAssignment(per).for_strata(strata))
+    if not np.all(np.abs(rebuilt - W) <= 1e-12):  # a NaN fails it
+        raise WeightError("W is not the matrix of its per-stratum edge "
+                          "weights (within 1e-12)")
     return per
 
 

@@ -45,8 +45,7 @@ def _spectrum(n, k, w):
 
 def _blocks_spectrum(blocks):
     """The block spectrum of a stratified point and its gradients."""
-    return spectral._block_spectrum(blocks.w0_block, blocks.w1_multiplicity + 1,
-                                    blocks.core_multiplicity + 1, gradients=True)
+    return spectral._block_spectrum(blocks.w0_block, blocks.n, blocks.k, gradients=True)
 
 
 def test_eig_symmetric_self_check():
@@ -88,12 +87,12 @@ def test_stratify_block_shapes_and_entries():
     topo = SymmetricStar(2, 3)
     blocks = stratify(topo, optimal_weights(topo))
     assert blocks.w0_block.shape == (3, 3)
-    assert blocks.w1_block.shape == (2, 2)
-    assert blocks.w1_multiplicity == 2
+    assert blocks.w0_block[1:, 1:].shape == (2, 2)
+    assert blocks.n - 1 == 2
     w1 = 2 / 5
     assert blocks.w0_block[0, 0] == pytest.approx(1 - 3 * w1)
     assert blocks.w0_block[0, 1] == pytest.approx(math.sqrt(3) * w1)
-    assert blocks.w1_block[0, 0] == pytest.approx(1 - w1 - 0.5)
+    assert blocks.w0_block[1, 1] == pytest.approx(1 - w1 - 0.5)
 
 
 def test_stratification_matches_full_spectrum():
@@ -129,12 +128,14 @@ def test_stratify_kcs_block_entries():
     m, n, k = 3, 4, 5
     w = {1: 0.1, 2: 0.3, 3: 0.4}
     blocks = stratify(KcsStar(m, n, k), WeightAssignment(per_stratum=w))
+    # W0 is the one block stored: W1 and the core value are read off it
+    assert [f.name for f in dataclasses.fields(blocks)] == ["w0_block", "n", "k"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(blocks, w1_block=0.95 * np.eye(m))
+    assert (blocks.n, blocks.k) == (n, k)
     assert blocks.w0_block[0, 0] == pytest.approx(1 - n * w[1])
     assert blocks.w0_block[0, 1] == pytest.approx(math.sqrt(n * k) * w[1])
-    assert blocks.w1_block[0, 0] == pytest.approx(1 - k * w[1] - w[2])
-    assert np.array_equal(blocks.w0_block[1:, 1:], blocks.w1_block)
-    assert (blocks.w1_multiplicity, blocks.core_multiplicity) == (n - 1, k - 1)
-    assert blocks.core_value == pytest.approx(1 - n * w[1])
+    assert blocks.w0_block[1, 1] == pytest.approx(1 - k * w[1] - w[2])
     _assert_drops_sector_perron_eigenvalue(blocks, n, k)
 
 
@@ -142,7 +143,7 @@ def _assert_drops_sector_perron_eigenvalue(blocks, n, k):
     """W0 maps (sqrt(k), sqrt(n), ..., sqrt(n)) to itself, and the first m
     entries of the nontrivial spectrum are W0's spectrum without exactly
     that eigenvalue 1."""
-    m = blocks.w1_block.shape[0]
+    m = blocks.w0_block.shape[0] - 1
     perron = np.array([math.sqrt(k)] + [math.sqrt(n)] * m)
     assert np.allclose(blocks.w0_block @ perron, perron, rtol=0, atol=1e-14)
     lam = _blocks_spectrum(blocks)[0]
@@ -158,9 +159,7 @@ def test_stratify_symmetric_is_kcs_k1():
         a = stratify(SymmetricStar(m, n), assign)
         b = stratify(KcsStar(m, n, 1), assign)
         assert np.array_equal(a.w0_block, b.w0_block)
-        assert np.array_equal(a.w1_block, b.w1_block)
-        assert (a.w1_multiplicity, a.core_value, a.core_multiplicity) == \
-            (b.w1_multiplicity, b.core_value, b.core_multiplicity)
+        assert (a.n, a.k) == (b.n, b.k) == (n, 1)
         for got, want in zip(_blocks_spectrum(a), _blocks_spectrum(b)):
             assert np.array_equal(got, want)
         _assert_drops_sector_perron_eigenvalue(a, n, 1)
@@ -185,8 +184,8 @@ def test_nontrivial_spectrum_matches_dense_eigensolve():
         m = topo.m
         assert grad.shape == (lam.size, m)
         # one copy per block: W0 without its eigenvalue 1, W1, the core value
-        expanded = ([lam[:m], [1.0]] + [lam[m:2 * m]] * blocks.w1_multiplicity
-                    + [lam[-1:]] * blocks.core_multiplicity)
+        expanded = ([lam[:m], [1.0]] + [lam[m:2 * m]] * (blocks.n - 1)
+                    + [lam[-1:]] * (blocks.k - 1))
         dense = eig_symmetric(_stratum_matrix(topo, assign))
         got = np.sort(np.concatenate(expanded))[::-1]
         assert got.shape == dense.shape
@@ -222,14 +221,14 @@ def _einsum_gradients(blocks, n, k):
     """The nontrivial spectrum's gradients by the dense einsum over the
     stacked slopes dW0/dw_i (W0 at the unit vectors less W0 at zero), the
     O(m^4) form that the band form replaced."""
-    m = blocks.w1_block.shape[0]
+    m = blocks.w0_block.shape[0] - 1
     slopes = (np.stack([spectral.sector_block(n, k, e) for e in np.eye(m)])
               - spectral.sector_block(n, k, np.zeros(m)))
     vals, vecs = np.linalg.eigh(blocks.w0_block)
     grads = np.einsum("aj,iab,bj->ji", vecs, slopes, vecs)
     parts = [np.delete(grads, np.argmin(np.abs(vals - 1.0)), 0)]
     if n > 1:
-        vecs = np.linalg.eigh(blocks.w1_block)[1]
+        vecs = np.linalg.eigh(blocks.w0_block[1:, 1:])[1]
         parts.append(np.einsum("aj,iab,bj->ji", vecs, slopes[:, 1:, 1:], vecs))
     if k > 1:
         parts.append(slopes[None, :, 0, 0])
@@ -303,7 +302,7 @@ def test_interlacing_holds_and_lambda2_identity():
     # past k_max, lambda2 is the core eigenvalue 1 - n*w1, above the W1 top
     topo = KcsStar(2, 3, 12)
     blocks = stratify(topo, optimal_weights(topo))
-    assert blocks.core_value > np.linalg.eigvalsh(blocks.w1_block)[-1] + 0.05
+    assert blocks.w0_block[0, 0] > np.linalg.eigvalsh(blocks.w0_block[1:, 1:])[-1] + 0.05
     # with one branch, W1 does not occur in W and lambda2 comes from W0
     for topo in (topo, SymmetricStar(3, 1), KcsStar(2, 1, 3)):
         g, W = scheme_matrix(topo, "optimal")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from star_consensus import weights
+from star_consensus.cli import WEIGHTINGS
 from star_consensus.spectral import stratify
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.weights import (
@@ -125,16 +127,73 @@ def test_assemble_and_recover_round_trip():
         assert got[s] == pytest.approx(v, abs=1e-15)
 
 
-def test_recover_rejects_nonuniform_stratum():
-    g, W = scheme_matrix(SymmetricStar(2, 2), "optimal")
-    e = g.edges[0]
-    W = W.copy()
-    W[e[0], e[1]] += 0.01
-    W[e[1], e[0]] += 0.01
+def _nonuniform_stratum(g, W):
+    u, v = g.edges[0]
+    W[u, v] += 0.01
+    W[v, u] += 0.01
     np.fill_diagonal(W, 0)
     np.fill_diagonal(W, 1 - W.sum(axis=1))
-    with pytest.raises(WeightError):
+
+
+def _asymmetric(g, W):
+    u, v = g.edges[0]  # a hub edge
+    W[v, u] += 0.3
+
+
+def _weight_off_the_edges(g, W):
+    # nodes 2 and 4 are the tips of two branches
+    W[2, 4] = W[4, 2] = 0.1
+    W[2, 2] -= 0.1
+    W[4, 4] -= 0.1
+
+
+def _nan_diagonal(g, W):
+    W[0, 0] = math.nan
+
+
+def _row_not_stochastic(g, W):
+    W[0, 0] += 0.5
+
+
+# a star and an edit of its optimal W that leaves a matrix no per-stratum
+# weights assemble; all but the first read the edges of a stratum alike
+REFUSED_MATRICES = {
+    "nonuniform-stratum": (SymmetricStar(2, 2), _nonuniform_stratum),
+    "asymmetric": (SymmetricStar(2, 3), _asymmetric),
+    "weight-off-the-edges": (SymmetricStar(2, 3), _weight_off_the_edges),
+    "nan-diagonal": (SymmetricStar(2, 3), _nan_diagonal),
+    "row-not-stochastic": (SymmetricStar(2, 3), _row_not_stochastic),
+}
+
+
+@pytest.mark.parametrize("topo, edit", REFUSED_MATRICES.values(),
+                         ids=REFUSED_MATRICES.keys())
+def test_recover_refuses_a_matrix_its_strata_do_not_assemble(topo, edit):
+    g, W = scheme_matrix(topo, "optimal")
+    edit(g, W)
+    with pytest.raises(WeightError, match="not the matrix of its per-stratum"):
         per_stratum_from_matrix(g, W)
+
+
+# sha256 of the per-stratum weights read back off each scheme's matrix on
+# the stars of ``verify --suite stratification`` (symmetric m 1..6 x
+# n 1..8, then k-cored m 1..4 x n 1..5 x k 2..7), one "stratum:float.hex"
+# line per matrix in the order returned (numpy 2.4 with its bundled
+# OpenBLAS); recorded from the per-edge read before the round-trip check,
+# which therefore refuses none of them and changes no bit.
+RECOVERED_STRATA_SHA256 = "d9ac61f5a7f0ae8c735fc53fcdab391ad11306ad7fbe376a8631be1f1252b8c6"
+
+
+def test_recover_keeps_every_scheme_matrix_bit_for_bit():
+    stars = [SymmetricStar(m, n) for m in range(1, 7) for n in range(1, 9)]
+    stars += [KcsStar(m, n, k) for m in range(1, 5) for n in range(1, 6)
+              for k in range(2, 8)]
+    lines = []
+    for topo in stars:
+        for scheme in WEIGHTINGS:
+            per = per_stratum_from_matrix(*scheme_matrix(topo, scheme))
+            lines.append(" ".join(f"{s}:{w.hex()}" for s, w in per.items()))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RECOVERED_STRATA_SHA256
 
 
 def test_recover_refuses_a_matrix_of_another_order():
