@@ -36,10 +36,12 @@ stage, node) alone, so every cell consumes the same ones: each stage
 hashes them once, for the trials that any cell still holds, and a cell
 reads them as they are while it holds all of those trials, or gathers
 its columns once it has dropped some.  A sweep's x(0) is built from the
-trial seeds inside the loop, and quantized, once per row, so only its
-per-trial means outlive the first stage.  Each cell keeps its own state,
-compaction and outcomes, so its statistics are bit-identical to those of
-a row of its own.
+trial seeds inside the loop, once per row, and the loop starts at t = 0:
+there each cell's step maps the shared x(0) to level units, rounds it on
+the row's stage-1 draws and records and checks it as at every other t,
+so only x(0)'s per-trial means outlive that stage.  Each cell keeps its
+own state, compaction and outcomes, so its statistics are bit-identical
+to those of a row of its own.
 
 Some shortcuts keep the step short, and the record small, without
 changing a bit.  The probabilistic rule takes one route, the two
@@ -401,16 +403,18 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     check are elementwise or per column.  So no trial's arithmetic depends
     on the other trials, the other cells or the BLAS thread count.
 
-    Stage 1 does not depend on W, so the row quantizes x(0) once and every
-    cell starts from that state.  After it, each stage hashes its draws
-    once, for the row's columns: the trials that any cell still holds.  A
-    cell that holds all of them reads the draws as they are; one that has
-    compacted gathers its columns (``np.take`` at ``pos``).  The hash
-    scratch, the draw buffer and the check scratch (N - 1 rows) are
-    allocated once, for all trials, and shared by the cells, which use
-    their leading elements; the views of the first two are shaped once
-    per column count of the row, which changes only in ``regroup``.  Each
-    cell keeps its own state and outcomes.
+    One loop runs every stage, t = 0 included.  A cell's step at t = 0 is
+    (x + 1)/delta on the row's shared raw x(0), which no cell holds after
+    it, and at t >= 1 it is W i; either is then rounded, recorded and
+    checked alike.  Each stage hashes its draws once, for the row's
+    columns: the trials that any cell still holds.  A cell that holds all
+    of them reads the draws as they are; one that has compacted gathers
+    its columns (``np.take`` at ``pos``).  The hash scratch, the draw
+    buffer and the check scratch (N - 1 rows) are allocated once, for all
+    trials, and shared by the cells, which use their leading elements; the
+    views of the first two are shaped once per column count of the row,
+    which changes only in ``regroup``.  Each cell keeps its own state and
+    outcomes.
 
     The recorded rows are formed with the same two operations as a
     consensus value and appended to one growable float64 buffer (an
@@ -421,14 +425,14 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     key, built once and gathered when the row's columns shrink; each
     stage adds one offset.  The probabilistic rule rounds the stage draws,
     which lie on the 2^-32 grid, by ceil(y - u) alone, exact at 1..21 bits
-    (see ``_rounding``).  Stage 1 clips every row, as x(0) may lie
-    anywhere.  After it every index lies in [0, 2^b - 1], so later stages
-    clip only the block of rows that ``_clip_rows`` gives, whose rounded
-    product can leave that range (on the optimal stars, the hub row
-    alone, for its negative self-weight), by np.maximum and np.minimum
-    into that block.  A row left unclipped holds the value the clip would
-    give, except that an index 0 may stay -0.0, which compares and forms
-    values as 0.0 does.
+    (see ``_rounding``).  The step at t = 0 clips every row, as x(0) may
+    lie anywhere.  After it every index lies in [0, 2^b - 1], so later
+    stages clip only the block of rows that ``_clip_rows`` gives, whose
+    rounded product can leave that range (on the optimal stars, the hub
+    row alone, for its negative self-weight), by np.maximum and
+    np.minimum into that block.  A row left unclipped holds the value the
+    clip would give, except that an index 0 may stay -0.0, which compares
+    and forms values as 0.0 does.
 
     Compaction is deferred: a finished trial's column is only marked dead
     in ``live``, and a cell gathers its columns once at least a quarter of
@@ -450,7 +454,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
           else np.asarray(x0_batch, dtype=float))
     n_trials, N = x0.shape
     means = x0.mean(axis=1)  # a node-major mean would sum in another order
-    x = x0.T.copy()  # (N, trials)
+    x = x0.T.copy()  # (N, trials), raw
     del x0  # only its means outlive stage 1
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
@@ -476,22 +480,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         tmp = u.view(np.uint64)
         views = draw_views()
 
-    def stage_draws(stage):
-        """The draws of one stage for the row's columns, (N, columns)."""
-        zk, tmpk, out, draws = views
-        _stage_draws_into(keys, stage, N, zk, tmpk, out)
-        return draws
-
     round_into = _rounding(spec)
-
-    def quantize_stage(y, draws, pos, clip):
-        if probabilistic and pos is not None:
-            draws = np.take(draws, pos, axis=1)
-        round_into(y, draws, clip)
-
-    def record_row(c):
-        # i * delta - 1.0, as a consensus value is formed
-        c.traj.frombytes((c.x[:, 0] * delta - 1.0).tobytes())
 
     def check(c, t):
         """Record the cell's trials that reached consensus at t; returns
@@ -538,35 +527,32 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         for c in running:
             c.pos = None if c.pos.size == keys.shape[1] else rank[c.pos]
 
-    np.add(x, 1.0, out=x)
-    np.divide(x, delta, out=x)  # level units
-    quantize_stage(x, stage_draws(1) if probabilistic else None, None, ...)
     top = float(spec.level_count - 1)
     cells = [_Cell(Wc, _clip_rows(Wc, top), x, n_trials, max_iters)
              for Wc in (csr_matrix(np.asarray(W, dtype=float)) for W in Ws)]
-    del x  # the cells hold it until their first update
-    compacted = False
-    for c in cells:
-        if record:
-            record_row(c)
-        compacted |= check(c, 0)
-    running, t = cells, 0
-    while True:
+    del x  # the cells hold it until their step at t = 0
+    running, draws = cells, None
+    for t in range(max_iters + 1):
+        if probabilistic:  # stage t + 1, for the row's columns
+            zk, tmpk, out, draws = views
+            _stage_draws_into(keys, t + 1, N, zk, tmpk, out)
+        compacted = False
+        for c in running:
+            # at t = 0 the raw x(0) in level units, and every row clipped
+            c.x = c.Wc @ c.x if t else (c.x + 1.0) / delta
+            cell_draws = (np.take(draws, c.pos, axis=1)
+                          if probabilistic and c.pos is not None else draws)
+            round_into(c.x, cell_draws, c.clip if t else ...)
+            if record and not c.reached[0]:
+                # i * delta - 1.0, as a consensus value is formed
+                c.traj.frombytes((c.x[:, 0] * delta - 1.0).tobytes())
+            compacted |= check(c, t)
         if compacted:
             running = [c for c in running if c.active.size]
             if probabilistic:
                 regroup(running)
-        if not running or t == max_iters:
+        if not running:
             break
-        t += 1
-        draws = stage_draws(t + 1) if probabilistic else None
-        compacted = False
-        for c in running:
-            c.x = c.Wc @ c.x
-            quantize_stage(c.x, draws, c.pos, c.clip)
-            if record and not c.reached[0]:
-                record_row(c)
-            compacted |= check(c, t)
     return [(c.reached, c.iters, c.values, (c.values - means) / delta)
             + ((np.frombuffer(c.traj).reshape(-1, N),) if record else ())
             for c in cells]

@@ -142,11 +142,27 @@ class StratifiedBlocks:
     record is (W0, n, k) alone, so W1 and c are read off W0 and cannot
     disagree with it.  Built by ``stratify``; ``_block_spectrum`` says
     which of these eigenvalues make up the rest of W's spectrum.
+
+    A record that no star describes raises SpectralError: W0 must be
+    square, symmetric and tridiagonal of order >= 2, n and k integers
+    >= 1, and W0 must fix v = (sqrt(k), sqrt(n), ..., sqrt(n)) within
+    1e-12 * max(v), as every sector block of n branches and k cores does.
     """
 
     w0_block: np.ndarray
     n: int
     k: int
+
+    def __post_init__(self):
+        W0, n, k = _symmetric(self.w0_block), self.n, self.k
+        if len(W0) < 2 or np.triu(W0, 2).any() or np.tril(W0, -2).any():
+            raise SpectralError("w0_block must be tridiagonal of order >= 2")
+        if not (_is_integer(n) and n >= 1 and _is_integer(k) and k >= 1):
+            raise SpectralError(f"n and k must be integers >= 1, got {n!r}, {k!r}")
+        v = np.array([math.sqrt(k)] + [math.sqrt(n)] * (len(W0) - 1))
+        if not np.abs(W0 @ v - v).max() <= 1e-12 * v.max():  # NaN fails
+            raise SpectralError(f"w0_block does not fix (sqrt(k), sqrt(n), ...), "
+                                f"so it is no sector block at n={n}, k={k}")
 
     def combined_spectrum(self) -> np.ndarray:
         """W's whole spectrum, decreasing."""

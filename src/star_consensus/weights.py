@@ -34,6 +34,7 @@ __all__ = [
     "best_constant_weights",
     "assemble_matrix",
     "per_stratum_from_matrix",
+    "scheme_matrix",
 ]
 
 

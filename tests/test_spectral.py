@@ -139,6 +139,35 @@ def test_stratify_kcs_block_entries():
     _assert_drops_sector_perron_eigenvalue(blocks, n, k)
 
 
+@pytest.mark.parametrize("change", [
+    {"n": 5},  # W0 of n = 3 does not fix (1, sqrt(5), sqrt(5))
+    {"k": 2},
+    {"n": 0},
+    {"n": 3.0},
+    {"k": True},
+    {"w0_block": np.eye(1)},  # order 1
+    {"w0_block": np.ones((3, 3)) / 3},  # not tridiagonal
+    {"w0_block": np.triu(np.ones((3, 3)))},  # not symmetric
+])
+def test_stratified_blocks_refuse_a_record_no_star_describes(change):
+    blocks = stratify(SymmetricStar(2, 3), optimal_weights(SymmetricStar(2, 3)))
+    with pytest.raises(SpectralError):
+        dataclasses.replace(blocks, **change)
+
+
+def test_stratified_blocks_accept_another_star_with_the_same_sector_block():
+    # W0 of SymmetricStar(2, 3) at (w1, w2) is the sector block of
+    # KcsStar(2, 6, 2) at (w1/2, w2): the coupling sqrt(n*k)*w1 and the
+    # corner 1 - n*w1 agree
+    blocks = stratify(SymmetricStar(2, 3), optimal_weights(SymmetricStar(2, 3)))
+    other = dataclasses.replace(blocks, n=6, k=2)
+    w = optimal_weights(SymmetricStar(2, 3)).per_stratum
+    W = _stratum_matrix(KcsStar(2, 6, 2),
+                        WeightAssignment(per_stratum={1: w[1] / 2, 2: w[2]}))
+    assert np.allclose(other.combined_spectrum(), eig_symmetric(W),
+                       rtol=0, atol=1e-14)
+
+
 def _assert_drops_sector_perron_eigenvalue(blocks, n, k):
     """W0 maps (sqrt(k), sqrt(n), ..., sqrt(n)) to itself, and the first m
     entries of the nontrivial spectrum are W0's spectrum without exactly
