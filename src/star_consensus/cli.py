@@ -9,7 +9,8 @@ Subcommands:
 
 All output data is CSV/JSON on stdout (or ``--output``); a human summary
 goes to stderr.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure, 3 verification failure.  A usage error is a ``UsageError``,
+failure (an input too large to hold in memory included), 3 verification
+failure.  A usage error is a ``UsageError``,
 which ``main`` alone maps to exit 1; a table setting, given as a flag or
 in a ``--config`` file, is checked against the one rule table
 ``CONFIG_FIELDS``.  Every command is deterministic given its flags.
@@ -478,8 +479,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    # TopologyError, WeightError and SpectralError are ValueErrors
-    except (ValueError, np.linalg.LinAlgError) as e:
+    # TopologyError, WeightError and SpectralError are ValueErrors; a
+    # MemoryError is an input too large to hold, such as a trial count
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as e:
         print(f"numerical/parameter failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:

@@ -31,17 +31,18 @@ batch it runs in and whatever the BLAS thread count.
 The loop steps a row of cells: the weight matrices of one Monte Carlo
 table row, which run the same trials from the same x(0) with the same
 quantizer, seed and cap (``monte_carlo_row``; ``monte_carlo`` and
-``run_trial`` are its one-cell case).  Draws are keyed by (trial seed,
-stage, node) alone, so every cell consumes the same ones: each stage
-hashes them once, for the trials that any cell still holds, and a cell
-reads them as they are while it holds all of those trials, or gathers
-its columns once it has dropped some.  A sweep's x(0) is built from the
-trial seeds inside the loop, once per row, and the loop starts at t = 0:
-there each cell's step maps the shared x(0) to level units, rounds it on
-the row's stage-1 draws and records and checks it as at every other t,
-so only x(0)'s per-trial means outlive that stage.  Each cell keeps its
-own state, compaction and outcomes, so its statistics are bit-identical
-to those of a row of its own.
+``run_trial`` are its one-cell case).  The row owns one set of trial
+columns, and every running cell steps all of them.  Draws are keyed by
+(trial seed, stage, node) alone, so every cell consumes the same ones:
+each stage hashes them once, for the row's columns, and every cell reads
+them as they are.  A sweep's x(0) is built from the trial seeds inside
+the loop, once per row, and the loop starts at t = 0: there each cell's
+step maps the shared x(0) to level units, rounds it on the row's stage-1
+draws and records and checks it as at every other t, so only x(0)'s
+per-trial means outlive that stage.  Each cell keeps its own state and
+outcomes, and a trial's column leaves the row only once no running cell
+holds it, so a cell's statistics are bit-identical to those of a row of
+its own.
 
 Some shortcuts keep the step short, and the record small, without
 changing a bit.  The probabilistic rule takes one route, the two
@@ -49,15 +50,17 @@ operations ceil(y - u): its draws lie on the 2^-32 grid and every level
 position y lies below 2^21, so y - u is exact or keeps its sign, and the
 result is floor(y) + [u < y - floor(y)] (``_rounding``, the one
 rounding entry, which resolves the level count and the scheme once per
-run).  A finished trial's column is only marked dead; the live columns
-are gathered once a quarter of them are dead.
+run).  A finished trial's column is only marked dead in its cell, and
+a cell that has finished every trial stops stepping; at a stage where
+some trial finished, the row drops the columns that no running cell
+holds once they are a quarter of its columns.
 The check records a stage's finished trials at their indices, from one
-nonzero() of its consensus flags, and counts the live columns as they
-die, so a stage in which some trials finish costs work on those trials
-alone; the flags are masked with the live columns only once the cell
-holds a dead one.  The draws hash a key base, each trial's seed plus its
-pair keys, built once, so a stage adds one offset to it.  After the
-first stage only the rows whose rounded product can leave [0, 2^b - 1]
+nonzero() of its consensus flags, and counts the cell's live columns as
+they die, so a stage in which some trials finish costs work on those
+trials alone; the flags are masked with the live columns only once the
+cell holds a dead one.  The draws hash a key base, each trial's seed
+plus its pair keys, built once, so a stage adds one offset to it.  After
+the first stage only the rows whose rounded product can leave [0, 2^b - 1]
 are clipped: IEEE rounding is monotone, so a row with nonnegative
 weights stays between 0 and its rounded all-top sum (``_clip_rows``),
 and those rows are clipped by the two ufuncs maximum and minimum,
@@ -83,8 +86,7 @@ module.  A table row runs 7 to 9 nodes by 10,000 columns; at 7 by
 hash takes about 67 us and the cast 48 us, once per stage for the row's
 four cells, and each cell's CSR product 50 us, its rounding 30 us (the
 hub clip 7 us of it) and its consensus check 12 us, or 16 us at a stage
-where 100 of its trials finish (36 us when finished trials were
-recorded through boolean masks over all columns).
+where 100 of its trials finish.
 """
 
 from __future__ import annotations
@@ -325,8 +327,8 @@ def initial_states(master_seed: int, trial_index: int, n_nodes: int) -> np.ndarr
     return _initial_states(derive_trial_seed(master_seed, trial_index), n_nodes)
 
 
-# The kernel gathers its active columns once at least this share of them
-# belong to finished trials.
+# The kernel drops the row's columns that no running cell holds once they
+# are at least this share of them.
 _COMPACT_DEAD_SHARE = 0.25
 
 
@@ -352,20 +354,16 @@ def _clip_rows(Wc, top):
 
 
 class _Cell:
-    """One weight matrix of a row: its state, one column per trial it still
-    holds (``active``; a finished trial's column is only marked dead in
-    ``live`` until the next compaction, and ``n_live`` counts the live
-    ones), where those columns sit among the row's (``pos``, None while it
-    holds all of them), its outcomes and its recorded trajectory."""
+    """One weight matrix of a row: its state over the row's columns, which
+    of them hold a trial it has not finished (``live``; ``n_live`` counts
+    them), its outcomes and its recorded trajectory."""
 
     def __init__(self, Wc, clip, x, n_trials, max_iters):
         self.Wc = Wc
         self.clip = clip
         self.x = x
-        self.active = np.arange(n_trials)
         self.live = np.ones(n_trials, dtype=bool)
         self.n_live = n_trials
-        self.pos = None
         self.reached = np.zeros(n_trials, dtype=bool)
         self.iters = np.full(n_trials, max_iters, dtype=np.int64)
         self.values = np.full(n_trials, np.nan)
@@ -391,7 +389,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     0..N-1, so a single trial and any batch consume identical random
     streams.  max_iters must be an integer (not a bool) in 0..MAX_ITERS.
 
-    The state is held node-major, one column per active trial, as exact
+    The state is held node-major, one column per trial of the row, as exact
     level indices i, x = -1 + i * delta: x(0) is mapped by (x + 1)/delta,
     each update is W i, consensus is exact equality of a column's indices,
     tested as equality of each pair of adjacent rows (== is transitive on
@@ -406,15 +404,15 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     One loop runs every stage, t = 0 included.  A cell's step at t = 0 is
     (x + 1)/delta on the row's shared raw x(0), which no cell holds after
     it, and at t >= 1 it is W i; either is then rounded, recorded and
-    checked alike.  Each stage hashes its draws once, for the row's
-    columns: the trials that any cell still holds.  A cell that holds all
-    of them reads the draws as they are; one that has compacted gathers
-    its columns (``np.take`` at ``pos``).  The hash scratch, the draw
+    checked alike.  The row owns the trial columns (``active``, the trial
+    of each, and the draw keys), and every running cell's state has one
+    column per entry of ``active``, so each stage hashes its draws once
+    and every cell reads them as they are.  The hash scratch, the draw
     buffer and the check scratch (N - 1 rows) are allocated once, for all
     trials, and shared by the cells, which use their leading elements; the
     views of the first two are shaped once per column count of the row,
-    which changes only in ``regroup``.  Each cell keeps its own state and
-    outcomes.
+    which changes only when the row drops columns.  Each cell keeps its
+    own state and outcomes.
 
     The recorded rows are formed with the same two operations as a
     consensus value and appended to one growable float64 buffer (an
@@ -422,7 +420,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     about its own size whatever the cap.
 
     The probabilistic draws hash a (P, columns) key base, seed plus pair
-    key, built once and gathered when the row's columns shrink; each
+    key, built once and cut when the row drops columns; each
     stage adds one offset.  The probabilistic rule rounds the stage draws,
     which lie on the 2^-32 grid, by ceil(y - u) alone, exact at 1..21 bits
     (see ``_rounding``).  The step at t = 0 clips every row, as x(0) may
@@ -434,16 +432,22 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     clip would give, except that an index 0 may stay -0.0, which compares
     and forms values as 0.0 does.
 
-    Compaction is deferred: a finished trial's column is only marked dead
-    in ``live``, and a cell gathers its columns once at least a quarter of
-    them are dead (``_COMPACT_DEAD_SHARE``).  Dead columns keep stepping,
-    but nothing reads them: ``done &= live`` keeps a trial from finishing
-    twice, and trial 0's record stops when it finishes.  That mask runs
-    only while the cell holds a dead column (``n_live`` below its column
-    count); before the first finish, and right after a compaction, it
-    would change nothing.  A stage's finished trials are found by one
-    nonzero() of ``done`` and recorded at those indices, and ``n_live``
-    drops by their number, so no pass over all columns counts ``live``.
+    A finished trial's column is only marked dead in the cell's ``live``,
+    and a cell leaves ``running`` once every trial of its own has
+    finished (``n_live`` is 0).  Dead columns keep stepping, but nothing
+    reads them: ``done &= live`` keeps a trial from finishing twice, and
+    trial 0's record stops when it finishes.  That mask runs only while
+    the cell holds a dead column (``n_live`` below the column count);
+    before its first finish it would change nothing.  A stage's finished
+    trials are found by one nonzero() of ``done`` and recorded at those
+    indices, and ``n_live`` drops by their number, so no pass over all
+    columns counts ``live``.  Compaction is the row's alone and runs only
+    at a stage where some trial finished: the columns dead in every
+    running cell are dropped from ``active``, the keys and every running
+    cell's state and ``live`` once they are at least a quarter of the
+    row's columns (``_COMPACT_DEAD_SHARE``).  A row of one cell, as in
+    ``monte_carlo`` and ``run_trial``, thus compacts as that cell alone
+    would.
     """
     if not _is_integer(max_iters) or not 0 <= max_iters <= MAX_ITERS:
         raise ValueError(f"max_iters must be an integer in 0..{MAX_ITERS}, "
@@ -481,10 +485,11 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         views = draw_views()
 
     round_into = _rounding(spec)
+    active = np.arange(n_trials)  # the trial of each of the row's columns
 
     def check(c, t):
         """Record the cell's trials that reached consensus at t; returns
-        whether the cell compacted."""
+        whether any did."""
         x = c.x
         # == is transitive on the (NaN-free) indices, so equal adjacent
         # rows mean an equal column; with one node the empty AND is True
@@ -497,35 +502,13 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         (cols,) = done.nonzero()
         if not cols.size:
             return False
-        finished = c.active[cols]
+        finished = active[cols]
         c.reached[finished] = True
         c.iters[finished] = t
         c.values[finished] = x[0, cols] * delta - 1.0
         c.live[cols] = False
         c.n_live -= cols.size
-        if k - c.n_live < _COMPACT_DEAD_SHARE * k:
-            return False
-        keep = c.live
-        c.active = c.active[keep]
-        c.pos = np.flatnonzero(keep) if c.pos is None else c.pos[keep]
-        c.x = x[:, keep]
-        c.live = np.ones(c.n_live, dtype=bool)
         return True
-
-    def regroup(running):
-        """Shrink the row's columns to the trials the cells still hold,
-        once every cell has compacted."""
-        nonlocal keys, views
-        if any(c.pos is None for c in running):
-            return
-        held = np.zeros(keys.shape[1], dtype=bool)
-        for c in running:
-            held[c.pos] = True
-        keys = keys[:, held]
-        views = draw_views()
-        rank = np.cumsum(held) - 1
-        for c in running:
-            c.pos = None if c.pos.size == keys.shape[1] else rank[c.pos]
 
     top = float(spec.level_count - 1)
     cells = [_Cell(Wc, _clip_rows(Wc, top), x, n_trials, max_iters)
@@ -536,23 +519,31 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         if probabilistic:  # stage t + 1, for the row's columns
             zk, tmpk, out, draws = views
             _stage_draws_into(keys, t + 1, N, zk, tmpk, out)
-        compacted = False
+        any_finished = False
         for c in running:
             # at t = 0 the raw x(0) in level units, and every row clipped
             c.x = c.Wc @ c.x if t else (c.x + 1.0) / delta
-            cell_draws = (np.take(draws, c.pos, axis=1)
-                          if probabilistic and c.pos is not None else draws)
-            round_into(c.x, cell_draws, c.clip if t else ...)
+            round_into(c.x, draws, c.clip if t else ...)
             if record and not c.reached[0]:
                 # i * delta - 1.0, as a consensus value is formed
                 c.traj.frombytes((c.x[:, 0] * delta - 1.0).tobytes())
-            compacted |= check(c, t)
-        if compacted:
-            running = [c for c in running if c.active.size]
-            if probabilistic:
-                regroup(running)
+            any_finished |= check(c, t)
+        if not any_finished:
+            continue
+        running = [c for c in running if c.n_live]
         if not running:
             break
+        # drop the columns that no running cell holds, once they are a
+        # quarter of the row's
+        held = np.logical_or.reduce([c.live for c in running])
+        k = active.size
+        if k - np.count_nonzero(held) >= _COMPACT_DEAD_SHARE * k:
+            active = active[held]
+            for c in running:
+                c.x, c.live = c.x[:, held], c.live[held]
+            if probabilistic:
+                keys = keys[:, held]
+                views = draw_views()
     return [(c.reached, c.iters, c.values, (c.values - means) / delta)
             + ((np.frombuffer(c.traj).reshape(-1, N),) if record else ())
             for c in cells]

@@ -171,17 +171,17 @@ def build(topology: Topology) -> Graph:
     edges 2..m run along the tail.  Edge order: core edges first
     (lexicographic), then tail edges branch-major, inner to outer.
     """
+    if not isinstance(topology, (CcsStar, KcsStar)):
+        raise TopologyError(f"unknown topology {topology!r}")
     m, n = topology.m, topology.n
     if isinstance(topology, CcsStar):
         c = n
         core = [(u, v) for u in range(n) for v in range(u + 1, n)]
         attach = [(i,) for i in range(n)]
-    elif isinstance(topology, KcsStar):
+    else:
         c = topology.k
         core = []
         attach = [range(c)] * n
-    else:
-        raise TopologyError(f"unknown topology {topology!r}")
 
     strata = dict.fromkeys(core, 0)
     for i in range(n):

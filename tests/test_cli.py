@@ -170,6 +170,17 @@ def test_numerical_failure_exit(capsys):
     assert err.startswith("numerical/parameter failure")
 
 
+def test_memory_failure_exit(capsys):
+    # the trial seeds alone would take 7.1 PiB, which numpy refuses at once,
+    # so nothing is allocated; the refusal is one line, not a traceback
+    code, out, err = run(capsys, "table", "--id", "3", "--trials",
+                         "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numerical/parameter failure: Unable to allocate")
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(("--topology", "symmetric-star", "--m", "0", "--n", "3"),
                  "SymmetricStar requires integers m, n >= 1", id="symmetric-m0"),
@@ -257,10 +268,10 @@ def test_analytic_tables_are_pinned_byte_for_byte(capsys, table_id, want):
     assert run(capsys, "table", "--id", table_id) == (0, want, "")
 
 
-# sha256 of the stdout of table --id N --trials 2000 --seed 1, recorded
-# before the consensus check finished trials by index.  Each row runs its
-# four weightings in lockstep, so it regroups the row's draws and gathers
-# them for a compacted cell, which a one-cell run never does.
+# sha256 of the stdout of table --id N --trials 2000 --seed 1.  Each row
+# runs its four weightings in lockstep on one set of trial columns, so a
+# weighting steps columns that only another one still holds, which a
+# one-cell run never does.
 MC_TABLE_SHA256 = {
     "3": "150574062a9daa08f4051c2b210b3728f6962f7c646ec63178559672b7d22777",
     "4": "5cd6a3ccd5250ff5611db3d79ffad12f6825cb5b69603f7ac30b774d955600f0",

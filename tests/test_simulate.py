@@ -697,8 +697,9 @@ def test_first_finish_after_stage_0_keeps_its_stage(bits, scheme):
     # No trial finishes at stage 0, so the check first runs with every
     # column live; the first finish leaves its columns dead below the
     # compaction share, and the stages after it mask them.  A row of four
-    # weightings, so a compacted cell also gathers its draws.  (At more
-    # bits the uniform rule stalls every trial of some cells at the cap.)
+    # weightings on one set of columns, so a cell also masks the columns
+    # it has finished while another cell still holds them.  (At more bits
+    # the uniform rule stalls every trial of some cells at the cap.)
     Ws = [scheme_matrix(CcsStar(2, 3), w)[1] for w in WEIGHTINGS]
     trials = 30
     x0 = np.array([initial_states(6, i, 9) for i in range(trials)])
@@ -709,6 +710,55 @@ def test_first_finish_after_stage_0_keeps_its_stage(bits, scheme):
         assert first > 0
         assert (np.count_nonzero(iters == first)
                 < simulate._COMPACT_DEAD_SHARE * trials)
+
+
+def test_row_keeps_a_column_while_a_running_cell_holds_its_trial(monkeypatch):
+    # The four cells of a row finish their trials at different stages.
+    # Every running cell steps the row's columns, a cell that has finished
+    # every trial stops stepping, and at a stage where some trial finished
+    # the row drops the columns that no running cell holds, once they are
+    # a quarter of its columns; no column leaves at any other stage.
+    Ws = [scheme_matrix(CcsStar(2, 3), w)[1] for w in WEIGHTINGS]
+    spec, trials, cap = QuantizerSpec(8, "probabilistic"), 40, 200
+    x0 = np.array([initial_states(3, i, 9) for i in range(trials)])
+    seeds = derive_trial_seed(3, np.arange(trials))
+    hashed, steps = [], {}
+    hash_stage = simulate._stage_draws_into
+
+    def counted(keys, stage, *args):
+        hashed.append(keys.shape[1])
+        return hash_stage(keys, stage, *args)
+
+    class Stepped(csr_matrix):
+        def __matmul__(self, x):
+            if x.ndim == 2:  # a stage's product, not _clip_rows' row sums
+                steps.setdefault(id(self), []).append(x.shape[1])
+            return super().__matmul__(x)
+
+    monkeypatch.setattr(simulate, "_stage_draws_into", counted)
+    monkeypatch.setattr("scipy.sparse.csr_matrix", Stepped)
+    row = _batch_run(Ws, x0, spec, cap, seeds)
+    monkeypatch.undo()
+    checked = _outcomes_match_run_trial(Ws, x0, spec, cap, seeds)
+    assert all(np.array_equal(a, b[1]) for a, b in zip(checked, row))
+    reached = [r for r, *_ in row]
+    # each cell steps at t = 1 .. its last finish, on the row's columns
+    assert [len(s) for s in steps.values()] == [int(i.max()) for i in checked]
+    assert len({len(s) for s in steps.values()}) > 1
+    for s in steps.values():
+        assert s == hashed[1:len(s) + 1]
+    cols = trials
+    for t in range(1, len(hashed)):
+        # the trials that some cell has not finished after stage t - 1
+        held = np.logical_or.reduce([~(r & (i <= t - 1))
+                                     for r, i in zip(reached, checked)])
+        finished = any((r & (i == t - 1)).any()
+                       for r, i in zip(reached, checked))
+        n_held = int(held.sum())
+        if finished and cols - n_held >= simulate._COMPACT_DEAD_SHARE * cols:
+            cols = n_held
+        assert hashed[t] == cols, t
+    assert len(set(hashed)) > 2
 
 
 def test_row_memory_stays_near_three_cell_states():

@@ -641,10 +641,18 @@ def test_brentq_port_errors_and_bisection():
         spectral._brentq(lambda x: x * x + 1.0, -1.0, 1.0, (), 2e-12)
     with pytest.raises(ValueError, match="NaN"):
         spectral._brentq(lambda x: math.nan, 0.0, 1.0, (), 2e-12)
-    with pytest.raises(ValueError, match="NaN"):
+    # f(0) = -0.7 and f(1) = 0.3, so the first iterate is the secant's 0.7
+    with pytest.raises(ValueError, match=r"at x=0\.7 is NaN"):
         spectral._brentq(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7,
                          0.0, 1.0, (), 2e-12)
+    # a root at either end point returns at once
     assert spectral._brentq(lambda x: x, 0.0, 1.0, (), 2e-12) == (0.0, 0)
+    assert spectral._brentq(lambda x: x - 1.0, 0.0, 1.0, (), 2e-12) == (1.0, 0)
+
+
+def test_closed_form_refuses_a_bare_graph():
+    with pytest.raises(SpectralError, match="only for the star families"):
+        slem_closed_form(Graph(3, ((0, 1), (1, 2))))
 
 
 # float.hex of slem_closed_form for SymmetricStar(m, 3) and KcsStar(m, 40, 2),

@@ -97,6 +97,19 @@ def test_graph_normalizes_edge_order():
     assert set(g.edges) == {(1, 2), (0, 1)}
 
 
+@pytest.mark.parametrize("make,match", [
+    pytest.param(lambda: Graph(0, ()), "at least one node", id="no-node"),
+    pytest.param(lambda: Graph(3, ((0, 1), (1, 2)), {(1, 0): 1}),
+                 "cover exactly the edge set", id="labels-miss-an-edge"),
+    pytest.param(lambda: CcsStar(0, 3), "requires m >= 1", id="ccs-m0"),
+    pytest.param(lambda: build(Graph(2, ((0, 1),))), "unknown topology",
+                 id="build-a-graph"),
+])
+def test_topology_refusals(make, match):
+    with pytest.raises(TopologyError, match=match):
+        make()
+
+
 def test_family_parameters_must_be_integers():
     # a float or bool parameter would otherwise pass (True acts as m = 1)
     for make in (lambda: KcsStar(2.5, 3, 1), lambda: KcsStar(2, 3.0, 1),

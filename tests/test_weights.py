@@ -239,6 +239,22 @@ def test_assemble_refuses_wrong_length():
             assemble_matrix(g, bad)
 
 
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: optimal_weights(Graph(3, ((0, 1), (1, 2)))),
+                 "only for the star families", id="optimal-on-a-graph"),
+    pytest.param(lambda: metropolis_weights(Graph(4, ((0, 1), (2, 3)))),
+                 "require a connected graph", id="metropolis-disconnected"),
+    pytest.param(lambda: per_stratum_from_matrix(Graph(2, ((0, 1),)),
+                                                 np.full((2, 2), 0.5)),
+                 "no stratum labels", id="per-stratum-unlabeled"),
+    pytest.param(lambda: scheme_matrix(SymmetricStar(2, 3), "uniform"),
+                 "unknown weighting scheme 'uniform'", id="unknown-scheme"),
+])
+def test_weight_refusals(call, match):
+    with pytest.raises(WeightError, match=match):
+        call()
+
+
 def test_assemble_refuses_non_finite_weights():
     # a NaN or infinite weight is refused by name here, not later as a W
     # that is "not symmetric"
