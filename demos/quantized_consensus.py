@@ -34,7 +34,7 @@ for scheme in ("uniform", "probabilistic"):
     status = (f"consensus at iteration {out.iterations} on level "
               f"{out.consensus_value:+.4f}" if out.consensus_reached
               else f"NO consensus within {out.iterations} iterations "
-                   f"(spread {np.ptp(traj[-1]):.4f})")
+                   f"(spread {np.ptp(spec.values(traj[-1])):.4f})")
     print(f"  {scheme:14s}: {status}")
 
 print("\n10,000-trial sweep, probabilistic quantization, 4 bits")

@@ -305,7 +305,7 @@ def cmd_fig(args) -> int:
         path = f"{prefix}_{scheme}.csv"
         _emit(_csv(["t", *(f"node{i}" for i in range(graph.node_count))],
                    ([t, *(f"{v:.17g}" for v in row)]
-                    for t, row in enumerate(traj))), path)
+                    for t, row in enumerate(spec.values(traj)))), path)
         status = ("consensus at iteration "
                   f"{outcome.iterations}" if outcome.consensus_reached
                   else f"no consensus within {outcome.iterations} iterations")

@@ -23,10 +23,13 @@ Single-trial runs, trajectory replays and Monte Carlo sweeps share one
 stepping loop.  After the first quantization it holds each trial's state
 as exact level indices i (x = -1 + i * delta), so a step is the product
 W i, a clip and a rounding, and values are formed only for consensus
-values and recorded trajectories.  The product is a sparse sum over each
-row's nonzeros in a fixed order and every other step acts on each trial
-alone, so a trial's outcome and trajectory are bit-identical whatever the
-batch it runs in and whatever the BLAS thread count.
+values, by ``QuantizerSpec.values``.  A recorded trajectory holds level
+indices too, in the narrowest unsigned dtype that holds 2^b - 1 (uint8 up
+to 8 bits, uint16 up to 16, uint32 up to 21), and ``spec.values`` forms
+its values with the same two operations.  The product is a sparse sum
+over each row's nonzeros in a fixed order and every other step acts on
+each trial alone, so a trial's outcome and trajectory are bit-identical
+whatever the batch it runs in and whatever the BLAS thread count.
 
 The loop steps a row of cells: the weight matrices of one Monte Carlo
 table row, which run the same trials from the same x(0) with the same
@@ -70,8 +73,8 @@ buffer of one row less than the state, and ANDs them down each column:
 == is transitive on the NaN-free indices (and -0.0 == 0.0), so that is
 the all-equal test without broadcasting the first row.  The views of the
 draw buffers are built once per column count.  And a recorded trajectory
-is appended row by row to one growable buffer, so it costs about its own
-size.
+is appended row by row to one growable buffer of its index dtype, so it
+costs about its own size: one byte per node and stage at 8 bits.
 
 Where a step's time goes, at 151 nodes by 200 columns on one thread of
 a 2-core x86-64 host (numpy 2.4, scipy 1.17; the parts timed alone): the
@@ -255,6 +258,13 @@ class QuantizerSpec:
     def delta(self) -> float:
         return 2.0 / (2**self.bits - 1)
 
+    def values(self, levels):
+        """The states -1 + i * delta of level indices i (an integer or float
+        array, or a scalar), formed as i * delta - 1.0: the one map from
+        index to value, so a consensus value and a recorded state formed
+        from the same index have the same bits."""
+        return levels * self.delta - 1.0
+
 
 def _rounding(spec):
     """The kernel's rounding under spec, as a function round_into(y, u,
@@ -358,7 +368,7 @@ class _Cell:
     of them hold a trial it has not finished (``live``; ``n_live`` counts
     them), its outcomes and its recorded trajectory."""
 
-    def __init__(self, Wc, clip, x, n_trials, max_iters):
+    def __init__(self, Wc, clip, x, n_trials, max_iters, typecode):
         self.Wc = Wc
         self.clip = clip
         self.x = x
@@ -367,7 +377,7 @@ class _Cell:
         self.reached = np.zeros(n_trials, dtype=bool)
         self.iters = np.full(n_trials, max_iters, dtype=np.int64)
         self.values = np.full(n_trials, np.nan)
-        self.traj = array("d")
+        self.traj = array(typecode)
 
 
 def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
@@ -383,7 +393,8 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     of the trial-major x(0), the order of a one-trial mean), and with
     ``record`` also the trajectory of its trial 0: its state after every
     stage it takes part in, x(0) after quantization, then each update, as
-    iterations[0] + 1 rows.  Stage s = 1 quantizes x(0), stage s = t+1
+    iterations[0] + 1 rows of level indices in the index dtype (see
+    ``run_trial``).  Stage s = 1 quantizes x(0), stage s = t+1
     quantizes update t; the draws of stage s use counters s*N .. s*N + N-1
     of the trial (see ``_stage_draws_into``), clear of the initial states'
     0..N-1, so a single trial and any batch consume identical random
@@ -394,8 +405,8 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     each update is W i, consensus is exact equality of a column's indices,
     tested as equality of each pair of adjacent rows (== is transitive on
     the NaN-free indices; a one-node column compares no pair and is at
-    consensus), and values are formed only for consensus values and
-    recorded rows.
+    consensus), and values are formed, by ``spec.values``, only for
+    consensus values.
     Each update is the CSR product of W, which sums every row's nonzeros
     in stored column order; the draws, the quantizer and the consensus
     check are elementwise or per column.  So no trial's arithmetic depends
@@ -414,10 +425,9 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     which changes only when the row drops columns.  Each cell keeps its
     own state and outcomes.
 
-    The recorded rows are formed with the same two operations as a
-    consensus value and appended to one growable float64 buffer (an
-    ``array('d')``), which the trajectory then views, so the record costs
-    about its own size whatever the cap.
+    Each recorded row is cast to the index dtype and appended to one
+    growable ``array`` of its typecode, which the trajectory then views,
+    so the record costs about its own size whatever the cap.
 
     The probabilistic draws hash a (P, columns) key base, seed plus pair
     key, built once and cut when the row drops columns; each
@@ -425,12 +435,19 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     which lie on the 2^-32 grid, by ceil(y - u) alone, exact at 1..21 bits
     (see ``_rounding``).  The step at t = 0 clips every row, as x(0) may
     lie anywhere.  After it every index lies in [0, 2^b - 1], so later
-    stages clip only the block of rows that ``_clip_rows`` gives, whose
-    rounded product can leave that range (on the optimal stars, the hub
-    row alone, for its negative self-weight), by np.maximum and
-    np.minimum into that block.  A row left unclipped holds the value the
-    clip would give, except that an index 0 may stay -0.0, which compares
-    and forms values as 0.0 does.
+    stages clip only the block of rows that ``_clip_rows`` gives, from the
+    first to the last whose rounded product can leave that range, by
+    np.maximum and np.minimum into that block.  Such a row has a negative
+    weight or a rounded all-top sum above 2^b - 1, and the rows between
+    two of them are swept in.  Of the table cells, only table 3's optimal
+    and best-constant weights clip the hub row alone.  Negative weights put
+    rows 0..2 of table 4's star in the block (optimal and best-constant)
+    and rows 2..6 of table 5's (optimal).  Metropolis and max-degree rows
+    are nonnegative, but some all-top sums round above the top: rows 2, 4
+    and 6 on table 3, whose block is rows 2..6; it is 4..8 on table 4, and
+    3..7 on table 5 under max-degree weights alone.  A row left unclipped
+    holds the value the clip would give, except that an index 0 may stay
+    -0.0, which compares and forms values as 0.0 does.
 
     A finished trial's column is only marked dead in the cell's ``live``,
     and a cell leaves ``running`` once every trial of its own has
@@ -462,6 +479,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     del x0  # only its means outlive stage 1
     probabilistic = spec.scheme == "probabilistic"
     delta = spec.delta
+    index = np.min_scalar_type(spec.level_count - 1)  # a recorded row's dtype
     pairs = (N + 1) // 2
     flags = np.empty((N - 1) * n_trials, dtype=bool)
 
@@ -505,13 +523,13 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
         finished = active[cols]
         c.reached[finished] = True
         c.iters[finished] = t
-        c.values[finished] = x[0, cols] * delta - 1.0
+        c.values[finished] = spec.values(x[0, cols])
         c.live[cols] = False
         c.n_live -= cols.size
         return True
 
     top = float(spec.level_count - 1)
-    cells = [_Cell(Wc, _clip_rows(Wc, top), x, n_trials, max_iters)
+    cells = [_Cell(Wc, _clip_rows(Wc, top), x, n_trials, max_iters, index.char)
              for Wc in (csr_matrix(np.asarray(W, dtype=float)) for W in Ws)]
     del x  # the cells hold it until their step at t = 0
     running, draws = cells, None
@@ -525,8 +543,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
             c.x = c.Wc @ c.x if t else (c.x + 1.0) / delta
             round_into(c.x, draws, c.clip if t else ...)
             if record and not c.reached[0]:
-                # i * delta - 1.0, as a consensus value is formed
-                c.traj.frombytes((c.x[:, 0] * delta - 1.0).tobytes())
+                c.traj.frombytes(c.x[:, 0].astype(index).tobytes())
             any_finished |= check(c, t)
         if not any_finished:
             continue
@@ -545,7 +562,8 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
                 keys = keys[:, held]
                 views = draw_views()
     return [(c.reached, c.iters, c.values, (c.values - means) / delta)
-            + ((np.frombuffer(c.traj).reshape(-1, N),) if record else ())
+            + ((np.frombuffer(c.traj, index).reshape(-1, N),) if record
+               else ())
             for c in cells]
 
 
@@ -566,8 +584,13 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     of x0 to [-1, 1] at the first quantization.
 
     With ``return_trajectory``, the states after every stage come back as
-    an (iterations + 1, N) array, appended row by row to one growable
-    buffer: the record costs about its own size, whatever max_iters.
+    an (iterations + 1, N) array of level indices i, not values: its dtype
+    is the narrowest unsigned one that holds 2^b - 1 (uint8 up to 8 bits,
+    uint16 up to 16, uint32 up to 21), and ``spec.values(trajectory)``
+    forms the states -1 + i * delta, by the same map as the consensus
+    value.  The rows are appended to one growable buffer: the record costs
+    about its own size, 1 to 4 bytes per node and stage, whatever
+    max_iters.
     """
     _check_seed(trial_seed, "trial seed")
     W = _check_weight_matrix(W)

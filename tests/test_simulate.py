@@ -327,6 +327,41 @@ def test_trajectory_record_costs_its_own_size():
     assert peak <= 1.25 * traj.nbytes
 
 
+def test_trajectory_record_holds_level_indices():
+    # One byte per node and stage at 8 bits: the run peaks at 0.55 MB, and
+    # a record of float64 values would take 2.4 MB alone.  (scipy.sparse
+    # is imported above, so the run loads nothing.)
+    g, W = scheme_matrix(SymmetricStar(3, 50), "optimal")
+    x0 = initial_states(1, 0, g.node_count)
+    tracemalloc.start()
+    try:
+        out, traj = run_trial(W, x0, QuantizerSpec(8, "probabilistic"),
+                              max_iters=2000, trial_seed=derive_trial_seed(1, 0),
+                              return_trajectory=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (2001, g.node_count) and traj.dtype == np.uint8
+    assert peak <= 1e6
+
+
+@pytest.mark.parametrize("bits, dtype", [
+    (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+    (17, np.uint32), (21, np.uint32)])
+def test_trajectory_dtype_holds_every_level(bits, dtype):
+    # the narrowest unsigned dtype that holds 2^b - 1; the values formed
+    # from the last row are the consensus value, bit for bit
+    g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
+    x0 = np.where(np.arange(g.node_count) % 2, 1.0, -1.0)  # indices 0 and top
+    spec = QuantizerSpec(bits, "probabilistic")
+    out, traj = run_trial(W, x0, spec, max_iters=10_000, trial_seed=3,
+                          return_trajectory=True)
+    assert traj.dtype == dtype
+    assert traj[0].tolist() == [0, 2**bits - 1] * 3 + [0]
+    assert out.consensus_reached
+    assert (spec.values(traj[-1]) == out.consensus_value).all()
+
+
 def test_huge_cap_trajectory_is_the_short_one():
     g, W = scheme_matrix(SymmetricStar(2, 3), "optimal")
     spec = QuantizerSpec(4, "probabilistic")
@@ -402,7 +437,7 @@ def test_trajectory_replay_matches_outcome():
         assert out1 == out2
         assert traj.shape == (out1.iterations + 1, g.node_count)
         lv = _levels(spec)
-        assert np.all(np.isin(np.round(traj, 12), np.round(lv, 12)))
+        assert np.all(np.isin(np.round(spec.values(traj), 12), np.round(lv, 12)))
 
 
 def test_trial_seeds_vectorized_match_scalar():
@@ -519,12 +554,13 @@ def _large_star_digest():
     run, as exact text.  All four run to the cap, so the sha256 of trial
     0's recorded states follows: it pins every stage's arithmetic."""
     _, W = scheme_matrix(SymmetricStar(3, 50), "optimal")
+    spec = QuantizerSpec(8, "probabilistic")
     reached, iters, values, _, record = _batch_run(
-        [W], None, QuantizerSpec(8, "probabilistic"), 2000,
-        derive_trial_seed(1, np.arange(4)), record=True)[0]
+        [W], None, spec, 2000, derive_trial_seed(1, np.arange(4)),
+        record=True)[0]
     return repr((reached.tolist(), iters.tolist(),
                  [v.hex() for v in values.tolist()],
-                 hashlib.sha256(record.tobytes()).hexdigest()))
+                 hashlib.sha256(spec.values(record).tobytes()).hexdigest()))
 
 
 def test_large_star_outcomes_pinned():
@@ -898,7 +934,7 @@ def _assert_kernel_matches_oracle(W, x0, seeds, spec, max_iters=200):
         assert np.array_equal(errors[i], (value - np.mean(x0[i])) / spec.delta,
                               equal_nan=True)
         if i == 0:
-            assert np.array_equal(record, np.array(traj))
+            assert np.array_equal(spec.values(record), np.array(traj))
     return steps
 
 
@@ -927,6 +963,48 @@ def test_clip_rule_rows(bits):
     corners = np.array(list(itertools.product((0.0, top), repeat=5))).T
     y = Wc @ corners
     assert np.flatnonzero(((y < 0) | (y > top)).any(axis=1)).tolist() == [1, 3]
+
+
+# The block of rows that a stage after the first clips, per table and
+# weighting, as (first, last) rows or None: the same at 4, 8 and 16 bits.
+_TABLE_CLIP_BLOCKS = {
+    3: {"optimal": (0, 0), "best-constant": (0, 0),
+        "metropolis": (2, 6), "max-degree": (2, 6)},
+    4: {"optimal": (0, 2), "best-constant": (0, 2),
+        "metropolis": (4, 8), "max-degree": (4, 8)},
+    5: {"optimal": (2, 6), "best-constant": None,
+        "metropolis": None, "max-degree": (3, 7)},
+}
+
+
+@pytest.mark.parametrize("table_id", sorted(SIM_TOPOLOGIES))
+def test_clip_block_on_the_table_cells(table_id):
+    # Every row outside the block is nonnegative with an all-top product
+    # at most 2^b - 1, so (IEEE rounding being monotone) it cannot leave
+    # [0, 2^b - 1]; every row with a negative weight lies inside it.
+    rng = np.random.default_rng(table_id)
+    for weighting in WEIGHTINGS:
+        _, W = scheme_matrix(SIM_TOPOLOGIES[table_id], weighting)
+        Wc = csr_matrix(W)
+        N = len(W)
+        for bits in (4, 8, 16):
+            top = float(2**bits - 1)
+            block = _clip_rows(Wc, top)
+            expected = _TABLE_CLIP_BLOCKS[table_id][weighting]
+            assert block == (None if expected is None
+                             else slice(expected[0], expected[1] + 1)), weighting
+            inside = np.zeros(N, dtype=bool)
+            if block is not None:
+                inside[block] = True
+            outside = ~inside
+            assert (W[outside] >= 0).all()
+            assert (Wc @ np.full(N, top) <= top)[outside].all()
+            assert inside[(W < 0).any(axis=1)].all()
+            # and on level indices: no row outside leaves the range
+            x = np.floor(rng.uniform(0.0, top + 1.0, (N, 500)))
+            x[:, 0], x[:, 1] = 0.0, top
+            y = (Wc @ x)[outside]
+            assert ((y >= 0.0) & (y <= top)).all(), (weighting, bits)
 
 
 @pytest.mark.parametrize("bits", (4, 8, 21))
