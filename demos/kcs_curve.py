@@ -1,8 +1,9 @@
 """How many parallel central nodes help a 3-branch star?
 
 Sweeps the number of central nodes k for branches of length 2 and plots
-(textually) the optimal SLEM: closed form while it is valid, numerical
-weight optimization beyond.  Adding central nodes helps until the
+(textually) the optimal SLEM: closed form while it is valid, and beyond
+it the exact solve of the optimum's known active set, each point checked
+by a KKT certificate.  Adding central nodes helps until the
 ignored central eigenvalue (2k-n)/(2k+n) catches up with the tail rate,
 then hurts.  At the minimum it prints the certified optimum: the
 per-stratum weights and the KKT residual that proves them optimal.

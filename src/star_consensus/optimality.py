@@ -10,14 +10,15 @@ Four routes:
   conditions only, not its sign conditions, so vanishing residuals do not
   prove optimality: at n = 1 they vanish, yet the closed-form weights are
   not optimal (ROADMAP direction 2),
-* the tied optimum of a k-cored star beyond k_max (``kcs_tied_optimum``,
-  which ``kcs_slem_curve`` uses for every k > k_max): an exact solve of
-  its known active set by elimination, w2 in closed form from the matrix
-  determinant lemma and then one bracketed root find for s
-  (``spectral._brentq``) on O(m) pivots of the tridiagonal sector and tail
-  blocks (m per-stratum weights, blocks of size at most m + 1), with no
-  eigensolve, and certified by the KKT conditions of Boyd,
-  Diaconis and Xiao on the block spectrum (``spectral._block_spectrum``)
+* the tied optimum of a k-cored star (``kcs_tied_optimum``, which
+  ``kcs_slem_curve`` uses for every k > k_max): up to k_max the closed
+  form, and beyond it an exact solve of its known active set by
+  elimination, w2 in closed form from the matrix determinant lemma and
+  then one bracketed root find for s (``spectral._brentq``) on O(m)
+  pivots of the tridiagonal sector and tail blocks (m per-stratum
+  weights, blocks of size at most m + 1), with no eigensolve; either is
+  certified by the KKT conditions of Boyd, Diaconis and Xiao on the
+  block spectrum (``spectral._block_spectrum``)
   through a small nonnegative least-squares solve (``_nnls_residual``),
   the least residual over the supports of independent active columns
   whose least-squares solve is positive, tried largest first.  The
@@ -26,20 +27,22 @@ Four routes:
   their sector blocks and one of their tail blocks, a single point is a
   stack of one, and only the NNLS runs point by point.  The residual
   comes with every result: near zero, it proves the weights optimal,
-  whatever produced them,
-* one SLEM minimizer: an epigraph program over the eigenvalues of affine
-  symmetric blocks and their gradients, solved by SLSQP.  It serves
-  arbitrary connected graphs with optional weight tying by symmetry class
-  (``minimize_slem``, one dense block on the complement of the ones
-  vector), and is the fallback for a tied optimum whose certificate
-  fails, on the spectrum the certificate reads; the closed forms and the
+  whatever produced them.  A point whose certificate fails, or whose
+  active-set solve finds no bracket, is refused: so is every
+  single-branch star up to k_max, whose closed form is not the optimum,
+* one SLEM minimizer: an epigraph program over the eigenvalues of the
+  weight matrix on the complement of the ones vector and their
+  gradients, solved by SLSQP (``minimize_slem``).  It serves arbitrary
+  connected graphs with optional weight tying by symmetry class, and
+  gives an estimate without a certificate; the closed forms and the
   dense eigensolve stay its oracles,
 * invariance experiments: the optimal central weights 2/(2+n) (star
   center) and 1/n (complete core) persist when path branches are
   replaced by arbitrary branch graphs.
 
-Only the SLSQP solve loads scipy.optimize, so the closed forms, k_max and
-the certified tied optimum (table 1, fig 2) never do.
+Only ``minimize_slem`` loads scipy.optimize, so the closed forms, k_max
+and the certified tied optimum (table 1, fig 2), its refusals included,
+never do.
 """
 
 from __future__ import annotations
@@ -190,50 +193,6 @@ SLSQP_CONVERGED = (0, 8)
 SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 1000}
 
 
-def _epigraph_slem(spectrum, start, what: str):
-    """Minimize max_j |lam_j(w)| over w from ``start``, where ``spectrum``
-    maps w to the eigenvalues lam_j(w) of affine symmetric blocks and their
-    gradients, one row each (exact where lam_j is simple).
-
-    The objective is convex in w, and its minimum is the epigraph program
-
-        min s  subject to  -s <= lam_j(w) <= s  for every eigenvalue,
-
-    solved by SLSQP with those exact gradients.  Returns (w, value,
-    iterations, message), where value is the objective at w, recomputed
-    from the spectrum; if SLSQP ends above the start, the start is returned.
-    An SLSQP exit outside SLSQP_CONVERGED raises SpectralError naming
-    ``what``.
-    """
-    from scipy.optimize import minimize
-
-    def value(w):
-        return float(np.abs(spectrum(w)[0]).max())
-
-    def bounds(x):  # s - lam_j >= 0 and s + lam_j >= 0
-        lam = spectrum(x[:-1])[0]
-        return np.concatenate((x[-1] - lam, x[-1] + lam))
-
-    def bounds_jac(x):
-        g = spectrum(x[:-1])[1]
-        one = np.ones((len(g), 1))
-        return np.block([[-g, one], [g, one]])
-
-    start_value = value(start)
-    objective_grad = np.eye(len(start) + 1)[-1]
-    res = minimize(lambda x: x[-1], np.append(start, start_value),
-                   jac=lambda x: objective_grad, method="SLSQP",
-                   constraints=[{"type": "ineq", "fun": bounds, "jac": bounds_jac}],
-                   options=SLSQP_OPTIONS)
-    if res.status not in SLSQP_CONVERGED:
-        raise SpectralError(f"{what} did not converge: {res.message}")
-    w = res.x[:-1]
-    w_value = value(w)
-    if w_value > start_value:
-        w, w_value = start, start_value
-    return w, w_value, int(res.nit), str(res.message)
-
-
 def minimize_slem(graph: Graph,
                   symmetry_classes: dict[tuple[int, int], object] | None = None
                   ) -> OptimizeResult:
@@ -246,10 +205,18 @@ def minimize_slem(graph: Graph,
     W(w) = I - sum_c w_c L_c with L_c the Laplacian of the class-c edges.
     Restricted to the orthogonal complement of the ones vector (basis Q),
     W(w) is the affine block I - sum_c w_c Q^T L_c Q with the spectrum of W
-    without its eigenvalue 1, and the shared epigraph solve minimizes its
-    SLEM from the class-averaged Metropolis weights.  The solve is
-    deterministic; a solver failure raises SpectralError, so every
-    returned result has ``converged`` set.
+    without its eigenvalue 1.  max_j |lam_j(w)| over that spectrum is
+    convex in w, and its minimum is the epigraph program
+
+        min s  subject to  -s <= lam_j(w) <= s  for every eigenvalue,
+
+    solved by SLSQP from the class-averaged Metropolis weights, with the
+    eigenvalue gradients v_j^T (dB/dw_c) v_j (exact where lam_j is simple).
+    The reported SLEM is recomputed from the spectrum at the returned
+    weights; if SLSQP ends above the start, the start is returned.  The
+    solve is deterministic for one BLAS thread count, but it carries no
+    certificate; an SLSQP exit outside SLSQP_CONVERGED raises
+    SpectralError, so every returned result has ``converged`` set.
     """
     if graph.node_count < 2 or not graph.is_connected():
         raise ValueError("SLEM minimization requires a connected graph "
@@ -283,25 +250,49 @@ def minimize_slem(graph: Graph,
         vals, vecs = np.linalg.eigh(np.eye(N - 1) + np.tensordot(w, slopes, 1))
         return vals, np.einsum("aj,cab,bj->jc", vecs, slopes, vecs)
 
+    def value(w):
+        return float(np.abs(spectrum(w)[0]).max())
+
+    def bounds(x):  # s - lam_j >= 0 and s + lam_j >= 0
+        lam = spectrum(x[:-1])[0]
+        return np.concatenate((x[-1] - lam, x[-1] + lam))
+
+    def bounds_jac(x):
+        g = spectrum(x[:-1])[1]
+        one = np.ones((len(g), 1))
+        return np.block([[-g, one], [g, one]])
+
+    from scipy.optimize import minimize
+
     start = (np.bincount(edge_class, metropolis_weights(graph)[u_idx, v_idx])
              / np.bincount(edge_class))
-    w, value, iterations, _ = _epigraph_slem(
-        spectrum, start, f"SLEM minimization on {N} nodes")
+    start_value = value(start)
+    objective_grad = np.eye(len(start) + 1)[-1]
+    res = minimize(lambda x: x[-1], np.append(start, start_value),
+                   jac=lambda x: objective_grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": bounds, "jac": bounds_jac}],
+                   options=SLSQP_OPTIONS)
+    if res.status not in SLSQP_CONVERGED:
+        raise SpectralError(f"SLEM minimization on {N} nodes did not converge: "
+                            f"{res.message}")
+    w = res.x[:-1]
+    w_value = value(w)
+    if w_value > start_value:
+        w, w_value = start, start_value
     per_edge = {e: float(w[ci]) for e, ci in zip(edges, edge_class)}
     class_weights = {labels[i]: float(w[i]) for i in range(len(labels))}
     return OptimizeResult(class_weights=class_weights, per_edge=per_edge,
-                          slem=value, iterations=iterations, converged=True)
+                          slem=w_value, iterations=int(res.nit), converged=True)
 
 
 @dataclass(frozen=True)
 class TiedOptimum:
     """Optimal per-stratum weights of a k-cored star from its block
-    spectra, with the KKT residual that certifies them.
+    spectra, with the KKT residual that certifies them (at most
+    CERTIFICATE_TOL, or no result is made).
 
-    ``iterations`` and ``message`` name the route: 0 and "closed form",
-    the outer root-find iterations and "active-set solve", or the SLSQP
-    iteration count and stop message when the certificate sent the point
-    to the fallback.
+    ``iterations`` and ``message`` name the route: 0 and "closed form", or
+    the outer root-find iterations and "active-set solve".
     """
 
     weights: WeightAssignment
@@ -315,6 +306,11 @@ class TiedOptimum:
 # certificate, and a residual at most CERTIFICATE_TOL certifies the point.
 ACTIVE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-10
+# The refusal of a single-branch star up to k_max, whose closed form is no
+# optimum, points to the open derivation and to the uncertified estimate.
+SINGLE_BRANCH_NOTE = ("; at n = 1 the closed form is not the optimum (ROADMAP direction 2), "
+                      "and minimize_slem on the dense graph gives an estimate without a "
+                      "certificate")
 # The certificate eigensolves the blocks of its points as stacks of at most
 # this many bytes of sector blocks, so its memory stays bounded however
 # many points a curve certifies.
@@ -526,65 +522,57 @@ def _active_set_weights(m: int, n: int, k: int, cos_theta: float):
 
 def kcs_tied_optimum(m: int, n: int, k: int) -> TiedOptimum:
     """Minimize the SLEM of KcsStar(m, n, k) over per-stratum weights, and
-    certify the result.
+    certify the result, or refuse.
 
     Up to k_max the candidate is the closed-form weights; past it, the
     exact solve of the known active set (``_active_set_weights``), the
     route decided by k_max's one rule (``spectral._k_max``).  Every
     candidate is checked by the KKT certificate (``_kcs_certificate``, on
-    a stack of this one point), whose residual the result reports.  Only
-    a candidate whose residual exceeds CERTIFICATE_TOL, or an active-set
-    solve that finds no bracket, goes to the SLSQP epigraph solve that
-    ``minimize_slem`` uses, on the same block spectrum that the
-    certificate checks, from the closed-form weights; its residual is
-    reported as it is.  The reported SLEM is the block spectrum at the
-    returned weights.
+    a stack of this one point), whose residual the result reports.  A
+    candidate whose residual exceeds CERTIFICATE_TOL, and an active-set
+    solve that finds no bracket, raise SpectralError naming the star, the
+    route and the residual or the solve's error.  That refuses every
+    single-branch star (n = 1) up to k_max, where the closed form is not
+    the optimum (ROADMAP direction 2); ``minimize_slem`` on the dense
+    graph estimates those optima, without a certificate.  The reported
+    SLEM is the block spectrum at the returned weights.
     """
     return _tied_optima(m, n, [k])[0]
 
 
 def _tied_optima(m: int, n: int, ks) -> list[TiedOptimum]:
     """``kcs_tied_optimum(m, n, k)`` for each k of ``ks``: every point's
-    candidate first, then one stacked certificate of them all, then the
-    SLSQP fallback for each point that fails it, alone."""
-    topologies = [KcsStar(m, n, k) for k in ks]  # which check m, n and k
+    candidate first, then one stacked certificate of them all.  The first
+    point that has no candidate or fails its certificate refuses the
+    whole call."""
     km = _k_max(m, n)
-    candidates = []  # (topology, weights or None if the solve failed, ...)
-    for topology in topologies:
+    candidates = []  # (k, weights, iterations, route)
+    for topology in [KcsStar(m, n, k) for k in ks]:  # which check m, n and k
         k = topology.k
         if k <= km:
-            candidates.append((topology, _closed_form(topology), 0, "closed form"))
+            w = optimal_weights(topology).for_strata(range(1, m + 1))
+            candidates.append((k, w, 0, "closed form"))
             continue
         try:
             w, iterations = _active_set_weights(
                 m, n, k, math.cos(theta_root_kcs(m, n, k)))
-        except (ValueError, ZeroDivisionError):  # no bracket, or a pole
-            w, iterations = None, 0
-        candidates.append((topology, w, iterations, "active-set solve"))
-    solved = [(t.k, w) for t, w, _, _ in candidates if w is not None]
-    certified = iter(_kcs_certificate(n, [k for k, _ in solved], [w for _, w in solved]))
+        except (ValueError, ZeroDivisionError) as error:  # no bracket, or a pole
+            raise SpectralError(f"no certified optimum for KcsStar({m}, {n}, {k}): "
+                                f"the active-set solve failed ({error})") from None
+        candidates.append((k, w, iterations, "active-set solve"))
+    certified = _kcs_certificate(n, [c[0] for c in candidates],
+                                 [c[1] for c in candidates])
     out = []
-    for topology, w, iterations, message in candidates:
-        k = topology.k
-        if w is not None:
-            value, residual = next(certified)
-        if w is None or residual > CERTIFICATE_TOL:
-            w, _, iterations, message = _epigraph_slem(
-                lambda w: _block_spectrum(sector_block(n, k, w), n, k,
-                                          gradients=True),
-                _closed_form(topology),
-                f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})")
-            [(value, residual)] = _kcs_certificate(n, [k], [w])
-        per_stratum = {j: float(wj) for j, wj in enumerate(w, start=1)}
-        out.append(TiedOptimum(weights=WeightAssignment(per_stratum=per_stratum),
-                               slem=value, iterations=iterations, message=message,
-                               certificate_residual=residual))
+    for (k, w, iterations, route), (value, residual) in zip(candidates, certified):
+        if residual > CERTIFICATE_TOL:
+            raise SpectralError(
+                f"no certified optimum for KcsStar({m}, {n}, {k}): the weights of the "
+                f"{route} have KKT residual {residual:.3g} > CERTIFICATE_TOL = "
+                f"{CERTIFICATE_TOL:g}" + (SINGLE_BRANCH_NOTE if n == 1 and k <= km else ""))
+        weights = WeightAssignment({j: float(wj) for j, wj in enumerate(w, start=1)})
+        out.append(TiedOptimum(weights=weights, slem=value, iterations=iterations,
+                               message=route, certificate_residual=residual))
     return out
-
-
-def _closed_form(topology: KcsStar) -> np.ndarray:
-    """The closed-form per-stratum weights w1..wm of a k-cored star."""
-    return optimal_weights(topology).for_strata(range(1, topology.m + 1))
 
 
 def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
@@ -598,7 +586,10 @@ def kcs_slem_curve(n: int, m: int, k_range) -> list[tuple[int, float]]:
     value cos(theta_root_kcs(m, n, k)) is used, the value of
     ``slem_closed_form`` there; beyond it the certified tied optimum
     (``kcs_tied_optimum``), with the certificates of all those points
-    computed on stacked blocks at once.
+    computed on stacked blocks at once, and a point that fails its
+    certificate refuses the curve.  At n = 1 the entries up to k_max are
+    that characteristic value too, which is not the optimum there
+    (``kcs_tied_optimum`` refuses those points; ROADMAP direction 2).
     """
     km = k_max(m, n)
     ks = list(k_range)

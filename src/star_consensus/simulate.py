@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _check_weight_matrix
+from .spectral import _check_weight_matrix, slem
 from .topology import Topology, _is_integer
 from .weights import scheme_matrix
 
@@ -627,6 +627,11 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     weighting is needed, in a sequence of names (a single name is refused:
     ``monte_carlo`` takes one).  A numpy integer trial count or seed is
     held as a Python int, so every field of the result is a Python number.
+    A weighting that cannot average, its SLEM within 1e-12 of 1 (one
+    dense eigensolve per weighting), is refused with ValueError: max-degree
+    weights on a regular bipartite star, such as SymmetricStar(1, 1) or
+    KcsStar(1, n, n), have the eigenvalue -1 and reach consensus in almost
+    no trial.  ``scheme_matrix`` still builds such a W.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -636,6 +641,11 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     if not weightings:
         raise ValueError("monte_carlo_row needs at least one weighting")
     matrices = [scheme_matrix(topology, w)[1] for w in weightings]
+    for weighting, W in zip(weightings, matrices):
+        if slem(W) >= 1.0 - 1e-12:  # a spectral gap of rounding size is none
+            raise ValueError(f"the {weighting} weighting of {topology} cannot average: its "
+                             "SLEM is 1 (max-degree weights have the eigenvalue -1 on a "
+                             "regular bipartite star: one edge, or K_n,n)")
     runs = _batch_run(matrices, None, spec, max_iters,
                       derive_trial_seed(master_seed, np.arange(trials)))
     # derive_trial_seed has checked master_seed

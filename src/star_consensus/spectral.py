@@ -11,7 +11,7 @@ k-cored stars, and Cauchy-interlacing consistency checks.
 private ``_block_spectrum`` alone knows which block eigenvalues make up
 W's spectrum without its eigenvalue 1, and their weight gradients, in
 band form (each weight moves W0 by a rank-one slope); everything else
-(block SLEM, interlacing check, the certificate and SLSQP fallback of
+(block SLEM, interlacing check, the KKT certificate of
 ``kcs_tied_optimum``) reads it, the block SLEM and the interlacing check
 without gradients.  It takes sector blocks, so the certificate of a
 k-cored curve hands it the blocks of many points of one (m, n) as one
@@ -44,7 +44,8 @@ n/(n + 2k), which the central eigenvalue (2k-n)/(2k+n) meets exactly at
 k = n: r*(1) = 1, where the float root lands an ulp below it.  The
 condition is not re-checked in floats at k and k + 1; at large m its two
 sides are too close to decide it (see ``k_max``).  No analysis path loads
-scipy.optimize; only the SLSQP minimizer in ``optimality`` does.
+scipy.optimize; only ``optimality.minimize_slem``, the SLSQP estimate on
+a dense graph, does.
 
 Dense eigenproblems go to LAPACK through numpy.linalg.eigvalsh (eigh for
 gradients), deterministic for identical input bits;

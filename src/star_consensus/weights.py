@@ -70,9 +70,11 @@ def optimal_weights(topology: Topology) -> WeightAssignment:
 
     KCS star: central edges 2/(n+2k), tails 1/2 (the symmetric star is
     k = 1); CCS star: core edges 1/n, tails 1/2.  The KCS weights are
-    optimal only while k <= k_max(m, n); past it
+    optimal only while k <= k_max(m, n), and only for n >= 2; past k_max
     ``optimality.kcs_tied_optimum`` gives the optimal weights, solved
     exactly on their known active set and certified by a KKT residual.
+    At n = 1 it refuses up to k_max, where these weights are not the
+    optimum (ROADMAP direction 2).
     """
     if isinstance(topology, CcsStar):
         w = {0: 1.0 / topology.n}

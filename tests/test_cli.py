@@ -18,7 +18,7 @@ def run(capsys, *argv):
 
 
 def test_cli_import_defers_scipy_optimize():
-    # scipy.optimize is imported only by the SLSQP solve, never at start-up
+    # scipy.optimize is imported only by minimize_slem, never at start-up
     # (test_analysis_commands_never_load_scipy_optimize covers the analysis
     # commands), scipy.sparse only by the simulator's stepping loop, and
     # nothing in the package needs scipy.linalg

@@ -1,7 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from star_consensus import optimality
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.spectral import (
+    SpectralError,
     k_max,
     slem,
     slem_closed_form,
@@ -259,11 +263,12 @@ def test_certificate_rejects_moved_weights(monkeypatch, dw1):
     moved = w + [dw1, 0.0]
     [(_, residual)] = optimality._kcs_certificate(n, [k], [moved])
     assert residual > 1e-3
-    # a candidate that fails the certificate goes to the SLSQP fallback
+    # a candidate that fails the certificate is refused, naming the star,
+    # the route and the residual
     monkeypatch.setattr(optimality, "_active_set_weights", lambda *a: (moved, 0))
-    fallback = kcs_tied_optimum(m, n, k)
-    assert fallback.message != "active-set solve"
-    assert fallback.slem == pytest.approx(tied.slem, abs=1e-9)
+    with pytest.raises(SpectralError, match=r"KcsStar\(2, 3, 10\): the weights of "
+                       r"the active-set solve have KKT residual \d"):
+        kcs_tied_optimum(m, n, k)
 
 
 def test_certificate_near_zero_slem_takes_both_signs():
@@ -272,8 +277,10 @@ def test_certificate_near_zero_slem_takes_both_signs():
     # With the sign of the eigenvalue alone the residual read 0.894.
     [(value, residual)] = optimality._kcs_certificate(1, [1], [[0.5 - 1e-10]])
     assert (value, residual) == pytest.approx((2e-10, 0.0), abs=1e-15)
-    tied = kcs_tied_optimum(1, 1, 1)
-    assert tied.slem <= 1e-12 and tied.certificate_residual <= 1e-12
+    # its closed form 2/3 is no optimum: n = 1 with k <= k_max is refused
+    with pytest.raises(SpectralError, match=r"KcsStar\(1, 1, 1\): the weights of "
+                       r"the closed form .*\(ROADMAP direction 2\)"):
+        kcs_tied_optimum(1, 1, 1)
 
 
 def test_active_set_brentq_matches_scipy(monkeypatch):
@@ -473,49 +480,108 @@ def test_nnls_matches_scipy_on_certificates(monkeypatch, m, n, k):
         assert port(columns, target) == pytest.approx(want, abs=1e-13)
 
 
-def test_fig2_never_reaches_slsqp(monkeypatch):
-    def slsqp_not_used(*args, **kwargs):
-        raise AssertionError("_epigraph_slem called")
+def _tied_grid():
+    """m 1..8 x n 1..8 at k = 1..k_max (for n >= 2 at most 40), k_max + 1,
+    k_max + 2, 2 k_max + 5 and 3 k_max."""
+    for m in range(1, 9):
+        for n in range(1, 9):
+            km = k_max(m, n)
+            low = set(range(1, (km if n == 1 else min(km, 40)) + 1))
+            for k in sorted(low | {km + 1, km + 2, 2 * km + 5, 3 * km}):
+                yield m, n, k
 
-    monkeypatch.setattr(optimality, "_epigraph_slem", slsqp_not_used)
-    curve = kcs_slem_curve(3, 2, range(1, 31))
-    assert min(curve, key=lambda t: t[1])[0] == 10
+
+def test_tied_optima_never_load_scipy_optimize():
+    # the tied optimum is certified or refused with no SLSQP, so neither
+    # the grid's answers nor its refusals, nor fig 2's curve, load
+    # scipy.optimize; fig 2's minimum lies at k = 10, one past k_max(2, 3)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from star_consensus import kcs_slem_curve, kcs_tied_optimum\n"
+        "from star_consensus.spectral import SpectralError\n"
+        "refused = 0\n"
+        f"for m, n, k in {list(_tied_grid())!r}:\n"
+        "    try:\n"
+        "        kcs_tied_optimum(m, n, k)\n"
+        "    except SpectralError:\n"
+        "        refused += 1\n"
+        "curve = kcs_slem_curve(3, 2, range(1, 31))\n"
+        "print(refused, min(curve, key=lambda t: t[1])[0],\n"
+        "      'scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["161", "10", "False"]
 
 
-def test_fig2_points_certified_and_not_above_slsqp(monkeypatch):
-    exact = {k: kcs_tied_optimum(2, 3, k) for k in range(10, 31)}
-    assert all(t.certificate_residual <= 1e-12 for t in exact.values())
-    # a negative tolerance fails every certificate, so SLSQP decides
-    monkeypatch.setattr(optimality, "CERTIFICATE_TOL", -1.0)
-    for k, t in exact.items():
-        assert t.slem <= kcs_tied_optimum(2, 3, k).slem + 1e-14, k
+def test_tied_optimum_grid_is_certified_or_refused():
+    # exactly the single-branch stars up to k_max are refused: their closed
+    # form fails the certificate (ROADMAP direction 2), and every other
+    # point certifies
+    refused, answered = [], 0
+    for m, n, k in _tied_grid():
+        try:
+            tied = kcs_tied_optimum(m, n, k)
+        except SpectralError as error:
+            assert "ROADMAP direction 2" in str(error), (m, n, k)
+            refused.append((m, n, k))
+            continue
+        assert tied.certificate_residual <= 1e-12, (m, n, k)
+        answered += 1
+    assert refused == [(m, 1, k) for m in range(1, 9) for k in range(1, k_max(m, 1) + 1)]
+    assert (len(refused), answered) == (161, 1998)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_minimize_slem_reaches_the_path_optimum(m):
+    # SymmetricStar(m, 1) is the path on m + 1 nodes, whose optimal SLEM is
+    # cos(pi/(m + 1)) (Boyd, Diaconis, Sun and Xiao 2006): the estimate that
+    # the refusal at n = 1 points to
+    g = build(SymmetricStar(m, 1))
+    res = minimize_slem(g, symmetry_classes=dict(g.stratum_of_edge))
+    assert abs(res.slem - math.cos(math.pi / (m + 1))) <= 1e-8
+
+
+def test_fig2_points_certified_and_not_above_slsqp():
+    # no weights of the dense graph that minimize_slem finds beat a
+    # certified point.  At one BLAS thread SLSQP stops on KcsStar(2, 3, 11)
+    # with "Inequality constraints incompatible" (ROADMAP direction 11), so
+    # a point may lack the estimate, but at most one
+    unestimated = []
+    for k in range(10, 31):
+        tied = kcs_tied_optimum(2, 3, k)
+        assert tied.certificate_residual <= 1e-12
+        g = build(KcsStar(2, 3, k))
+        try:
+            dense = minimize_slem(g, symmetry_classes=dict(g.stratum_of_edge))
+        except SpectralError as error:
+            assert "did not converge" in str(error)
+            unestimated.append(k)
+            continue
+        assert tied.slem <= dense.slem + 1e-14, k
+    assert len(unestimated) <= 1, unestimated
 
 
 @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
-def test_failed_active_set_solve_goes_straight_to_slsqp(monkeypatch, error):
+def test_failed_active_set_solve_is_refused(monkeypatch, error):
     # the closed form of KcsStar(200, 40, k_max + 2) passes the certificate
     # (its core value lies within ACTIVE_TOL of the top), though its SLEM
     # is 2.6e-11 above the tied optimum; a failed solve must not offer it
     m, n = 200, 40
     k = k_max(m, n) + 2
-    closed = optimality._closed_form(KcsStar(m, n, k))
+    closed = optimal_weights(KcsStar(m, n, k)).for_strata(range(1, m + 1))
     [(_, residual)] = optimality._kcs_certificate(n, [k], [closed])
     assert residual <= optimality.CERTIFICATE_TOL
 
     def no_solve(*args):
         raise error("no bracket")
 
-    calls = []
-
-    def recorded(spectrum, start, what):
-        calls.append(what)
-        return start, None, 7, "recorded fallback"
-
     monkeypatch.setattr(optimality, "_active_set_weights", no_solve)
-    monkeypatch.setattr(optimality, "_epigraph_slem", recorded)
-    tied = kcs_tied_optimum(m, n, k)
-    assert calls == [f"tied KCS optimum for (m, n, k) = ({m}, {n}, {k})"]
-    assert tied.message == "recorded fallback" != "closed form"
+    with pytest.raises(SpectralError, match=rf"KcsStar\({m}, {n}, {k}\): the "
+                       r"active-set solve failed \(no bracket\)"):
+        kcs_tied_optimum(m, n, k)
 
 
 # (n, m, k range): fig 2, a single branch, a single stratum and two of the
@@ -562,31 +628,19 @@ def test_tied_optima_pinned_bit_for_bit():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TIED_OPTIMA_SHA256
 
 
-def test_failing_point_of_a_stack_falls_back_alone(monkeypatch):
+def test_failing_point_of_a_stack_refuses_it(monkeypatch):
     m, n, ks = 2, 3, list(range(10, 31))
-    want = optimality._tied_optima(m, n, ks)
-    solve, epigraph = optimality._active_set_weights, optimality._epigraph_slem
+    solve = optimality._active_set_weights
 
     def moved_at_20(m, n, k, cos_theta):
         w, iterations = solve(m, n, k, cos_theta)
         return (w + [1e-6, 0.0] if k == 20 else w), iterations
 
-    calls = []
-
-    def recorded(spectrum, start, what):
-        calls.append(what)
-        return epigraph(spectrum, start, what)
-
     monkeypatch.setattr(optimality, "_active_set_weights", moved_at_20)
-    monkeypatch.setattr(optimality, "_epigraph_slem", recorded)
-    got = optimality._tied_optima(m, n, ks)
-    assert calls == ["tied KCS optimum for (m, n, k) = (2, 3, 20)"]
-    for k, g, w in zip(ks, got, want):
-        if k == 20:
-            assert g.message != "active-set solve"
-            assert g.slem == pytest.approx(w.slem, abs=1e-9)
-        else:
-            assert g == w
+    with pytest.raises(SpectralError, match=r"KcsStar\(2, 3, 20\)"):
+        optimality._tied_optima(m, n, ks)
+    with pytest.raises(SpectralError, match=r"KcsStar\(2, 3, 20\)"):
+        kcs_slem_curve(n, m, range(1, 31))
 
 
 def test_certificate_stack_memory_is_bounded():

@@ -661,6 +661,28 @@ def test_monte_carlo_row_refuses_a_single_name():
                         QuantizerSpec(4, "probabilistic"), 3, 1)
 
 
+@pytest.mark.parametrize("topo", [KcsStar(1, 2, 2), KcsStar(1, 3, 3),
+                                  SymmetricStar(1, 1)], ids=repr)
+def test_monte_carlo_row_refuses_a_weighting_that_cannot_average(topo):
+    # max-degree weights on a regular bipartite star have the eigenvalue -1,
+    # so the SLEM is 1 and consensus is reached in almost no trial; the
+    # matrix is still built, and the other weightings still run
+    assert slem(scheme_matrix(topo, "max-degree")[1]) >= 1.0 - 1e-12
+    spec = QuantizerSpec(8, "probabilistic")
+    with pytest.raises(ValueError, match=r"max-degree weighting of .* cannot "
+                       r"average: .* regular bipartite"):
+        monte_carlo_row(topo, ["optimal", "max-degree"], spec, 10, 1)
+    assert monte_carlo_row(topo, ["metropolis"], spec, 10, 1)[0].psi == 100.0
+
+
+def test_weightings_of_the_tables_average():
+    # every weighting of tables 3-5 and of the large benchmark star has a
+    # SLEM well below the refusal's 1 - 1e-12
+    for topo in [*SIM_TOPOLOGIES.values(), SymmetricStar(3, 50)]:
+        for w in WEIGHTINGS:
+            assert slem(scheme_matrix(topo, w)[1]) <= 0.997, (topo, w)
+
+
 def test_row_hashes_each_stage_once(monkeypatch):
     # at 8 bits the cells finish at different steps, so the row outlives
     # some of them and its columns shrink; every cell equals its own row
