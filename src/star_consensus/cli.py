@@ -13,9 +13,8 @@ failure (an input too large to hold in memory included), 3 verification
 failure.  A usage error is a ``UsageError``,
 which ``main`` alone maps to exit 1; a table setting, given as a flag or
 in a ``--config`` file, is checked against the one rule table
-``CONFIG_FIELDS``.  Every command is deterministic given its flags.
-STAR_CONSENSUS_THREADS may cap the BLAS thread count; the random draws
-and the results do not depend on it.
+``CONFIG_FIELDS``.  Every command is deterministic given its flags; the
+random draws and the results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations

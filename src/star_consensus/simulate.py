@@ -614,7 +614,9 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
                     spec: QuantizerSpec, trials: int, master_seed: int,
                     max_iters: int = 10_000) -> list[TrialStats]:
     """Aggregate consensus statistics over independent trials, one
-    ``TrialStats`` per weighting, in the order given.
+    ``TrialStats`` per weighting, in the order given.  Each weighting's W
+    is ``scheme_matrix``'s, so "optimal" past k_max on a k-cored star runs
+    on the certified tied optimum, and a refused one raises SpectralError.
 
     The weightings form one row: they run the same trials from the same
     x(0) with the same quantizer, seed and cap, in lockstep, and share

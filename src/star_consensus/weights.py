@@ -72,9 +72,11 @@ def optimal_weights(topology: Topology) -> WeightAssignment:
     k = 1); CCS star: core edges 1/n, tails 1/2.  The KCS weights are
     optimal only while k <= k_max(m, n), and only for n >= 2; past k_max
     ``optimality.kcs_tied_optimum`` gives the optimal weights, solved
-    exactly on their known active set and certified by a KKT residual.
+    exactly on their known active set and certified by a KKT residual,
+    and ``scheme_matrix(topology, "optimal")`` builds W from those.
     At n = 1 it refuses up to k_max, where these weights are not the
-    optimum (ROADMAP direction 2).
+    optimum (ROADMAP direction 2).  This function is the paper's formula
+    at every k.
     """
     if isinstance(topology, CcsStar):
         w = {0: 1.0 / topology.n}
@@ -168,11 +170,24 @@ def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
 
 def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     """Build (graph, W) for a named scheme: optimal | metropolis |
-    max-degree | best-constant."""
+    max-degree | best-constant.
+
+    "optimal" is the closed form of ``optimal_weights``, except on a
+    k-cored star past k_max(m, n), where it is the certified optimum
+    ``optimality.kcs_tied_optimum``; a refused optimum raises
+    SpectralError.  At n = 1 up to k_max it is the closed form, which is
+    not the optimum there (ROADMAP direction 2).
+    """
     graph = build(topology)
     if scheme == "optimal":
+        assignment = optimal_weights(topology)
+        if isinstance(topology, KcsStar) and topology.k > 1:  # k = 1 is within k_max
+            from .optimality import kcs_tied_optimum  # both import this module
+            from .spectral import _k_max
+            if topology.k > _k_max(topology.m, topology.n):
+                assignment = kcs_tied_optimum(topology.m, topology.n, topology.k).weights
         strata = map(graph.stratum_of_edge.get, graph.edges)
-        W = assemble_matrix(graph, optimal_weights(topology).for_strata(strata))
+        W = assemble_matrix(graph, assignment.for_strata(strata))
     elif scheme == "metropolis":
         W = metropolis_weights(graph)
     elif scheme == "max-degree":

@@ -591,11 +591,10 @@ def test_kernel_thread_count_independent():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)  # the package sets them from STAR_CONSENSUS_THREADS
     expected = _kernel_digest()
     for threads in ("1", "2"):
-        env["STAR_CONSENSUS_THREADS"] = threads
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == expected

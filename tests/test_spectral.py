@@ -332,10 +332,12 @@ def test_interlacing_holds_and_lambda2_identity():
     topo = KcsStar(2, 3, 12)
     blocks = stratify(topo, optimal_weights(topo))
     assert blocks.w0_block[0, 0] > np.linalg.eigvalsh(blocks.w0_block[1:, 1:])[-1] + 0.05
-    # with one branch, W1 does not occur in W and lambda2 comes from W0
+    # with one branch, W1 does not occur in W and lambda2 comes from W0;
+    # W and its blocks hold the same weights, past k_max the tied optimum
     for topo in (topo, SymmetricStar(3, 1), KcsStar(2, 1, 3)):
         g, W = scheme_matrix(topo, "optimal")
-        rep = interlacing_check(stratify(topo, optimal_weights(topo)), W)
+        blocks = stratify(topo, WeightAssignment(per_stratum_from_matrix(g, W)))
+        rep = interlacing_check(blocks, W)
         assert rep.holds and rep.max_violation <= 1e-12
         assert rep.lambda2_matches_w1_top
 

@@ -10,7 +10,8 @@ import pytest
 
 from star_consensus import weights
 from star_consensus.cli import WEIGHTINGS
-from star_consensus.spectral import stratify
+from star_consensus.optimality import kcs_tied_optimum
+from star_consensus.spectral import k_max, slem, stratify
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.weights import (
     WeightAssignment,
@@ -31,9 +32,9 @@ def test_optimal_symmetric_star():
 
 
 def test_optimal_scheme_never_loads_scipy_optimize():
-    # the closed-form weights need no root solve, within k_max or past it,
-    # so neither the optimal matrix nor a Monte Carlo run on it loads
-    # scipy.optimize
+    # the optimal weights need no SLSQP, the closed form within k_max nor
+    # the tied optimum's active-set solve past it, so neither the optimal
+    # matrix nor a Monte Carlo run on it loads scipy.optimize
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
@@ -51,6 +52,27 @@ def test_optimal_scheme_never_loads_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+def test_optimal_scheme_past_k_max_is_the_tied_optimum():
+    # past k_max(2, 3) = 9 and k_max(3, 2) the closed form is not optimal
+    for topo, expected in ((KcsStar(2, 3, 12), 0.738417), (KcsStar(3, 2, 20), 0.877424)):
+        assert topo.k > k_max(topo.m, topo.n)
+        tied = kcs_tied_optimum(topo.m, topo.n, topo.k).slem
+        assert tied == pytest.approx(expected, abs=1e-6)
+        assert abs(slem(scheme_matrix(topo, "optimal")[1]) - tied) <= 1e-12
+
+
+def test_optimal_scheme_within_k_max_is_the_closed_form():
+    # k = 1 and every k up to k_max, n = 1 included, keep the paper's weights
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for k in range(1, k_max(m, n) + 1):
+                topo = KcsStar(m, n, k)
+                g, W = scheme_matrix(topo, "optimal")
+                strata = map(g.stratum_of_edge.get, g.edges)
+                closed = assemble_matrix(g, optimal_weights(topo).for_strata(strata))
+                assert np.array_equal(W, closed)
 
 
 def test_optimal_ccs():
@@ -179,9 +201,10 @@ def test_recover_refuses_a_matrix_its_strata_do_not_assemble(topo, edit):
 # the stars of ``verify --suite stratification`` (symmetric m 1..6 x
 # n 1..8, then k-cored m 1..4 x n 1..5 x k 2..7), one "stratum:float.hex"
 # line per matrix in the order returned (numpy 2.4 with its bundled
-# OpenBLAS); recorded from the per-edge read before the round-trip check,
-# which therefore refuses none of them and changes no bit.
-RECOVERED_STRATA_SHA256 = "d9ac61f5a7f0ae8c735fc53fcdab391ad11306ad7fbe376a8631be1f1252b8c6"
+# OpenBLAS); the round-trip check refuses none of them and changes no bit.
+# The 25 optimal matrices of k-cored stars past k_max hold the certified
+# tied optimum, not the closed form.
+RECOVERED_STRATA_SHA256 = "7ef55bf9882afc3e9aacf08644473c2d3b4e0f2bca6a6c13598dcda737375766"
 
 
 def test_recover_keeps_every_scheme_matrix_bit_for_bit():
