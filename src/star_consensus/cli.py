@@ -169,10 +169,12 @@ def cmd_slem(args) -> int:
         raise UsageError("--check runs both methods and takes no --method")
     method = args.method or "closed-form"
     topo = _topology_from_flags(args)
-    closed = spectral.slem_closed_form(topo)
+    # the closed form refuses k > k_max; the eigensolve is of the optimal
+    # W that monte_carlo runs, the certified optimum past k_max
+    if args.check or method == "closed-form":
+        closed = spectral.slem_closed_form(topo)
     if args.check or method == "eigen":
-        graph, W = weights.scheme_matrix(topo, "optimal")
-        eig = spectral.slem(W)
+        eig = spectral.slem(weights.scheme_matrix(topo, "optimal")[1])
     if args.check:
         diff = abs(closed - eig)
         print(json.dumps({"closed_form": closed, "eigen": eig, "diff": diff},
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True, help="branch count")
     ps.add_argument("--k", type=int, help="central node count (kcs-star)")
     ps.add_argument("--method", choices=["closed-form", "eigen"],
-                    help="computation method (default: closed-form)")
+                    help="closed-form (default; refuses k > k_max) or eigen")
     ps.add_argument("--check", action="store_true",
                     help="compute both methods and report the difference")
     ps.set_defaults(func=cmd_slem)

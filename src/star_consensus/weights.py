@@ -168,6 +168,10 @@ def per_stratum_from_matrix(graph: Graph, W: np.ndarray) -> dict[int, float]:
     return per
 
 
+_BASELINES = {"metropolis": metropolis_weights, "max-degree": max_degree_weights,
+              "best-constant": best_constant_weights}
+
+
 def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     """Build (graph, W) for a named scheme: optimal | metropolis |
     max-degree | best-constant.
@@ -178,22 +182,19 @@ def scheme_matrix(topology: Topology, scheme: str) -> tuple[Graph, np.ndarray]:
     SpectralError.  At n = 1 up to k_max it is the closed form, which is
     not the optimum there (ROADMAP direction 2).
     """
-    graph = build(topology)
     if scheme == "optimal":
         assignment = optimal_weights(topology)
-        if isinstance(topology, KcsStar) and topology.k > 1:  # k = 1 is within k_max
+        # k = 1 is within k_max; the route is decided before build, so an
+        # undecided k_max is refused before a huge star lists its edges
+        if isinstance(topology, KcsStar) and topology.k > 1:
             from .optimality import kcs_tied_optimum  # both import this module
             from .spectral import _k_max
             if topology.k > _k_max(topology.m, topology.n):
                 assignment = kcs_tied_optimum(topology.m, topology.n, topology.k).weights
-        strata = map(graph.stratum_of_edge.get, graph.edges)
-        W = assemble_matrix(graph, assignment.for_strata(strata))
-    elif scheme == "metropolis":
-        W = metropolis_weights(graph)
-    elif scheme == "max-degree":
-        W = max_degree_weights(graph)
-    elif scheme == "best-constant":
-        W = best_constant_weights(graph)
-    else:
+    elif scheme not in _BASELINES:
         raise WeightError(f"unknown weighting scheme {scheme!r}")
-    return graph, W
+    graph = build(topology)
+    if scheme != "optimal":
+        return graph, _BASELINES[scheme](graph)
+    strata = map(graph.stratum_of_edge.get, graph.edges)
+    return graph, assemble_matrix(graph, assignment.for_strata(strata))

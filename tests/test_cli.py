@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from star_consensus import cli
+from star_consensus import cli, weights
 from star_consensus.cli import config_from_json, main
+from star_consensus.optimality import kcs_tied_optimum
 
 # the standard variables that pin a run's BLAS thread count
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -193,9 +194,10 @@ def test_slem_family_range_is_usage_error(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("argv", [(), ("--check",), ("--method", "eigen")])
+@pytest.mark.parametrize("argv", [(), ("--check",)])
 def test_slem_refuses_past_k_max(capsys, argv):
-    # k_max(2, 3) = 9: at k = 11 the closed form is not the optimum
+    # k_max(2, 3) = 9: at k = 11 the closed form is not the optimum, and
+    # --check runs the closed form too
     code, out, err = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
                          "--n", "3", "--k", "11", *argv)
     assert code == 2
@@ -203,19 +205,46 @@ def test_slem_refuses_past_k_max(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "k_max = 9" in err
 
 
-def test_slem_refuses_an_undecided_k_max(capsys):
-    # n * r*(2) at n = 10**15 lies within float error of an integer; the
-    # default closed-form method never builds the star's graph
-    code, out, err = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
-                         "--n", str(10**15), "--k", "2")
-    assert code == 2
-    assert out == ""
-    assert "undecided in floating point" in err
+def test_slem_refuses_an_undecided_k_max(capsys, monkeypatch):
+    # n * r*(2) at n = 10**15 lies within float error of an integer; neither
+    # method lists the 2 * 10**15 edges of the star's graph before refusing
+    def no_build(topology):
+        raise AssertionError(f"built the graph of {topology}")
+    monkeypatch.setattr(weights, "build", no_build)
+    for argv in ((), ("--method", "eigen")):
+        code, out, err = run(capsys, "slem", "--topology", "kcs-star", "--m", "2",
+                             "--n", str(10**15), "--k", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "undecided in floating point" in err
     # k = 1 does not read k_max
     code, out, _ = run(capsys, "slem", "--topology", "symmetric-star", "--m", "2",
                        "--n", str(10**15))
     assert code == 0
     assert 0.99 < float(out) < 1.0
+
+
+def test_slem_eigen_past_k_max_is_the_tied_optimum(capsys):
+    # --method eigen solves no closed form: past k_max it eigensolves the
+    # certified optimum, the W that monte_carlo runs
+    for m, n, k in ((2, 3, 11), (3, 2, 20)):
+        code, out, _ = run(capsys, "slem", "--topology", "kcs-star", "--m", str(m),
+                           "--n", str(n), "--k", str(k), "--method", "eigen")
+        assert code == 0
+        assert abs(float(out) - kcs_tied_optimum(m, n, k).slem) <= 1e-12
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("kcs-star", "--m", "2", "--n", "3", "--k", "9"), "0.72996746123520673\n"),
+    (("symmetric-star", "--m", "2", "--n", "3"), "0.83851648071345075\n"),
+    (("ccs-star", "--m", "2", "--n", "7"), "0.86602540378443937\n"),
+])
+def test_slem_eigen_within_k_max_is_pinned(capsys, argv, expected):
+    # up to k_max the eigensolve of the closed-form W, to the last byte
+    code, out, _ = run(capsys, "slem", "--topology", *argv, "--method", "eigen")
+    assert code == 0
+    assert out == expected
 
 
 def test_slem_check_at_k_max(capsys):

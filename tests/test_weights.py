@@ -11,7 +11,7 @@ import pytest
 from star_consensus import weights
 from star_consensus.cli import WEIGHTINGS
 from star_consensus.optimality import kcs_tied_optimum
-from star_consensus.spectral import k_max, slem, stratify
+from star_consensus.spectral import SpectralError, k_max, slem, stratify
 from star_consensus.topology import CcsStar, Graph, KcsStar, SymmetricStar, build
 from star_consensus.weights import (
     WeightAssignment,
@@ -73,6 +73,19 @@ def test_optimal_scheme_within_k_max_is_the_closed_form():
                 strata = map(g.stratum_of_edge.get, g.edges)
                 closed = assemble_matrix(g, optimal_weights(topo).for_strata(strata))
                 assert np.array_equal(W, closed)
+
+
+def test_scheme_matrix_refuses_before_building(monkeypatch):
+    # n * r*(2) at n = 10**15 lies within float error of an integer: k_max,
+    # and with it the route, is refused before 2 * 10**15 edges are listed,
+    # as is an unknown scheme
+    def no_build(topology):
+        raise AssertionError(f"built the graph of {topology}")
+    monkeypatch.setattr(weights, "build", no_build)
+    with pytest.raises(SpectralError, match="k_max"):
+        scheme_matrix(KcsStar(2, 10**15, 2), "optimal")
+    with pytest.raises(WeightError, match="unknown weighting scheme"):
+        scheme_matrix(SymmetricStar(2, 3), "uniform")
 
 
 def test_optimal_ccs():
