@@ -14,7 +14,15 @@ failure.  A usage error is a ``UsageError``,
 which ``main`` alone maps to exit 1; a table setting, given as a flag or
 in a ``--config`` file, is checked against the one rule table
 ``CONFIG_FIELDS``.  Every command is deterministic given its flags; the
-random draws and the results do not depend on the BLAS thread count.
+random draws and the results depend on neither the BLAS thread count nor
+the CPU count.  At one BLAS thread (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
+and MKL_NUM_THREADS set to 1 before the run starts) the Monte Carlo
+tables run their trials in one block per usable CPU
+(``taskset`` restricts the CPUs), the caller's block in-process and each
+other in a forked child; a process that holds other threads, a
+multi-threaded BLAS pool among them, never forks, and on Windows and
+macOS the trials all run in-process.  The gain is measured at two usable
+CPUs only.
 """
 
 from __future__ import annotations
@@ -481,8 +489,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     # TopologyError, WeightError and SpectralError are ValueErrors; a
-    # MemoryError is an input too large to hold, such as a trial count
-    except (ValueError, np.linalg.LinAlgError, MemoryError) as e:
+    # MemoryError is an input too large to hold, such as a trial count; a
+    # ChildProcessError is a block of Monte Carlo trials whose process
+    # ended without a result (it is an OSError, which is exit 1 below)
+    except (ValueError, np.linalg.LinAlgError, MemoryError,
+            ChildProcessError) as e:
         print(f"numerical/parameter failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:

@@ -47,6 +47,22 @@ outcomes, and a trial's column leaves the row only once no running cell
 holds it, so a cell's statistics are bit-identical to those of a row of
 its own.
 
+A Monte Carlo row runs its trials in contiguous blocks, one per CPU the
+process may run on (``os.sched_getaffinity``, which ``taskset``
+restricts), capped at the trial count: the caller steps the first block
+and a forked child each other, which pickles its per-trial outcomes back
+through a pipe, and the caller joins each cell's outcomes in trial order
+before it forms the statistics (``_run_blocks``).  A trial's outcome does
+not depend on its block, so the statistics depend on neither the BLAS
+thread count nor the CPU count.  The row runs in-process where os.fork or
+os.sched_getaffinity is missing (Windows, macOS), with one usable CPU,
+and in a process that holds other threads, a multi-threaded BLAS pool
+among them (``_alone``): a child forked from such a process can deadlock,
+and Python 3.12 and later warn of it.  So a run forks only at one BLAS
+thread (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to
+1 before it starts).  The gain is measured at two usable CPUs only; a
+fork costs milliseconds, so a row of a few trials is slower split.
+
 Some shortcuts keep the step short, and the record small, without
 changing a bit.  The probabilistic rule takes one route, the two
 operations ceil(y - u): its draws lie on the 2^-32 grid and every level
@@ -94,10 +110,14 @@ where 100 of its trials finish.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -148,6 +168,13 @@ def _mixed(z):
     """splitmix64 finalizer of a copy of z."""
     z = np.array(z, dtype=np.uint64)
     return _mix64(z, np.empty_like(z))
+
+
+def _check_max_iters(max_iters):
+    """Refuse a cap that is not an integer (not a bool) in 0..MAX_ITERS."""
+    if not _is_integer(max_iters) or not 0 <= max_iters <= MAX_ITERS:
+        raise ValueError(f"max_iters must be an integer in 0..{MAX_ITERS}, "
+                         f"got {max_iters!r}")
 
 
 def _check_seed(seed, what: str):
@@ -398,7 +425,7 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     quantizes update t; the draws of stage s use counters s*N .. s*N + N-1
     of the trial (see ``_stage_draws_into``), clear of the initial states'
     0..N-1, so a single trial and any batch consume identical random
-    streams.  max_iters must be an integer (not a bool) in 0..MAX_ITERS.
+    streams.  The caller has checked max_iters (``_check_max_iters``).
 
     The state is held node-major, one column per trial of the row, as exact
     level indices i, x = -1 + i * delta: x(0) is mapped by (x + 1)/delta,
@@ -466,9 +493,6 @@ def _batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
     ``monte_carlo`` and ``run_trial``, thus compacts as that cell alone
     would.
     """
-    if not _is_integer(max_iters) or not 0 <= max_iters <= MAX_ITERS:
-        raise ValueError(f"max_iters must be an integer in 0..{MAX_ITERS}, "
-                         f"got {max_iters!r}")
     from scipy.sparse import csr_matrix  # only the simulator needs it
 
     x0 = (_initial_states(trial_seeds, len(Ws[0])) if x0_batch is None
@@ -593,6 +617,7 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     max_iters.
     """
     _check_seed(trial_seed, "trial seed")
+    _check_max_iters(max_iters)
     W = _check_weight_matrix(W)
     x0 = np.asarray(x0, dtype=float)
     n = W.shape[0]
@@ -610,6 +635,105 @@ def run_trial(W, x0, spec: QuantizerSpec, max_iters: int = 10_000,
     return (outcome, run[4]) if return_trajectory else outcome
 
 
+def _alone():
+    """Whether this process runs one thread, as the kernel counts them (a
+    BLAS pool's threads too).  A child forked from a process that holds
+    other threads can deadlock on a lock one of them held, and Python 3.12
+    and later warn of it (DeprecationWarning).  False where the threads
+    cannot be counted (no /proc/self/task)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _block_count(trials):
+    """The number of trial blocks a Monte Carlo row runs: one per CPU this
+    process may run on (``taskset`` restricts them), capped at trials, or
+    1 where os.fork or os.sched_getaffinity is missing (Windows, macOS) or
+    the process holds other threads (``_alone``)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and _alone()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), trials)
+
+
+def _block_child(w, readers, run, trial_seeds):
+    """A forked child's whole life: send run(trial_seeds), or the exception
+    it raised, pickled through the pipe end w.  It ends by os._exit, so
+    nothing of the parent's runs twice (no atexit handler, no flush of
+    inherited stdio, no test runner's teardown), with status 0 only once
+    the reply is written.  Never returns."""
+    code = 1
+    try:
+        for fd in readers:  # the read ends are the caller's
+            os.close(fd)
+        try:
+            reply = (True, run(trial_seeds))
+        except BaseException as e:  # KeyboardInterrupt too; the caller raises it
+            reply = (False, e)
+        with open(w, "wb") as f:
+            pickle.dump(reply, f, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_blocks(run, trial_seeds):
+    """run(seeds), a list of per-cell tuples of per-trial arrays, over
+    contiguous blocks of trial_seeds, one per usable CPU
+    (``_block_count``): block 0 here, each other in a forked child
+    (``_block_child``).  Returns each cell's arrays concatenated in trial
+    order.  A trial's outcome in ``_batch_run`` is the same in any block,
+    so these are the arrays of one block of all trials.
+
+    The caller reaps every child with waitpid, also when its own block
+    raises or is interrupted, and then it kills them first: no one would
+    read their results.  A child's exception is raised here, and a child
+    that ended without a reply raises ChildProcessError.  With one block nothing forks.  A raw fork,
+    not a multiprocessing pool: the children inherit the loaded modules,
+    and a spawned one would import numpy and scipy again.
+    """
+    blocks = np.array_split(trial_seeds, _block_count(trial_seeds.size))
+    if len(blocks) > 1:
+        import scipy.sparse  # the kernel's lazy import: here, not per child
+    pids, readers, replies = [], [], []
+    try:
+        for block in blocks[1:]:
+            r, w = os.pipe()
+            readers.append(r)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _block_child(w, readers, run, block)
+            finally:
+                os.close(w)  # the child's alone: EOF once it exits
+            pids.append(pid)
+        runs = [run(blocks[0])]
+        for r in readers:
+            with open(r, "rb", closefd=False) as f:
+                replies.append(f.read())
+    finally:
+        for fd in readers:
+            os.close(fd)
+        if len(replies) < len(pids):  # this block failed: stop the others
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, reply in zip(pids, statuses, replies):
+        code = os.waitstatus_to_exitcode(status)
+        if code or not reply:
+            raise ChildProcessError(
+                f"the trial block in process {pid} ended without a result "
+                + (f"(signal {-code})" if code < 0 else f"(exit code {code})"))
+        ok, result = pickle.loads(reply)
+        if not ok:
+            raise result
+        runs.append(result)
+    return [[np.concatenate(parts) for parts in zip(*cell)]
+            for cell in zip(*runs)]
+
+
 def monte_carlo_row(topology: Topology, weightings: Sequence[str],
                     spec: QuantizerSpec, trials: int, master_seed: int,
                     max_iters: int = 10_000) -> list[TrialStats]:
@@ -621,7 +745,11 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
     The weightings form one row: they run the same trials from the same
     x(0) with the same quantizer, seed and cap, in lockstep, and share
     each stage's draws (see ``_batch_run``).  Each weighting's statistics
-    are the same, bit for bit, as from a row of its own.  eta, mu, rho
+    are the same, bit for bit, as from a row of its own.  In a process
+    that runs no other thread, the trials run in one contiguous block per
+    usable CPU, the first in this process and each other in a forked
+    child (``_run_blocks``); the statistics are the same, bit for bit, at
+    any CPU count.  eta, mu, rho
     are computed only over trials that reached consensus (rho is the
     population variance).  Per-trial randomness is keyed by (master_seed,
     trial index), so every trial draws the same stream whatever the trial
@@ -642,14 +770,15 @@ def monte_carlo_row(topology: Topology, weightings: Sequence[str],
                          f"{weightings!r}; monte_carlo runs a single weighting")
     if not weightings:
         raise ValueError("monte_carlo_row needs at least one weighting")
+    _check_max_iters(max_iters)
     matrices = [scheme_matrix(topology, w)[1] for w in weightings]
     for weighting, W in zip(weightings, matrices):
         if slem(W) >= 1.0 - 1e-12:  # a spectral gap of rounding size is none
             raise ValueError(f"the {weighting} weighting of {topology} cannot average: its "
                              "SLEM is 1 (max-degree weights have the eigenvalue -1 on a "
                              "regular bipartite star: one edge, or K_n,n)")
-    runs = _batch_run(matrices, None, spec, max_iters,
-                      derive_trial_seed(master_seed, np.arange(trials)))
+    runs = _run_blocks(partial(_batch_run, matrices, None, spec, max_iters),
+                       derive_trial_seed(master_seed, np.arange(trials)))
     # derive_trial_seed has checked master_seed
     return [_trial_stats(reached, iters, errors, int(trials), int(master_seed))
             for reached, iters, _, errors in runs]

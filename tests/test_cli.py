@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from star_consensus import cli, weights
+from star_consensus import cli, simulate, weights
 from star_consensus.cli import config_from_json, main
 from star_consensus.optimality import kcs_tied_optimum
 
@@ -175,6 +175,29 @@ def test_memory_failure_exit(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("numerical/parameter failure: Unable to allocate")
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="Monte Carlo rows run in-process without os.fork")
+def test_lost_trial_block_exit(capsys, monkeypatch):
+    # a block of trials whose process ends without a result is a numerical
+    # failure, reported in one line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(simulate, "_alone", lambda: True)
+    caller, batch_run = os.getpid(), simulate._batch_run
+
+    def child_exits(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return batch_run(*args)
+
+    monkeypatch.setattr(simulate, "_batch_run", child_exits)
+    code, out, err = run(capsys, "table", "--id", "3", "--trials", "20")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numerical/parameter failure: the trial block in process")
+    assert err.strip().endswith("ended without a result (exit code 3)")
 
 
 @pytest.mark.parametrize("argv,message", [

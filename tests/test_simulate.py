@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -682,6 +684,178 @@ def test_weightings_of_the_tables_average():
             assert slem(scheme_matrix(topo, w)[1]) <= 0.997, (topo, w)
 
 
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="Monte Carlo rows run in-process without os.fork")
+
+
+def _use_cpus(monkeypatch, n):
+    """Let a Monte Carlo row see n usable CPUs, and this process as one
+    thread (a BLAS pool may hold others here)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(simulate, "_alone", lambda: True)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_monte_carlo_is_the_same_on_any_cpu_count(monkeypatch):
+    # the trials run in one block per usable CPU, block 0 in the caller:
+    # every table row at 2,000 trials, and 7 trials split 3/2/2
+    forks, seen = [], []
+    fork, batch_run = os.fork, simulate._batch_run
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    def seen_batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
+        seen.append(len(trial_seeds))  # the caller's block alone
+        return batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(simulate, "_batch_run", seen_batch_run)
+    results = {}
+    for n in (1, 2, 3):
+        _use_cpus(monkeypatch, n)
+        forks.clear()
+        rows = [repr(monte_carlo_row(topo, WEIGHTINGS,
+                                     QuantizerSpec(bits, "probabilistic"), 2000, 1))
+                for topo in SIM_TOPOLOGIES.values() for bits in (4, 8, 16)]
+        _assert_no_child_left()
+        assert len(forks) == 9 * (n - 1)
+        seen.clear()
+        rows.append(repr(monte_carlo(SymmetricStar(3, 50), "optimal",
+                                     QuantizerSpec(8, "probabilistic"), 7, 1,
+                                     max_iters=500)))
+        _assert_no_child_left()
+        assert seen == [(7, 4, 3)[n - 1]]
+        assert len(forks) == 9 * (n - 1) + n - 1
+        results[n] = rows
+    assert results[1] == results[2] == results[3]
+
+
+@needs_fork
+def test_a_process_with_other_threads_does_not_fork(monkeypatch):
+    # a child forked beside other threads can deadlock (Python 3.12 and
+    # later warn): the row runs in-process, with the same bits
+    spec = QuantizerSpec(8, "probabilistic")
+    _use_cpus(monkeypatch, 1)
+    expected = repr(monte_carlo(SymmetricStar(3, 50), "optimal", spec, 7, 1,
+                                max_iters=500))
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert not simulate._alone()
+        got = repr(monte_carlo(SymmetricStar(3, 50), "optimal", spec, 7, 1,
+                               max_iters=500))
+    finally:
+        stop.set()
+        other.join()
+    assert got == expected
+
+
+@needs_fork
+def test_a_one_thread_process_forks():
+    # at one BLAS thread the process is alone, so a row splits over the
+    # CPUs, without the fork-with-threads warning of Python 3.12 and later
+    here = Path(__file__).resolve().parent
+    code = """if True:
+        import os
+        from star_consensus import simulate
+        from star_consensus.topology import SymmetricStar
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1}
+        assert simulate._alone()
+        stats = simulate.monte_carlo(SymmetricStar(3, 50), "optimal",
+                                     simulate.QuantizerSpec(8, "probabilistic"),
+                                     7, 1, max_iters=500)
+        print(len(forks), repr(stats))
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), env.get("PYTHONPATH", "")])
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    forks, stats = out.strip().split(" ", 1)
+    assert forks == "1"
+    assert stats == repr(monte_carlo(SymmetricStar(3, 50), "optimal",
+                                     QuantizerSpec(8, "probabilistic"), 7, 1,
+                                     max_iters=500))
+
+
+def _fail_without_trial_0(monkeypatch, fail):
+    """Make _batch_run call fail() on a block without the first trial of
+    master seed 1: on every block but the caller's."""
+    first, batch_run = derive_trial_seed(1, 0), simulate._batch_run
+
+    def failing(Ws, x0_batch, spec, max_iters, trial_seeds, record=False):
+        if int(trial_seeds[0]) != first:
+            fail()
+        return batch_run(Ws, x0_batch, spec, max_iters, trial_seeds, record)
+
+    monkeypatch.setattr(simulate, "_batch_run", failing)
+
+
+@needs_fork
+def test_a_child_block_error_is_raised_in_the_caller(monkeypatch):
+    def fail():
+        raise ValueError("no trial 0 in this block")
+
+    _use_cpus(monkeypatch, 3)
+    _fail_without_trial_0(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^no trial 0 in this block$"):
+        monte_carlo(SymmetricStar(2, 3), "optimal",
+                    QuantizerSpec(4, "probabilistic"), 30, 1)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_child_block_without_a_result_raises(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    _fail_without_trial_0(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match=r"without a result \(exit code 3\)"):
+        monte_carlo(SymmetricStar(2, 3), "optimal",
+                    QuantizerSpec(4, "probabilistic"), 30, 1)
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", (ValueError, KeyboardInterrupt))
+def test_children_are_reaped_when_the_callers_block_raises(monkeypatch, error):
+    # the children's blocks would sleep for a minute: they are stopped,
+    # not waited for
+    caller = os.getpid()
+
+    def caller_fails(*args):
+        if os.getpid() == caller:
+            raise error("caller's block")
+        time.sleep(60)
+
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(simulate, "_batch_run", caller_fails)
+    start = time.monotonic()
+    with pytest.raises(error, match="caller's block"):
+        monte_carlo(SymmetricStar(2, 3), "optimal",
+                    QuantizerSpec(4, "probabilistic"), 30, 1)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
 def test_row_hashes_each_stage_once(monkeypatch):
     # at 8 bits the cells finish at different steps, so the row outlives
     # some of them and its columns shrink; every cell equals its own row
@@ -818,11 +992,13 @@ def test_row_keeps_a_column_while_a_running_cell_holds_its_trial(monkeypatch):
     assert len(set(hashed)) > 2
 
 
-def test_row_memory_stays_near_three_cell_states():
+def test_row_memory_stays_near_three_cell_states(monkeypatch):
     # one cell peaks at 3.6 MB here; a row of four shares its draw, hash
     # and check scratch and x(0), so it adds about three cell states.  The
     # row builds x(0) inside the loop, so only its means outlive stage 1:
     # a caller that held the raw x(0) for the whole row peaked at 7.4 MB.
+    # One usable CPU, so that every trial runs in this process.
+    _use_cpus(monkeypatch, 1)
     spec = QuantizerSpec(8, "probabilistic")
     monte_carlo_row(CcsStar(2, 3), WEIGHTINGS, spec, 20, 1)  # lazy imports
     tracemalloc.start()
